@@ -867,7 +867,6 @@ let recorded_scaling : (string * float) list ref = ref []
 let recorded_cache : (string * float) list ref = ref []
 let recorded_exposition : (string * float) list ref = ref []
 let recorded_resilience : (string * float) list ref = ref []
-let recorded_backends : (string * float) list ref = ref []
 let recorded_frontier : (string * float) list ref = ref []
 
 let write_bench_json path =
@@ -905,9 +904,6 @@ let write_bench_json path =
   Buffer.add_string buf "  },\n";
   Buffer.add_string buf "  \"resilience\": {\n";
   obj "%S: %.3f" !recorded_resilience;
-  Buffer.add_string buf "  },\n";
-  Buffer.add_string buf "  \"canon_backends\": {\n";
-  obj "%S: %.3f" !recorded_backends;
   Buffer.add_string buf "  },\n";
   Buffer.add_string buf "  \"frontier\": {\n";
   obj "%S: %.3f" !recorded_frontier;
@@ -1827,84 +1823,6 @@ let resilience () =
     exit 1
   end
 
-(* ---------- canonicalization backends: OCaml reference vs C stub ---------- *)
-
-let canon_backends () =
-  section "Canonicalization backends: pure-OCaml kernel vs C stub";
-  print_endline
-    "the same individualization-refinement search, compiled twice. The\n\
-     timed loop canonicalizes the bicolored digraph of every zoo\n\
-     instance (standard + Cayley suites); both kernels are first\n\
-     cross-checked on that exact workload, so the timings compare\n\
-     bit-identical work. Gate: the C kernel must run the sweep within\n\
-     2x of the OCaml kernel (it is expected to be faster).\n";
-  let module Canon = Qe_symmetry.Canon in
-  let fails = ref [] in
-  let digraphs =
-    List.map
-      (fun (i : Campaign.instance) ->
-        ( i.Campaign.name,
-          Qe_symmetry.Cdigraph.of_bicolored (Campaign.bicolored i) ))
-      (Campaign.zoo () @ Campaign.cayley_zoo ())
-  in
-  List.iter
-    (fun (name, d) ->
-      let a = Canon.run_ocaml d and b = Canon.run_c d in
-      if
-        a.Canon.certificate <> b.Canon.certificate
-        || a.Canon.orbits <> b.Canon.orbits
-        || a.Canon.leaves_visited <> b.Canon.leaves_visited
-      then fails := Printf.sprintf "%s: kernels diverge" name :: !fails)
-    digraphs;
-  let time f =
-    let t0 = Qe_obs.Clock.now_ns () in
-    let r = Sys.opaque_identity (f ()) in
-    ignore r;
-    float_of_int (Qe_obs.Clock.now_ns () - t0)
-  in
-  let median l =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let sweep kernel () =
-    List.iter (fun (_, d) -> ignore (kernel d)) digraphs
-  in
-  let reps = 9 in
-  (* one warm-up each, then medians *)
-  ignore (time (sweep Canon.run_ocaml));
-  ignore (time (sweep Canon.run_c));
-  let t_ml = median (List.init reps (fun _ -> time (sweep Canon.run_ocaml))) in
-  let t_c = median (List.init reps (fun _ -> time (sweep Canon.run_c))) in
-  let ratio = t_c /. t_ml in
-  print_table
-    [ "kernel"; "zoo sweep wall"; "vs ocaml" ]
-    [
-      [ "ocaml"; Printf.sprintf "%8.2f ms" (t_ml /. 1e6); "1.00x" ];
-      [ "c"; Printf.sprintf "%8.2f ms" (t_c /. 1e6);
-        Printf.sprintf "%.2fx" ratio ];
-    ];
-  Printf.printf "\ncross-checked %d instances, %d divergences\n"
-    (List.length digraphs) (List.length !fails);
-  if ratio > 2.0 then
-    fails :=
-      Printf.sprintf "C kernel %.2fx > 2.00x over the OCaml kernel" ratio
-      :: !fails;
-  recorded_backends :=
-    [
-      ("ocaml-zoo-sweep-ms", t_ml /. 1e6);
-      ("c-zoo-sweep-ms", t_c /. 1e6);
-      ("c-over-ocaml", ratio);
-      ("instances-cross-checked", float_of_int (List.length digraphs));
-    ];
-  let out = Printf.sprintf "BENCH_%d.json" bench_revision in
-  write_bench_json out;
-  Printf.printf "wrote %s\n" out;
-  if !fails <> [] then begin
-    List.iter (fun m -> Printf.printf "FAIL: %s\n" m) !fails;
-    exit 1
-  end
-
 (* ---------- the instance-size frontier (CSR + transitivity fast path) ---------- *)
 
 (* Macro-benchmark, not Bechamel: each rung runs once and reports
@@ -2076,7 +1994,6 @@ let sections =
     ("cache", cache_bench);
     ("exposition", exposition);
     ("resilience", resilience);
-    ("canon-backends", canon_backends);
     ("frontier", frontier_bench);
   ]
 

@@ -20,7 +20,6 @@ module Color = Qe_color.Color
 module Campaign = Qe_elect.Campaign
 module Oracle = Qe_elect.Oracle
 module Canon = Qe_symmetry.Canon
-module Canon_backend = Qe_symmetry.Canon_backend
 module Cdigraph = Qe_symmetry.Cdigraph
 module Metrics = Qe_obs.Metrics
 open Cmdliner
@@ -119,20 +118,9 @@ let exit_stuck = 5 (* step limit or watchdog timeout *)
 let exit_inconsistent = 6
 let exit_chaos_violation = 7
 let exit_quarantined = 8
-let exit_divergence = 9 (* canonicalization backends disagreed *)
+let exit_kernel_defect = 9 (* selftest found a kernel defect *)
 
 let outcome_exit_code = ref 0
-
-(* Every instance-touching command takes --canon-backend; [both] can
-   raise Divergence from any Canon.run, which all of them turn into
-   exit 9 via this handler. *)
-let catch_divergence e =
-  match Canon_backend.divergence_message e with
-  | Some msg ->
-      prerr_endline msg;
-      outcome_exit_code := exit_divergence;
-      `Ok ()
-  | None -> raise e
 
 let note_outcome o =
   outcome_exit_code :=
@@ -150,10 +138,9 @@ let fault_plans =
 
 (* ---------- run ---------- *)
 
-let run_cmd backend file instance graph agents protocol strategy seed verbose
+let run_cmd file instance graph agents protocol strategy seed verbose
     trace trace_out stats faults fault_seed =
   try
-    Option.iter Canon_backend.select backend;
     let g, black, name = resolve_instance ?file ~instance ~graph ~agents () in
     let proto =
       match List.assoc_opt protocol protocols with
@@ -260,7 +247,7 @@ let run_cmd backend file instance graph agents protocol strategy seed verbose
     | Some path -> Printf.printf "trace written to %s\n" path
     | None -> ());
     `Ok ()
-  with Failure msg -> `Error (false, msg) | e -> catch_divergence e
+  with Failure msg -> `Error (false, msg)
 
 (* ---------- report ---------- *)
 
@@ -423,9 +410,8 @@ let report_cmd path strict chrome =
 
 (* ---------- analyze ---------- *)
 
-let analyze_cmd backend file instance graph agents =
+let analyze_cmd file instance graph agents =
   try
-    Option.iter Canon_backend.select backend;
     let g, black, name = resolve_instance ?file ~instance ~graph ~agents () in
     let b = Bicolored.make g ~black in
     Printf.printf "instance %s: n=%d, m=%d, agents at {%s}\n" name (Graph.n g)
@@ -457,7 +443,7 @@ let analyze_cmd backend file instance graph agents =
     Printf.printf "overall prediction: %s\n"
       (Format.asprintf "%a" Oracle.pp_prediction (Oracle.predict b));
     `Ok ()
-  with Failure msg -> `Error (false, msg) | e -> catch_divergence e
+  with Failure msg -> `Error (false, msg)
 
 (* ---------- zoo ---------- *)
 
@@ -625,10 +611,9 @@ let report_supervision summary oc =
     outcome_exit_code := exit_quarantined
   end
 
-let sweep_cmd backend protocol seeds jobs no_cache stats metrics_port
+let sweep_cmd protocol seeds jobs no_cache stats metrics_port
     checkpoint resume task_deadline task_retries harness_chaos =
   try
-    Option.iter Canon_backend.select backend;
     if no_cache then Cache.set_enabled false;
     Cache.reset_stats ();
     if resume && checkpoint = None then
@@ -668,14 +653,13 @@ let sweep_cmd backend protocol seeds jobs no_cache stats metrics_port
         report_supervision summary stderr);
     if stats then print_cache_stats stderr;
     `Ok ()
-  with Failure msg -> `Error (false, msg) | e -> catch_divergence e
+  with Failure msg -> `Error (false, msg)
 
 (* ---------- chaos ---------- *)
 
-let chaos_cmd backend protocol seeds trace_out jobs no_cache stats
+let chaos_cmd protocol seeds trace_out jobs no_cache stats
     metrics_port checkpoint resume task_deadline task_retries harness_chaos =
   try
-    Option.iter Canon_backend.select backend;
     if no_cache then Cache.set_enabled false;
     Cache.reset_stats ();
     if resume && checkpoint = None then
@@ -760,14 +744,23 @@ let chaos_cmd backend protocol seeds trace_out jobs no_cache stats
     if stats then print_cache_stats stdout;
     if viol <> [] then outcome_exit_code := exit_chaos_violation;
     `Ok ()
-  with Failure msg -> `Error (false, msg) | e -> catch_divergence e
+  with Failure msg -> `Error (false, msg)
 
-(* ---------- selftest (differential canonicalization harness) ---------- *)
+(* ---------- selftest (canonical-kernel verification) ---------- *)
 
-module Classes = Qe_symmetry.Classes
 module Brute = Qe_symmetry.Brute
 
 type st_item = { st_label : string; st_graph : Graph.t; st_black : int list }
+
+let random_permutation st n =
+  let p = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = p.(i) in
+    p.(i) <- p.(j);
+    p.(j) <- t
+  done;
+  p
 
 (* Zoo + Cayley zoo + [random_count] seeded random bicolored instances.
    Everything about an instance is a pure function of its index, so the
@@ -790,102 +783,104 @@ let selftest_corpus ~random_count =
     let g =
       Families.random_connected ~seed:(7_000_000 + i) ~n ~extra_edges:extra
     in
-    let nodes = Array.init n Fun.id in
-    for j = n - 1 downto 1 do
-      let r = Random.State.int st (j + 1) in
-      let t = nodes.(j) in
-      nodes.(j) <- nodes.(r);
-      nodes.(r) <- t
-    done;
+    let nodes = random_permutation st n in
     let k = 1 + Random.State.int st (max 1 (n / 2)) in
     let black = List.sort compare (Array.to_list (Array.sub nodes 0 k)) in
     { st_label = Printf.sprintf "random-%04d" i; st_graph = g; st_black = black }
   in
   zoo @ List.init random_count rand
 
-(* Everything a backend computes about one instance that the other
-   backend must reproduce bit-for-bit — including the non-latency metric
-   snapshot of the whole computation (canon.* and refine.* tallies). *)
-type st_row = {
-  r_fp : string;
-  r_cert : string;
-  r_labeling : int array;
-  r_orbits : int array;
-  r_generators : int;
-  r_leaves : int;
-  r_classes : string;
-  r_snap : Metrics.snapshot;
-}
+let is_zoo it = not (String.starts_with ~prefix:"random-" it.st_label)
 
-let strip_latency snap =
-  List.filter (fun (name, _) -> not (Metrics.is_latency name)) snap
+(* test/data/canon_golden.txt, embedded at build time: one
+   "name fingerprint" line per zoo instance. *)
+let golden =
+  List.filter_map
+    (fun line ->
+      match String.index_opt line ' ' with
+      | Some i ->
+          Some
+            ( String.sub line 0 i,
+              String.sub line (i + 1) (String.length line - i - 1) )
+      | None -> None)
+    (String.split_on_char '\n' Canon_golden.text)
 
-let classes_repr t =
-  Classes.classes t
-  |> List.map (fun c -> String.concat "," (List.map string_of_int c))
-  |> String.concat ";"
+(* A random strictly increasing map on 0..k-1: it renames the palette
+   without changing the colour order the kernel keys on. *)
+let monotone_map st k =
+  let m = Array.make k 0 in
+  let v = ref (Random.State.int st 3) in
+  for c = 0 to k - 1 do
+    m.(c) <- !v;
+    v := !v + 1 + Random.State.int st 3
+  done;
+  fun c -> m.(c)
 
-(* One backend over the whole corpus on the pool. The selection is
-   global, so it is switched once here, before any task runs; every
-   task computes under a private sink and returns its full snapshot so
-   quantiles can be merged afterwards. *)
-let selftest_phase pool backend items =
-  Canon_backend.select backend;
-  let f _i it =
-    let b = Bicolored.make it.st_graph ~black:it.st_black in
-    let d = Cdigraph.of_bicolored b in
-    let sink = Qe_obs.Sink.create () in
-    let row =
-      Qe_obs.Sink.with_ambient sink (fun () ->
-          let r = Canon.run d in
-          let fp = Cache.fingerprint_uncached b in
-          let cls = classes_repr (Classes.compute b) in
-          {
-            r_fp = fp;
-            r_cert = r.Canon.certificate;
-            r_labeling = r.Canon.canonical_labeling;
-            r_orbits = r.Canon.orbits;
-            r_generators = List.length r.Canon.generators;
-            r_leaves = r.Canon.leaves_visited;
-            r_classes = cls;
-            r_snap = [];
-          })
-    in
-    let snap = Metrics.snapshot sink.Qe_obs.Sink.metrics in
-    ({ row with r_snap = strip_latency snap }, snap)
-  in
-  Qe_par.Pool.map pool
-    ~weight:(fun _ it -> Graph.n it.st_graph + Graph.m it.st_graph)
-    ~f (Array.of_list items)
+(* An isomorphic copy of [d]: node u becomes [perm.(u)] and the arcs are
+   listed in a fresh random order, so nothing of the old presentation
+   survives. *)
+let renumber st perm d =
+  let asrc, adst, acol = Cdigraph.arcs_arrays d in
+  let order = random_permutation st (Array.length asrc) in
+  let node_colors = Array.make (Cdigraph.n d) 0 in
+  Array.iteri
+    (fun u c -> node_colors.(perm.(u)) <- c)
+    (Cdigraph.node_colors_array d);
+  Cdigraph.make_arrays ~n:(Cdigraph.n d) ~node_colors
+    (Array.map (fun i -> perm.(asrc.(i))) order)
+    (Array.map (fun i -> perm.(adst.(i))) order)
+    (Array.map (fun i -> acol.(i)) order)
 
-let row_divergence a b =
-  if a.r_cert <> b.r_cert then Some "certificate"
-  else if a.r_labeling <> b.r_labeling then Some "canonical labeling"
-  else if a.r_orbits <> b.r_orbits then Some "orbits"
-  else if a.r_generators <> b.r_generators then Some "generator count"
-  else if a.r_leaves <> b.r_leaves then Some "leaves visited"
-  else if a.r_fp <> b.r_fp then Some "fingerprint"
-  else if a.r_classes <> b.r_classes then Some "class partition"
-  else if a.r_snap <> b.r_snap then Some "metric snapshot"
-  else None
+let recolor st d =
+  let asrc, adst, acol = Cdigraph.arcs_arrays d in
+  let colors = Cdigraph.node_colors_array d in
+  let fn = monotone_map st (1 + Array.fold_left max 0 colors) in
+  let fa = monotone_map st (1 + Array.fold_left max 0 acol) in
+  Cdigraph.make_arrays ~n:(Cdigraph.n d) ~node_colors:(Array.map fn colors)
+    (Array.copy asrc) (Array.copy adst) (Array.map fa acol)
 
-(* Greedy structural minimizer for a diverging instance: drop edges,
-   then agents, as long as the kernels still disagree. An exception in
-   exactly one kernel counts as disagreement. *)
-let kernel_sig kernel d =
-  match kernel d with
-  | (r : Canon.result) ->
-      Ok (r.Canon.certificate, r.Canon.orbits, r.Canon.leaves_visited)
-  | exception e -> Error (Printexc.to_string e)
+(* [orbits'] describes the same partition as [orbits] renumbered by
+   [perm] iff the representative map u's orbit -> perm u's orbit is
+   well defined in both directions. *)
+let same_partition_under perm orbits orbits' =
+  let n = Array.length orbits in
+  let fwd = Array.make n (-1) and bwd = Array.make n (-1) in
+  let ok = ref true in
+  for u = 0 to n - 1 do
+    let a = orbits.(u) and b = orbits'.(perm.(u)) in
+    if fwd.(a) = -1 then fwd.(a) <- b else if fwd.(a) <> b then ok := false;
+    if bwd.(b) = -1 then bwd.(b) <- a else if bwd.(b) <> a then ok := false
+  done;
+  !ok
 
-let pair_diverges g black =
-  match Bicolored.make g ~black with
-  | exception _ -> false
-  | b ->
-      let d = Cdigraph.of_bicolored b in
-      kernel_sig Canon.run_ocaml d <> kernel_sig Canon.run_c d
+(* The first kernel check [d] fails, if any: invariance under a
+   renumbering and a monotone recolouring drawn from [seed], then (when
+   [brute]) agreement with the factorial-time Brute orbits. *)
+let kernel_defect ~brute ~seed d =
+  let st = Random.State.make [| 0x5e1f7e57; seed |] in
+  match Canon.run d with
+  | exception e -> Some ("kernel raised " ^ Printexc.to_string e)
+  | r -> (
+      let perm = random_permutation st (Cdigraph.n d) in
+      match (Canon.run (renumber st perm d), Canon.run (recolor st d)) with
+      | exception e -> Some ("kernel raised " ^ Printexc.to_string e)
+      | renumbered, recolored ->
+          if renumbered.Canon.certificate <> r.Canon.certificate then
+            Some "certificate changes under renumbering"
+          else if
+            not (same_partition_under perm r.Canon.orbits renumbered.Canon.orbits)
+          then Some "orbits change under renumbering"
+          else if
+            recolored.Canon.canonical_labeling <> r.Canon.canonical_labeling
+            || recolored.Canon.orbits <> r.Canon.orbits
+          then Some "labeling or orbits change under recolouring"
+          else if brute && Brute.orbits d <> r.Canon.orbits then
+            Some "orbits differ from Brute"
+          else None)
 
-let minimize_counterexample g black =
+(* Greedy structural minimizer for a defective instance: drop edges,
+   then agents, as long as the instance still fails a kernel check. *)
+let minimize_counterexample ~fails g black =
   let n = Graph.n g in
   let edges = ref (Graph.edges g) in
   let agents = ref black in
@@ -900,7 +895,7 @@ let minimize_counterexample g black =
           match graph_of keep with
           | exception _ -> ()
           | g' ->
-              if pair_diverges g' !agents then begin
+              if fails g' !agents then begin
                 edges := keep;
                 changed := true
               end)
@@ -909,7 +904,7 @@ let minimize_counterexample g black =
       (fun a ->
         if List.length !agents > 1 && List.mem a !agents then
           let keep = List.filter (fun a' -> a' <> a) !agents in
-          if pair_diverges (graph_of !edges) keep then begin
+          if fails (graph_of !edges) keep then begin
             agents := keep;
             changed := true
           end)
@@ -917,136 +912,139 @@ let minimize_counterexample g black =
   done;
   (graph_of !edges, !agents)
 
-let print_backend_metrics name merged =
-  let kernel =
-    List.filter
-      (fun (n, _) ->
-        String.starts_with ~prefix:"canon." n
-        || String.starts_with ~prefix:"refine." n)
-      merged
-  in
-  Printf.printf "backend %s:\n" name;
-  print_string (Metrics.render (strip_latency kernel));
-  print_latency_quantiles stdout kernel
+(* Brute is factorial-time: every instance with n <= 7 up to
+   --brute-cap, and a fixed handful with n = 8. *)
+let brute_n8_cap = 8
 
 let selftest_cmd random_count jobs brute_cap write_golden dump_path =
   try
-    (* no memoized artifact may mask a backend divergence *)
-    Cache.set_enabled false;
-    let saved_backend = Canon_backend.current () in
-    Fun.protect
-      ~finally:(fun () -> Canon_backend.select saved_backend)
-      (fun () ->
-        let items = selftest_corpus ~random_count in
-        let jobs = resolve_jobs jobs in
-        Printf.printf
-          "selftest: %d instances (%d zoo + %d random), backends ocaml+c, \
-           -j %d\n\
-           %!"
-          (List.length items)
-          (List.length items - random_count)
-          random_count jobs;
-        let pool = Qe_par.Pool.create ~jobs () in
-        Fun.protect
-          ~finally:(fun () -> Qe_par.Pool.shutdown pool)
-          (fun () ->
-            let ml = selftest_phase pool Canon_backend.Ocaml items in
-            let c = selftest_phase pool Canon_backend.C items in
-            let merge rows =
-              Array.fold_left
-                (fun acc (_, snap) -> Metrics.merge acc snap)
-                [] rows
+    let items = Array.of_list (selftest_corpus ~random_count) in
+    let zoo_count = Array.length items - random_count in
+    let jobs = resolve_jobs jobs in
+    Printf.printf "selftest: %d instances (%d zoo + %d random), -j %d\n%!"
+      (Array.length items) zoo_count random_count jobs;
+    let take k l = List.filteri (fun i _ -> i < k) l in
+    let idx_with p =
+      List.filter
+        (fun i -> p (Graph.n items.(i).st_graph))
+        (List.init (Array.length items) Fun.id)
+    in
+    let n7 = idx_with (fun n -> n <= 7) and n8 = idx_with (fun n -> n = 8) in
+    let brute7 = take brute_cap n7 and brute8 = take brute_n8_cap n8 in
+    let brute = Array.make (Array.length items) false in
+    List.iter (fun i -> brute.(i) <- true) (brute7 @ brute8);
+    Printf.printf "brute check: %d of %d instances with n <= 7%s\n"
+      (List.length brute7) (List.length n7)
+      (if List.length n7 > brute_cap then
+         " (capped by --brute-cap; raise it to widen)"
+       else "");
+    Printf.printf "brute check: %d of %d instances with n = 8%s\n"
+      (List.length brute8) (List.length n8)
+      (if List.length n8 > brute_n8_cap then
+         Printf.sprintf " (fixed cap of %d)" brute_n8_cap
+       else "");
+    let check i it =
+      let b = Bicolored.make it.st_graph ~black:it.st_black in
+      let sink = Qe_obs.Sink.create () in
+      (* the fingerprint reruns the search kernel_defect just survived,
+         so it cannot raise *)
+      let fp, defect =
+        match kernel_defect ~brute:brute.(i) ~seed:i (Cdigraph.of_bicolored b) with
+        | Some _ as d -> ("", d)
+        | None -> (
+            let fp =
+              Qe_obs.Sink.with_ambient sink (fun () ->
+                  Cache.fingerprint_uncached b)
             in
-            print_backend_metrics "ocaml" (merge ml);
-            print_backend_metrics "c" (merge c);
-            (match write_golden with
-            | None -> ()
-            | Some path ->
-                let oc = open_out path in
-                Fun.protect
-                  ~finally:(fun () -> close_out oc)
-                  (fun () ->
-                    List.iteri
-                      (fun i it ->
-                        if not (String.starts_with ~prefix:"random-" it.st_label)
-                        then
-                          Printf.fprintf oc "%s %s\n" it.st_label
-                            (fst ml.(i)).r_fp)
-                      items);
-                Printf.printf "golden corpus written to %s\n" path);
-            (* cross-backend comparison, every instance *)
-            let divergences = ref [] in
-            List.iteri
-              (fun i it ->
-                match row_divergence (fst ml.(i)) (fst c.(i)) with
-                | Some field -> divergences := (it, field) :: !divergences
-                | None -> ())
-              items;
-            (* Brute agreement on small instances (factorial-time, so the
-               n = 8 slice is capped; the cap is reported, never silent) *)
-            let small =
-              List.filter
-                (fun (_, it) -> Graph.n it.st_graph <= 8)
-                (List.mapi (fun i it -> (i, it)) items)
-            in
-            let n7, n8 =
-              List.partition (fun (_, it) -> Graph.n it.st_graph <= 7) small
-            in
-            let take k l = List.filteri (fun i _ -> i < k) l in
-            let brute_jobs = take brute_cap n7 @ take 8 n8 in
-            let skipped = List.length small - List.length brute_jobs in
-            if skipped > 0 then
-              Printf.printf
-                "brute check: %d of %d small instances (cap; raise \
-                 --brute-cap to widen)\n"
-                (List.length brute_jobs) (List.length small)
+            if not (is_zoo it) then (fp, None)
             else
-              Printf.printf "brute check: %d instances (all with n <= 8)\n"
-                (List.length brute_jobs);
-            let brute_res =
-              Qe_par.Pool.map pool
-                ~f:(fun _ (i, it) ->
-                  let b = Bicolored.make it.st_graph ~black:it.st_black in
-                  let truth = Brute.orbits (Cdigraph.of_bicolored b) in
-                  if truth <> (fst ml.(i)).r_orbits then Some (it, "brute orbits")
-                  else None)
-                (Array.of_list brute_jobs)
-            in
-            Array.iter
-              (function
-                | Some d -> divergences := d :: !divergences | None -> ())
-              brute_res;
-            match List.rev !divergences with
-            | [] ->
-                Printf.printf
-                  "selftest OK: %d instances, 0 divergences (fingerprints, \
-                   class partitions, orbits, search statistics)\n"
-                  (List.length items)
-            | (it, _) :: _ as all ->
-                Printf.printf "selftest FAILED: %d diverging instance(s)\n"
-                  (List.length all);
-                List.iter
-                  (fun (it, field) ->
-                    Printf.printf "  %s: %s differ\n" it.st_label field)
-                  (take 10 all);
-                let g', black' = minimize_counterexample it.st_graph it.st_black
-                in
-                let g', black' =
-                  if pair_diverges g' black' then (g', black')
-                  else (it.st_graph, it.st_black)
-                in
-                Qe_graph.Serial.save ~path:dump_path ~black:black' g';
-                Printf.printf
-                  "minimized counterexample (%s, %d nodes, %d edges, %d \
-                   agents) written to %s\n"
-                  it.st_label (Graph.n g') (Graph.m g') (List.length black')
-                  dump_path;
-                outcome_exit_code := exit_divergence));
+              match List.assoc_opt it.st_label golden with
+              | Some g when String.equal g fp -> (fp, None)
+              | Some _ -> (fp, Some "fingerprint differs from the golden corpus")
+              | None -> (fp, Some "missing from the golden corpus"))
+      in
+      (fp, defect, Metrics.snapshot sink.Qe_obs.Sink.metrics)
+    in
+    let rows =
+      let pool = Qe_par.Pool.create ~jobs () in
+      Fun.protect
+        ~finally:(fun () -> Qe_par.Pool.shutdown pool)
+        (fun () ->
+          Qe_par.Pool.map pool
+            ~weight:(fun _ it -> Graph.n it.st_graph + Graph.m it.st_graph)
+            ~f:check items)
+    in
+    let kernel_metrics =
+      Array.fold_left (fun acc (_, _, snap) -> Metrics.merge acc snap) [] rows
+    in
+    print_endline "kernel:";
+    print_string
+      (Metrics.render
+         (List.filter
+            (fun (name, _) -> not (Metrics.is_latency name))
+            kernel_metrics));
+    print_latency_quantiles stdout kernel_metrics;
+    (match write_golden with
+    | None -> ()
+    | Some path ->
+        let oc = open_out path in
+        Fun.protect
+          ~finally:(fun () -> close_out oc)
+          (fun () ->
+            Array.iteri
+              (fun i it ->
+                let fp, _, _ = rows.(i) in
+                if is_zoo it then Printf.fprintf oc "%s %s\n" it.st_label fp)
+              items);
+        Printf.printf "golden corpus written to %s\n" path);
+    let defects =
+      List.filter_map
+        (fun i ->
+          let _, d, _ = rows.(i) in
+          Option.map (fun why -> (i, why)) d)
+        (List.init (Array.length items) Fun.id)
+    in
+    (match defects with
+    | [] ->
+        Printf.printf
+          "selftest OK: %d instances, 0 defects (renumbering and recolouring \
+           invariance, %d Brute orbit checks, %d golden fingerprints)\n"
+          (Array.length items)
+          (List.length brute7 + List.length brute8)
+          zoo_count
+    | (i, _) :: _ ->
+        Printf.printf "selftest FAILED: %d defective instance(s)\n"
+          (List.length defects);
+        List.iter
+          (fun (j, why) -> Printf.printf "  %s: %s\n" items.(j).st_label why)
+          (take 10 defects);
+        let it = items.(i) in
+        let fails g black =
+          match Bicolored.make g ~black with
+          | exception _ -> false
+          | b ->
+              kernel_defect ~brute:brute.(i) ~seed:i (Cdigraph.of_bicolored b)
+              <> None
+        in
+        (* a golden mismatch alone is not a property of sub-instances,
+           so such an instance is dumped as it is *)
+        let g', black' =
+          if fails it.st_graph it.st_black then
+            minimize_counterexample ~fails it.st_graph it.st_black
+          else (it.st_graph, it.st_black)
+        in
+        Qe_graph.Serial.save ~path:dump_path ~black:black' g';
+        Printf.printf
+          "minimized counterexample (%s, %d nodes, %d edges, %d agents) \
+           written to %s\n"
+          it.st_label (Graph.n g') (Graph.m g') (List.length black') dump_path;
+        outcome_exit_code := exit_kernel_defect);
     `Ok ()
   with Failure msg -> `Error (false, msg)
 
 (* ---------- frontier ---------- *)
 
+module Classes = Qe_symmetry.Classes
 module Presentation = Qe_group.Presentation
 
 (* Large-instance specs: Presentation-backed Cayley families streamed
@@ -1161,9 +1159,8 @@ let frontier_measure slow_check spec =
     fr_slow = slow;
   }
 
-let frontier_cmd backend specs jobs budget_mb slow_check =
+let frontier_cmd specs jobs budget_mb slow_check =
   try
-    Option.iter Canon_backend.select backend;
     if specs = [] then failwith "need at least one --spec (e.g. --spec circulant:100000:1+3+9)";
     let jobs = resolve_jobs jobs in
     let rows =
@@ -1221,30 +1218,9 @@ let frontier_cmd backend specs jobs budget_mb slow_check =
         outcome_exit_code := 1
     | _ -> ());
     `Ok ()
-  with Failure msg -> `Error (false, msg) | e -> catch_divergence e
+  with Failure msg -> `Error (false, msg)
 
 (* ---------- cmdliner plumbing ---------- *)
-
-let backend_arg =
-  let backend_conv =
-    Arg.enum
-      [
-        ("ocaml", Canon_backend.Ocaml);
-        ("c", Canon_backend.C);
-        ("both", Canon_backend.Both);
-      ]
-  in
-  Arg.(
-    value
-    & opt (some backend_conv) None
-    & info [ "canon-backend" ]
-        ~doc:
-          "Canonicalization kernel: $(b,ocaml) (pure-OCaml reference), \
-           $(b,c) (C stub) or $(b,both) (run both, cross-check, exit 9 on \
-           divergence). Defaults to $(b,QELECT_CANON_BACKEND) or ocaml. \
-           Results are bit-identical across backends — enforced by \
-           $(b,qelect selftest)."
-        ~docv:"KERNEL")
 
 let file_arg =
   Arg.(value & opt (some string) None & info [ "file"; "f" ] ~doc:"Instance file (qelect-instance format).")
@@ -1302,7 +1278,7 @@ let fault_seed_arg =
 let run_term =
   Term.(
     ret
-      (const run_cmd $ backend_arg $ file_arg $ instance_arg $ graph_arg
+      (const run_cmd $ file_arg $ instance_arg $ graph_arg
      $ agents_arg $ protocol_arg $ strategy_arg $ seed_arg $ verbose_arg
      $ trace_arg $ trace_out_arg $ stats_arg $ faults_arg $ fault_seed_arg))
 
@@ -1338,7 +1314,7 @@ let report_term =
 let analyze_term =
   Term.(
     ret
-      (const analyze_cmd $ backend_arg $ file_arg $ instance_arg $ graph_arg
+      (const analyze_cmd $ file_arg $ instance_arg $ graph_arg
      $ agents_arg))
 
 let zoo_term = Term.(ret (const zoo_cmd $ const ()))
@@ -1458,7 +1434,7 @@ let harness_chaos_arg =
 let sweep_term =
   Term.(
     ret
-      (const sweep_cmd $ backend_arg $ protocol_arg $ seeds_arg $ jobs_arg
+      (const sweep_cmd $ protocol_arg $ seeds_arg $ jobs_arg
      $ no_cache_arg $ cache_stats_arg $ metrics_port_arg $ checkpoint_arg
      $ resume_arg $ task_deadline_arg $ task_retries_arg $ harness_chaos_arg))
 
@@ -1477,7 +1453,7 @@ let chaos_trace_out_arg =
 
 let chaos_term =
   Term.(
-    ret (const chaos_cmd $ backend_arg $ protocol_arg $ chaos_seeds_arg
+    ret (const chaos_cmd $ protocol_arg $ chaos_seeds_arg
        $ chaos_trace_out_arg $ jobs_arg $ no_cache_arg $ cache_stats_arg
        $ metrics_port_arg $ checkpoint_arg $ resume_arg $ task_deadline_arg
        $ task_retries_arg $ harness_chaos_arg))
@@ -1497,8 +1473,8 @@ let selftest_brute_cap_arg =
     & info [ "brute-cap" ]
         ~doc:
           "How many instances with <= 7 nodes get the factorial-time \
-           $(b,Brute) orbit cross-check (plus at most 8 with 8 nodes). \
-           The applied cap is always printed."
+           $(b,Brute) orbit cross-check. Instances with 8 nodes have a \
+           fixed cap of 8. Both applied caps are always printed."
         ~docv:"N")
 
 let write_golden_arg =
@@ -1508,18 +1484,18 @@ let write_golden_arg =
     & info [ "write-golden" ]
         ~doc:
           "Write the zoo fingerprint corpus (name + canonical fingerprint \
-           per line, OCaml backend) to $(docv) — regenerates \
+           per line) to $(docv) — regenerates \
            test/data/canon_golden.txt."
         ~docv:"FILE")
 
 let dump_arg =
   Arg.(
     value
-    & opt string "canon-divergence.qelect"
+    & opt string "canon-counterexample.qelect"
     & info [ "dump" ]
         ~doc:
-          "Where to write the minimized counterexample instance on \
-           divergence."
+          "Where to write the minimized counterexample instance when a \
+           check fails."
         ~docv:"FILE")
 
 let selftest_term =
@@ -1560,7 +1536,7 @@ let slow_check_arg =
 let frontier_term =
   Term.(
     ret
-      (const frontier_cmd $ backend_arg $ frontier_specs_arg $ jobs_arg
+      (const frontier_cmd $ frontier_specs_arg $ jobs_arg
      $ budget_mb_arg $ slow_check_arg))
 
 let run_exits =
@@ -1589,10 +1565,10 @@ let chaos_exits =
   :: quarantine_exit :: Cmd.Exit.defaults
 
 let selftest_exits =
-  Cmd.Exit.info exit_divergence
+  Cmd.Exit.info exit_kernel_defect
     ~doc:
-      "The canonicalization backends diverged; a minimized counterexample \
-       was dumped."
+      "The selftest found a kernel defect; a minimized counterexample was \
+       dumped."
   :: Cmd.Exit.defaults
 
 let cmds =
@@ -1638,14 +1614,14 @@ let cmds =
     Cmd.v
       (Cmd.info "selftest" ~exits:selftest_exits
          ~doc:
-           "Differentially verify the canonicalization backends: run the \
-            pure-OCaml and C kernels over the full instance zoo plus seeded \
-            random bicolored digraphs, cross-checking canonical \
-            fingerprints, class partitions, automorphism orbits, search \
-            statistics and metric snapshots — and both against the \
-            factorial-time $(b,Brute) reference on instances with <= 8 \
-            nodes. Exits 9 with a minimized counterexample dump on any \
-            divergence.")
+           "Verify the canonical-labeling kernel over the full instance zoo \
+            plus seeded random bicolored digraphs: the certificate and \
+            orbit partition must survive a seeded renumbering and a \
+            monotone recolouring of every instance, the orbits must match \
+            the factorial-time $(b,Brute) reference on instances with <= 8 \
+            nodes, and the zoo fingerprints must match \
+            test/data/canon_golden.txt. Exits 9 with a minimized \
+            counterexample dump when any check fails.")
       selftest_term;
     Cmd.v
       (Cmd.info "frontier"

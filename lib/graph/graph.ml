@@ -44,16 +44,6 @@ let dart g u i =
     edge = g.csr.Csr.edge.(a);
   }
 
-let darts g u =
-  let lo = g.csr.Csr.off.(u) in
-  Array.init (degree g u) (fun i ->
-      let a = lo + i in
-      {
-        dst = g.csr.Csr.dst.(a);
-        dst_port = g.csr.Csr.dst_port.(a);
-        edge = g.csr.Csr.edge.(a);
-      })
-
 let iter_darts g u f = Csr.iter_darts g.csr u f
 let fold_darts_at g u ~init ~f = Csr.fold_darts g.csr u ~init ~f
 

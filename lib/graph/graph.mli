@@ -49,10 +49,6 @@ val dart : t -> int -> int -> dart
 (** [dart g u i] is the dart at port [i] of node [u].
     @raise Invalid_argument if [i] is out of range. *)
 
-val darts : t -> int -> dart array
-(** All darts at a node, indexed by port. The array is fresh. Compat
-    shim — prefer {!iter_darts} on hot paths. *)
-
 val iter_darts : t -> int -> (int -> int -> int -> int -> unit) -> unit
 (** [iter_darts g u f] calls [f port dst dst_port edge] for every dart of
     [u] in port order. Allocation-free. *)

@@ -141,11 +141,10 @@ let grow_views dag l ids =
     Array.mapi
       (fun v _ ->
         let children =
-          Array.to_list (Graph.darts g v)
-          |> List.mapi (fun i (d : Graph.dart) ->
-                 let near = Labeling.symbol l v i in
-                 let far = Labeling.symbol l d.dst d.dst_port in
-                 ((near, far), ids.(d.dst)))
+          Graph.fold_darts_at g v ~init:[] ~f:(fun acc i dst dst_port _ ->
+              let near = Labeling.symbol l v i in
+              let far = Labeling.symbol l dst dst_port in
+              ((near, far), ids.(dst)) :: acc)
           |> List.sort compare
         in
         Vdag.intern dag (0, children))
@@ -203,11 +202,9 @@ module Flooding_max = struct
     for _ = 1 to n do
       let next = Array.copy best in
       for v = 0 to n - 1 do
-        Array.iter
-          (fun (d : Graph.dart) ->
+        Graph.iter_darts g v (fun _ dst _ _ ->
             incr messages;
-            if best.(v) > next.(d.dst) then next.(d.dst) <- best.(v))
-          (Graph.darts g v)
+            if best.(v) > next.(dst) then next.(dst) <- best.(v))
       done;
       Array.blit next 0 best 0 n
     done;
@@ -230,11 +227,9 @@ module Async_flooding = struct
     let bag = ref [] in
     let bag_size = ref 0 in
     let send_all v payload =
-      Array.iter
-        (fun (d : Graph.dart) ->
-          bag := (d.dst, payload) :: !bag;
+      Graph.iter_darts g v (fun _ dst _ _ ->
+          bag := (dst, payload) :: !bag;
           incr bag_size)
-        (Graph.darts g v)
     in
     for v = 0 to n - 1 do
       send_all v ids.(v)

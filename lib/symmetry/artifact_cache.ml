@@ -425,22 +425,11 @@ let memo t ~key compute =
 let exact_key b = Cdigraph.certificate_of_identity (Cdigraph.of_bicolored b)
 let graph_key g = Cdigraph.certificate_of_identity (Cdigraph.of_graph g)
 
-(* Canon-derived artifacts are additionally scoped by the selected
-   canonicalization backend: the values are supposed to be
-   backend-independent (selftest's whole job is proving that), but the
-   cache must never be the thing hiding a divergence. Belt and braces:
-   scoped keys here, plus a [clear] hook on every backend switch (below)
-   for the downstream tables — oracle verdicts, ELECT plans — that key
-   on the bare exact certificate. *)
-let backend_key b = Canon_backend.tag () ^ "|" ^ exact_key b
-
-let () = Canon_backend.on_switch clear
-
 let classes_tbl : Classes.t table = create_table ~kind:"classes" ()
 let fingerprint_tbl : string table = create_table ~kind:"certificate" ()
 
 let classes b =
-  memo classes_tbl ~key:(backend_key b) (fun () -> Classes.compute b)
+  memo classes_tbl ~key:(exact_key b) (fun () -> Classes.compute b)
 
 let fingerprint_uncached b =
   let r = Canon.run (Cdigraph.of_bicolored b) in
@@ -463,4 +452,4 @@ let fingerprint_uncached b =
   ^ String.concat "," (List.map string_of_int sig_)
 
 let fingerprint b =
-  memo fingerprint_tbl ~key:(backend_key b) (fun () -> fingerprint_uncached b)
+  memo fingerprint_tbl ~key:(exact_key b) (fun () -> fingerprint_uncached b)

@@ -133,15 +133,11 @@ val fingerprint : Qe_graph.Bicolored.t -> string
     bicolored digraph joined with the black-node orbit signature (sorted
     sizes of the orbits containing home-bases). Equal exactly on
     isomorphic instances. Memoized (kind ["certificate"]) under the
-    exact key scoped by {!Canon_backend.tag}, so entries computed under
-    one backend are never served under another; {!clear} additionally
-    runs on every backend switch (via {!Canon_backend.on_switch}) to
-    cover the downstream tables keyed on bare exact certificates. *)
+    exact key. *)
 
 val fingerprint_uncached : Qe_graph.Bicolored.t -> string
-(** The same computation with no memoization at all — the differential
-    harness uses it so a cache hit can never mask a backend
-    divergence. *)
+(** The same computation with no memoization at all — [qelect selftest]
+    uses it so a cache hit can never mask a kernel defect. *)
 
 val classes : Qe_graph.Bicolored.t -> Classes.t
 (** Memoized {!Classes.compute} (kind ["classes"], default leaf

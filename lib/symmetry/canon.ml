@@ -86,19 +86,8 @@ let compare_int_arrays (a : int array) (b : int array) =
   in
   go 0
 
-(* Flat arc arrays of a digraph — the common input shape of both
-   kernels (and exactly what the C stub marshals). Zero-copy: the
-   digraph stores these arrays; both kernels only read them. *)
-let graph_arrays g =
-  let n = Cdigraph.n g in
-  let m = Cdigraph.num_arcs g in
-  let asrc, adst, acol = Cdigraph.arcs_arrays g in
-  let kcol = 1 + Array.fold_left max 0 acol in
-  let colors = Cdigraph.node_colors_array g in
-  (n, m, kcol, colors, asrc, adst, acol)
-
 (* The string form prefixes n, m and kcol so certificates stay
-   injective across graphs; both backends share this builder. *)
+   injective across graphs. *)
 let certificate_string ~n ~m ~kcol (cert_ints : int array) =
   let buf = Buffer.create (16 + (8 * Array.length cert_ints)) in
   Buffer.add_string buf (string_of_int n);
@@ -114,8 +103,14 @@ let certificate_string ~n ~m ~kcol (cert_ints : int array) =
     cert_ints;
   Buffer.contents buf
 
-let run_ocaml ?(max_leaves = 200_000) g =
-  let n, m, kcol, colors, asrc, adst, acol = graph_arrays g in
+let run ?(max_leaves = 200_000) g =
+  (* Flat arc arrays, zero-copy: the digraph stores them and the
+     search only reads them. *)
+  let n = Cdigraph.n g in
+  let m = Cdigraph.num_arcs g in
+  let asrc, adst, acol = Cdigraph.arcs_arrays g in
+  let kcol = 1 + Array.fold_left max 0 acol in
+  let colors = Cdigraph.node_colors_array g in
   (* Leaf certificate as an int array: node colors in canonical order,
      then arcs packed as ((src' * n + dst') * kcol + color), sorted.
      Leaves of the same graph compare lexicographically; the string form
@@ -335,108 +330,6 @@ let run_ocaml ?(max_leaves = 200_000) g =
     orbits;
     leaves_visited = !leaves;
   }
-
-(* ------------------------------------------------------------------ *)
-(* The C backend: Canon_c does the search; this wrapper owns
-   marshalling, telemetry, and rebuilding the certificate string from
-   the returned canonical labeling. The reconstruction replays exactly
-   the kernel's own leaf-certificate packing, so the string is
-   bit-identical to what the search minimized over. *)
-
-let run_c ?(max_leaves = 200_000) g =
-  let n, m, kcol, colors, asrc, adst, acol = graph_arrays g in
-  (* the stub reads array lengths, so pass exact-length arc arrays *)
-  let exact a = if m = Array.length a then a else Array.sub a 0 m in
-  let t_start =
-    match Qe_obs.Sink.ambient () with
-    | Some _ -> Qe_obs.Clock.now_ns ()
-    | None -> 0
-  in
-  let raw =
-    Canon_c.run ~colors ~asrc:(exact asrc) ~adst:(exact adst)
-      ~acol:(exact acol) ~max_leaves
-  in
-  (match Qe_obs.Sink.ambient () with
-  | None -> ()
-  | Some s ->
-      let open Qe_obs.Metrics in
-      let mt = s.Qe_obs.Sink.metrics in
-      (* the OCaml path records these from inside Refine / the search;
-         the C kernel tallies the same quantities and flushes them here,
-         so non-latency snapshots are backend-independent *)
-      add (counter mt "refine.fixpoints") raw.Canon_c.fixpoints;
-      add (counter mt "refine.splitters") raw.Canon_c.splitters;
-      record_max (gauge mt "refine.queue_hwm") raw.Canon_c.queue_hwm;
-      Array.iter
-        (fun c -> observe (histogram mt "refine.cells") c)
-        raw.Canon_c.cells;
-      incr (counter mt "canon.runs");
-      add (counter mt "canon.nodes") raw.Canon_c.nodes;
-      add (counter mt "canon.leaves") raw.Canon_c.leaves;
-      add (counter mt "canon.prune.orbit") raw.Canon_c.prune_orbit;
-      add (counter mt "canon.prune.invariant") raw.Canon_c.prune_invariant;
-      add (counter mt "canon.generators") (Array.length raw.Canon_c.generators);
-      observe (histogram mt "canon.leaves_per_run") raw.Canon_c.leaves;
-      if t_start <> 0 then
-        observe (latency mt "canon.run_latency")
-          (Qe_obs.Clock.now_ns () - t_start));
-  if raw.Canon_c.budget_exceeded then raise Budget_exceeded;
-  let p = raw.Canon_c.labeling in
-  let cert_len = n + m in
-  let cert_ints = Array.make (max 1 cert_len) 0 in
-  for u = 0 to n - 1 do
-    cert_ints.(p.(u)) <- colors.(u)
-  done;
-  for i = 0 to m - 1 do
-    cert_ints.(n + i) <-
-      ((((p.(asrc.(i)) * n) + p.(adst.(i))) * kcol) + acol.(i))
-  done;
-  sort_sub cert_ints n cert_len;
-  {
-    certificate = certificate_string ~n ~m ~kcol cert_ints;
-    canonical_labeling = p;
-    generators =
-      (* the OCaml kernel prepends as it discovers, so newest first *)
-      Array.fold_left (fun acc g -> g :: acc) [] raw.Canon_c.generators;
-    orbits = raw.Canon_c.orbits;
-    leaves_visited = raw.Canon_c.leaves;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Dispatch on the selected backend. [Both] is the differential mode:
-   run both kernels, insist they agree on certificate and orbit
-   partition, return the reference result. *)
-
-let short s = if String.length s <= 64 then s else String.sub s 0 64 ^ "..."
-
-let run ?max_leaves g =
-  match Canon_backend.current () with
-  | Canon_backend.Ocaml -> run_ocaml ?max_leaves g
-  | Canon_backend.C -> run_c ?max_leaves g
-  | Canon_backend.Both ->
-      let a = run_ocaml ?max_leaves g in
-      let b = run_c ?max_leaves g in
-      if not (String.equal a.certificate b.certificate) then
-        raise
-          (Canon_backend.Divergence
-             {
-               backend_a = Canon_backend.Ocaml;
-               backend_b = Canon_backend.C;
-               detail =
-                 Printf.sprintf "certificate %s vs %s" (short a.certificate)
-                   (short b.certificate);
-             })
-      else if a.orbits <> b.orbits then
-        raise
-          (Canon_backend.Divergence
-             {
-               backend_a = Canon_backend.Ocaml;
-               backend_b = Canon_backend.C;
-               detail =
-                 Printf.sprintf "orbit partitions differ on %d nodes"
-                   (Cdigraph.n g);
-             })
-      else a
 
 let certificate ?max_leaves g = (run ?max_leaves g).certificate
 

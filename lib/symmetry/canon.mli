@@ -9,12 +9,10 @@
     the total order [≺] the protocol needs. The brute-force reference lives
     in {!Brute} and the two are cross-checked in tests.
 
-    The kernel exists twice: {!run_ocaml}, the pure-OCaml reference, and
-    {!run_c}, a C port with the same orderings everywhere
-    ([canon_stubs.c], bound through {!Canon_c}). {!run} dispatches on
-    {!Canon_backend.current}; the two must agree bit-for-bit on
-    certificate, labeling, generators, orbits and search statistics,
-    which [qelect selftest] and the [both] backend enforce continuously.
+    There is one kernel, in pure OCaml. [qelect selftest] checks it
+    against {!Brute} on small instances and for invariance under
+    renumbering and recolouring; DESIGN.md §13 gives the measured
+    reasons for keeping a single kernel.
 
     Internally the search compares leaves as packed int arrays
     (stringified once at the API boundary) and cuts subtrees whose
@@ -39,32 +37,19 @@ type result = {
 }
 
 val run : ?max_leaves:int -> Cdigraph.t -> result
-(** Full search with the backend selected in {!Canon_backend}
-    (default [Ocaml]; [QELECT_CANON_BACKEND] / [--canon-backend]
-    override). Under [Both] it runs both kernels, checks certificate
-    and orbits, raises {!Canon_backend.Divergence} on mismatch and
-    returns the OCaml result. [max_leaves] defaults to 200_000.
+(** Full individualization–refinement search. [max_leaves] defaults to
+    200_000.
 
     Telemetry: when an ambient sink is installed
     ({!Qe_obs.Sink.with_ambient}), each call records counters
     [canon.runs], [canon.nodes] (search-tree nodes), [canon.leaves],
     [canon.prune.orbit] and [canon.prune.invariant] (subtrees cut by
     each pruning rule), [canon.generators], histogram
-    [canon.leaves_per_run] and latency [canon.run_latency]. The C
-    backend tallies the same quantities inside the stub (including the
-    [refine.*] counters the OCaml path records from {!Refine}), so
-    non-latency snapshots are backend-independent. The tallies are
-    flushed even when the search dies with {!Budget_exceeded}, so
-    aborted searches are visible too.
+    [canon.leaves_per_run] and latency [canon.run_latency]; the
+    refinements it runs record the [refine.*] counters of {!Refine}.
+    The tallies are flushed even when the search dies with
+    {!Budget_exceeded}, so aborted searches are visible too.
     @raise Budget_exceeded if the tree is bigger than the budget. *)
-
-val run_ocaml : ?max_leaves:int -> Cdigraph.t -> result
-(** The pure-OCaml kernel, regardless of the selected backend. *)
-
-val run_c : ?max_leaves:int -> Cdigraph.t -> result
-(** The C kernel ({!Canon_c}), regardless of the selected backend. The
-    certificate string is rebuilt on the OCaml side by replaying the
-    leaf packing on the returned labeling. *)
 
 val certificate : ?max_leaves:int -> Cdigraph.t -> string
 val canonical_form : ?max_leaves:int -> Cdigraph.t -> Cdigraph.t

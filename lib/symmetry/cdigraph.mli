@@ -48,8 +48,8 @@ val arcs : t -> arc list
     {!csr} or {!arcs_arrays}. *)
 
 val arcs_arrays : t -> int array * int array * int array
-(** [(asrc, adst, acol)] in insertion order, zero-copy — the shape both
-    canonicalization kernels consume. Read-only by convention. *)
+(** [(asrc, adst, acol)] in insertion order, zero-copy — the shape
+    {!Canon.run} consumes. Read-only by convention. *)
 
 val out_arcs : t -> int -> (int * int) list
 (** [(dst, color)] pairs, sorted. *)

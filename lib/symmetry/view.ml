@@ -30,11 +30,12 @@ let rec tree ?placement l ~depth v =
   if depth = 0 then { color = node_color v; children = [] }
   else
     let children =
-      Array.to_list (Graph.darts g v)
-      |> List.mapi (fun i (d : Graph.dart) ->
-             let near = Labeling.symbol l v i in
-             let far = Labeling.symbol l d.dst d.dst_port in
-             ((near, far), tree ?placement l ~depth:(depth - 1) d.dst))
+      Graph.fold_darts_at g v ~init:[] ~f:(fun acc i dst dst_port _ ->
+          let near = Labeling.symbol l v i in
+          let far = Labeling.symbol l dst dst_port in
+          ((near, far), tree ?placement l ~depth:(depth - 1) dst) :: acc)
+      (* back to port order, which the stable sort keeps for equal keys *)
+      |> List.rev
       |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
     in
     { color = node_color v; children }

@@ -358,36 +358,6 @@ let test_plan_node_class () =
         plan.Elect.node_class)
     (small_zoo ())
 
-(* Switching canonicalization backends mid-process must never serve a
-   cached canon-derived artifact computed under the other backend: the
-   fingerprint table is keyed by backend tag AND the whole cache is
-   cleared on switch, so a switch always recomputes (observable as fresh
-   misses) while the values stay equal (the kernels agree). *)
-let test_backend_switch_invalidates () =
-  let module Backend = Qe_symmetry.Canon_backend in
-  let b = c6_antipodal () in
-  with_cache_enabled true (fun () ->
-      Backend.with_backend Backend.Ocaml (fun () ->
-          Cache.clear ();
-          Cache.reset_stats ();
-          let fp_ml = Cache.fingerprint b in
-          Alcotest.(check int) "cold ocaml fingerprint: one miss" 1
-            (stat_of "certificate").Cache.misses;
-          let fp_c =
-            Backend.with_backend Backend.C (fun () -> Cache.fingerprint b)
-          in
-          Alcotest.(check string) "backends agree on the fingerprint" fp_ml
-            fp_c;
-          Alcotest.(check int)
-            "switch recomputes instead of serving the ocaml entry" 2
-            (stat_of "certificate").Cache.misses;
-          (* back under Ocaml the cache was cleared by the switch hooks,
-             so this is a miss again — never a stale cross-backend hit *)
-          let fp_ml' = Cache.fingerprint b in
-          Alcotest.(check string) "recomputed value unchanged" fp_ml fp_ml';
-          Alcotest.(check int) "return switch also invalidates" 3
-            (stat_of "certificate").Cache.misses))
-
 let () =
   Alcotest.run "cache"
     [
@@ -413,8 +383,6 @@ let () =
         [
           Alcotest.test_case "predict computes classes once" `Quick
             test_predict_computes_classes_once;
-          Alcotest.test_case "backend switch invalidates" `Quick
-            test_backend_switch_invalidates;
           Alcotest.test_case "plan node_class index" `Quick
             test_plan_node_class;
         ] );

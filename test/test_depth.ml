@@ -75,16 +75,14 @@ let girth g =
     Queue.add s q;
     while not (Queue.is_empty q) do
       let u = Queue.pop q in
-      Array.iter
-        (fun (d : Graph.dart) ->
-          if dist.(d.dst) = max_int then begin
-            dist.(d.dst) <- dist.(u) + 1;
-            parent_edge.(d.dst) <- d.edge;
-            Queue.add d.dst q
+      Graph.iter_darts g u (fun _ dst _ edge ->
+          if dist.(dst) = max_int then begin
+            dist.(dst) <- dist.(u) + 1;
+            parent_edge.(dst) <- edge;
+            Queue.add dst q
           end
-          else if parent_edge.(u) <> d.edge then
-            best := min !best (dist.(u) + dist.(d.dst) + 1))
-        (Graph.darts g u)
+          else if parent_edge.(u) <> edge then
+            best := min !best (dist.(u) + dist.(dst) + 1))
     done
   done;
   !best

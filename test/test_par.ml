@@ -32,7 +32,9 @@ let test_pool_map_basic () =
       let out =
         Pool.map t
           ~f:(fun i x ->
-            Alcotest.(check int) "f sees its own index" i x;
+            (* plain assert: Alcotest's checks print through Format,
+               which is not safe to share across domains *)
+            assert (i = x);
             x * x)
           input
       in
@@ -556,7 +558,7 @@ let test_supervisor_basic () =
       let reports =
         Supervisor.map ~policy:(fast_policy ()) ~jobs
           ~f:(fun i x ->
-            Alcotest.(check int) "f sees its own index" i x;
+            assert (i = x);
             x * x)
           (Array.init 50 Fun.id)
       in

@@ -614,6 +614,132 @@ let prop_canon_random_relabel =
       String.equal (Canon.certificate g)
         (Canon.certificate (Cdigraph.relabel g perm)))
 
+(* --- Kernel properties over richer palettes (n <= 12, up to three node
+   and three arc colours) --- *)
+
+let random_palette_cdigraph st =
+  let n = 2 + Random.State.int st 11 in
+  let kc = 1 + Random.State.int st 3 in
+  let colors = Array.init n (fun _ -> Random.State.int st kc) in
+  let arcs = ref [] in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if u <> v && Random.State.float st 1.0 < 0.35 then
+        arcs :=
+          { Cdigraph.src = u; dst = v; color = Random.State.int st 3 }
+          :: !arcs
+    done
+  done;
+  Cdigraph.make ~n ~node_color:(fun u -> colors.(u)) !arcs
+
+(* A random strictly increasing map over 0..k-1 — relabels the color
+   palette without changing the relative order the kernel keys on. *)
+let monotone_map st k =
+  let m = Array.make (max 1 k) 0 in
+  let v = ref (Random.State.int st 3) in
+  for c = 0 to k - 1 do
+    m.(c) <- !v;
+    v := !v + 1 + Random.State.int st 3
+  done;
+  fun c -> m.(c)
+
+let recolor st g =
+  let n = Cdigraph.n g in
+  let max_nc =
+    Array.fold_left max 0 (Array.init n (Cdigraph.node_color g))
+  in
+  let max_ac =
+    List.fold_left (fun a (r : Cdigraph.arc) -> max a r.color) 0
+      (Cdigraph.arcs g)
+  in
+  let fn = monotone_map st (max_nc + 1) in
+  let fa = monotone_map st (max_ac + 1) in
+  Cdigraph.make ~n
+    ~node_color:(fun u -> fn (Cdigraph.node_color g u))
+    (List.map
+       (fun (r : Cdigraph.arc) -> { r with Cdigraph.color = fa r.color })
+       (Cdigraph.arcs g))
+
+let prop_renumber =
+  QCheck.Test.make ~name:"certificate renumber-invariant"
+    ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| 0xca0; seed |] in
+      let g = random_palette_cdigraph st in
+      let g' = Cdigraph.relabel g (random_permutation st (Cdigraph.n g)) in
+      String.equal (Canon.run g).Canon.certificate
+        (Canon.run g').Canon.certificate)
+
+let prop_recolor =
+  QCheck.Test.make
+    ~name:"labeling recolour-invariant"
+    ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| 0xca1; seed |] in
+      let g = random_palette_cdigraph st in
+      let g' = recolor st g in
+      let a = Canon.run g and b = Canon.run g' in
+      a.Canon.canonical_labeling = b.Canon.canonical_labeling
+      && a.Canon.orbits = b.Canon.orbits
+      && a.Canon.leaves_visited = b.Canon.leaves_visited)
+
+(* The leaf budget is exact: a search that needs [leaves] leaves
+   completes under that budget and raises one leaf short of it. *)
+let prop_budget_boundary =
+  QCheck.Test.make ~name:"budget boundary at leaves-1" ~count:80
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| 0xca4; seed |] in
+      let g = random_palette_cdigraph st in
+      let leaves = (Canon.run g).Canon.leaves_visited in
+      let raises budget =
+        match Canon.run ~max_leaves:budget g with
+        | (_ : Canon.result) -> false
+        | exception Canon.Budget_exceeded -> true
+      in
+      QCheck.assume (leaves > 1);
+      raises (leaves - 1) && not (raises leaves))
+
+(* --- Golden corpus: zoo fingerprints are pinned --- *)
+
+let golden_path = "data/canon_golden.txt"
+
+let read_golden () =
+  In_channel.with_open_text golden_path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         match String.index_opt line ' ' with
+         | Some i ->
+             Some
+               ( String.sub line 0 i,
+                 String.sub line (i + 1) (String.length line - i - 1) )
+         | None -> None)
+
+let test_golden_corpus () =
+  let module Campaign = Qe_elect.Campaign in
+  let golden = read_golden () in
+  Alcotest.(check bool) "corpus is non-empty" true (List.length golden > 50);
+  let zoo = Campaign.zoo () @ Campaign.cayley_zoo () in
+  List.iter
+    (fun (i : Campaign.instance) ->
+      match List.assoc_opt i.Campaign.name golden with
+      | None ->
+          Alcotest.failf
+            "%s missing from %s (regenerate with `qelect selftest \
+             --write-golden`)"
+            i.Campaign.name golden_path
+      | Some fp ->
+          Alcotest.(check string)
+            (i.Campaign.name ^ " fingerprint")
+            fp
+            (Qe_symmetry.Artifact_cache.fingerprint_uncached
+               (Campaign.bicolored i)))
+    zoo;
+  Alcotest.(check int) "corpus covers exactly the zoo" (List.length zoo)
+    (List.length golden)
+
 let prop_aut_group_closed =
   QCheck.Test.make ~name:"automorphism group closed under composition"
     ~count:20
@@ -646,6 +772,14 @@ let () =
           QCheck_alcotest.to_alcotest prop_canon_random_relabel;
           QCheck_alcotest.to_alcotest prop_canon_iso_matches_brute_8;
           QCheck_alcotest.to_alcotest prop_canon_orbits_match_brute_8;
+          QCheck_alcotest.to_alcotest prop_renumber;
+          QCheck_alcotest.to_alcotest prop_recolor;
+          QCheck_alcotest.to_alcotest prop_budget_boundary;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "zoo fingerprints pinned" `Quick
+            test_golden_corpus;
         ] );
       ( "refine",
         [
