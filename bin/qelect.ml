@@ -1101,6 +1101,7 @@ type frontier_row = {
   fr_fast : bool;
   fr_predict : Oracle.prediction;
   fr_predict_ns : int;
+  fr_warm_predict_ns : int;  (** the same predict again: a cache hit *)
   fr_slow : (bool * int) option;
       (** [--slow-check]: partitions agree?, slow-path ns *)
 }
@@ -1136,13 +1137,16 @@ let frontier_measure slow_check spec =
   let t2 = now () in
   let predict = Oracle.predict b in
   let predict_ns = now () - t2 in
+  let t3 = now () in
+  ignore (Oracle.predict b : Oracle.prediction);
+  let warm_predict_ns = now () - t3 in
   let slow =
     if not slow_check then None
     else if n > slow_check_limit then None
     else begin
-      let t3 = now () in
+      let t4 = now () in
       let slow_cls = Classes.compute_slow b in
-      let slow_ns = now () - t3 in
+      let slow_ns = now () - t4 in
       Some (partitions_agree n cls slow_cls, slow_ns)
     end
   in
@@ -1156,6 +1160,7 @@ let frontier_measure slow_check spec =
     fr_fast = Classes.used_fast_path cls;
     fr_predict = predict;
     fr_predict_ns = predict_ns;
+    fr_warm_predict_ns = warm_predict_ns;
     fr_slow = slow;
   }
 
@@ -1181,7 +1186,8 @@ let frontier_cmd specs jobs budget_mb slow_check =
       (fun r ->
         Printf.printf
           "%s: n=%d m=%d | generate %.1f ms (%.0f ns/node) | classes=%d \
-           (%s) %.1f ms (%.0f ns/node) | predict=%s %.1f ms\n"
+           (%s) %.1f ms (%.0f ns/node) | predict=%s %.1f ms | \
+           warm-predict %.3f ms\n"
           r.fr_spec r.fr_n r.fr_m
           (float_of_int r.fr_gen_ns /. 1e6)
           (per_node r.fr_gen_ns r.fr_n)
@@ -1190,7 +1196,8 @@ let frontier_cmd specs jobs budget_mb slow_check =
           (float_of_int r.fr_classes_ns /. 1e6)
           (per_node r.fr_classes_ns r.fr_n)
           (Format.asprintf "%a" Oracle.pp_prediction r.fr_predict)
-          (float_of_int r.fr_predict_ns /. 1e6);
+          (float_of_int r.fr_predict_ns /. 1e6)
+          (float_of_int r.fr_warm_predict_ns /. 1e6);
         match r.fr_slow with
         | None ->
             if slow_check && r.fr_n > slow_check_limit then

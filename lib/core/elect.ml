@@ -41,7 +41,7 @@ module Cache = Qe_symmetry.Artifact_cache
 let plan_tbl : plan Cache.table = Cache.create_table ~kind:"elect.plan" ()
 
 let make_plan b =
-  Cache.memo plan_tbl ~key:(Cache.exact_key b) (fun () ->
+  Cache.memo plan_tbl ~key:(Cache.key_of_bicolored b) (fun () ->
       plan_of_classes (Cache.classes b)
         ~n:(Qe_graph.Graph.n (Qe_graph.Bicolored.graph b)))
 

@@ -10,7 +10,7 @@ let recognize_tbl : Cayley_detect.outcome Cache.table =
   Cache.create_table ~kind:"cayley.recognize" ()
 
 let recognize g =
-  Cache.memo recognize_tbl ~key:(Cache.graph_key g) (fun () ->
+  Cache.memo recognize_tbl ~key:(Cache.key_of_graph g) (fun () ->
       Cayley_detect.recognize g)
 
 let locally_impossible g ~black =

@@ -10,7 +10,7 @@ type prediction = Solvable | Unsolvable | Frontier
 
 (* Every oracle predicate is a pure function of the bicolored instance,
    so each routes through an {!Qe_symmetry.Artifact_cache} table keyed
-   by the instance's exact structural certificate. The [gcd]/[predict]
+   by the instance's structural identity. The [gcd]/[predict]
    computations share one [Classes.compute] through the nested
    [Cache.classes] entry — the historical double computation inside
    [predict] collapses to a single cached one. *)
@@ -26,7 +26,7 @@ let symlab_tbl : bool Cache.table =
   Cache.create_table ~kind:"oracle.symlab" ()
 
 let gcd_classes b =
-  Cache.memo gcd_tbl ~key:(Cache.exact_key b) (fun () ->
+  Cache.memo gcd_tbl ~key:(Cache.key_of_bicolored b) (fun () ->
       Classes.gcd_sizes (Cache.classes b))
 
 let elect_prediction b =
@@ -52,7 +52,7 @@ let translation_impossible_fast b =
     | None -> None
 
 let translation_impossible b =
-  Cache.memo translation_tbl ~key:(Cache.exact_key b) (fun () ->
+  Cache.memo translation_tbl ~key:(Cache.key_of_bicolored b) (fun () ->
       match translation_impossible_fast b with
       | Some verdict -> verdict
       | None ->
@@ -60,7 +60,7 @@ let translation_impossible b =
             ~black:(Bicolored.blacks b))
 
 let symmetric_labeling_exists b =
-  Cache.memo symlab_tbl ~key:(Cache.exact_key b) @@ fun () ->
+  Cache.memo symlab_tbl ~key:(Cache.key_of_bicolored b) @@ fun () ->
   let g = Bicolored.graph b in
   let subgroups = Cayley_detect.all_regular_subgroups g in
   List.exists
@@ -81,7 +81,7 @@ let symmetric_labeling_exists b =
     subgroups
 
 let predict b =
-  Cache.memo predict_tbl ~key:(Cache.exact_key b) (fun () ->
+  Cache.memo predict_tbl ~key:(Cache.key_of_bicolored b) (fun () ->
       if translation_impossible b then Unsolvable
       else if gcd_classes b = 1 then Solvable
       else Frontier)

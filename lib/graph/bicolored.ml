@@ -1,4 +1,7 @@
-type t = { graph : Graph.t; black : bool array }
+(* [hash] is -1 until the first {!identity_hash}; the memo is a
+   single-word write of an immediate, so racing domains at worst compute
+   it twice. *)
+type t = { graph : Graph.t; black : bool array; mutable hash : int }
 
 let make graph ~black =
   let n = Graph.n graph in
@@ -10,9 +13,21 @@ let make graph ~black =
       if arr.(u) then invalid_arg "Bicolored.make: duplicate home-base";
       arr.(u) <- true)
     black;
-  { graph; black = arr }
+  { graph; black = arr; hash = -1 }
 
 let graph t = t.graph
+let black_array t = t.black
+
+let identity_hash t =
+  if t.hash >= 0 then t.hash
+  else begin
+    let h = ref (Graph.structure_hash t.graph) in
+    Array.iter (fun b -> h := Graph.hash_mix !h (Bool.to_int b)) t.black;
+    let h = !h land max_int in
+    t.hash <- h;
+    h
+  end
+
 let is_black t u = t.black.(u)
 
 let blacks t =

@@ -10,6 +10,16 @@ val make : Graph.t -> black:int list -> t
     black list is empty (an election needs at least one agent). *)
 
 val graph : t -> Graph.t
+
+val black_array : t -> bool array
+(** [black_array t].(u) iff [u] is a home-base. The instance's own
+    array: the caller must not mutate it. *)
+
+val identity_hash : t -> int
+(** A non-negative hash of the instance's identity — the graph's
+    {!Graph.structure_hash} extended with every node colour. Memoized on
+    first use, not at {!make}. *)
+
 val is_black : t -> int -> bool
 val blacks : t -> int list
 (** Home-bases in increasing node order. *)

@@ -89,6 +89,23 @@ let fold_darts t u ~init ~f =
   done;
   !acc
 
+let sort_range (a : int array) lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let s = Array.sub a lo (hi - lo) in
+    Array.sort Int.compare s;
+    Array.blit s 0 a lo (hi - lo)
+  end
+
 let words t =
   let arr (a : int array) = Array.length a + 2 in
   arr t.off + arr t.dst + arr t.dst_port + arr t.edge + arr t.edge_u

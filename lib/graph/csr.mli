@@ -52,6 +52,11 @@ val fold_darts :
   t -> int -> init:'a -> f:('a -> int -> int -> int -> int -> 'a) -> 'a
 (** Folding variant of {!iter_darts}: [f acc port dst dst_port edge]. *)
 
+val sort_range : int array -> int -> int -> unit
+(** [sort_range a lo hi] sorts the slice [a.(lo) .. a.(hi-1)] ascending
+    in place: insertion sort on degree-sized slices, [Array.sort] above
+    16 elements. *)
+
 val words : t -> int
 (** Approximate heap footprint in words (arrays + headers) — used by the
     frontier bench to report memory per node. *)

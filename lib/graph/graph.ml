@@ -5,13 +5,24 @@ type witness = {
   w_translation : int -> int array;
 }
 
+type identity = { sorted_dst : int array; hash : int }
+
 type t = {
   csr : Csr.t;
+  identity : identity option Atomic.t;
   mutable witness : witness option;
   mutable witness_verdict : bool option;
+  mutable regular_exhibit : int array option option;
 }
 
-let of_csr csr = { csr; witness = None; witness_verdict = None }
+let of_csr csr =
+  {
+    csr;
+    identity = Atomic.make None;
+    witness = None;
+    witness_verdict = None;
+    regular_exhibit = None;
+  }
 
 let of_edges ~n edges =
   if n <= 0 then invalid_arg "Graph.of_edges: n must be positive";
@@ -97,13 +108,54 @@ let pp ppf g =
     g.csr.Csr.edge_u;
   Format.fprintf ppf "@]"
 
+(* ---------- structural identity ---------- *)
+
+let hash_mix h x =
+  let h = (h lxor x) * 0x1E3779B97F4A7C15 in
+  h lxor (h lsr 29)
+
+let compute_identity (c : Csr.t) =
+  let sorted = Array.copy c.Csr.dst in
+  let off = c.Csr.off in
+  for u = 0 to c.Csr.n - 1 do
+    Csr.sort_range sorted off.(u) off.(u + 1)
+  done;
+  let h = ref (hash_mix 0 c.Csr.n) in
+  for i = 0 to Array.length off - 1 do
+    h := hash_mix !h off.(i)
+  done;
+  for i = 0 to Array.length sorted - 1 do
+    h := hash_mix !h sorted.(i)
+  done;
+  { sorted_dst = sorted; hash = !h land max_int }
+
+(* Computed on first use, never at construction, and published through
+   an Atomic rather than a [Lazy.t] (which raises when two domains force
+   it at once): racing domains may each compute it, the first to publish
+   wins, and every later reader sees that one physical array, fully
+   filled. *)
+let identity g =
+  match Atomic.get g.identity with
+  | Some id -> id
+  | None ->
+      let id = compute_identity g.csr in
+      if Atomic.compare_and_set g.identity None (Some id) then id
+      else Option.get (Atomic.get g.identity)
+
+let sorted_neighbors g = (identity g).sorted_dst
+let structure_hash g = (identity g).hash
+
 (* Witnesses are set at construction time (before a graph is shared
-   across domains); the verdict cache is an idempotent single-word
-   write, so a benign race re-verifies at worst. *)
+   across domains); the verdict and exhibit caches are idempotent
+   single-word writes of immutable values, so a benign race re-verifies
+   at worst. *)
 let set_transitivity_witness g w =
   g.witness <- Some w;
-  g.witness_verdict <- None
+  g.witness_verdict <- None;
+  g.regular_exhibit <- None
 
 let transitivity_witness g = g.witness
 let witness_verdict g = g.witness_verdict
 let set_witness_verdict g v = g.witness_verdict <- Some v
+let regular_exhibit g = g.regular_exhibit
+let set_regular_exhibit g e = g.regular_exhibit <- Some e

@@ -81,6 +81,31 @@ val equal_structure : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 
+(** {1 Structural identity}
+
+    What makes two graphs the same instance under their current
+    numbering: the node count, each node's degree ([off]) and each
+    node's neighbour multiset. Port order and edge ids do not count.
+    Both values below come from one memo computed on first use — never
+    at construction — in O(m log d), and safe to request from several
+    domains at once. *)
+
+val sorted_neighbors : t -> int array
+(** A copy of the CSR [dst] array with every node's slice
+    [off.(u) .. off.(u+1)-1] sorted ascending. Memoized; the caller must
+    not mutate it. *)
+
+val structure_hash : t -> int
+(** A non-negative hash over every element of [n], [off] and
+    {!sorted_neighbors}. Memoized with them. Equal identities have equal
+    hashes; the converse is only likely, so consumers confirm equality
+    on the arrays. *)
+
+val hash_mix : int -> int -> int
+(** [hash_mix h x] folds [x] into the running hash [h] — the step
+    {!structure_hash} uses, for layers that extend the identity
+    ({!Bicolored} adds node colours). *)
+
 (** {1 Transitivity witnesses}
 
     A constructor that knows its graph is vertex-transitive (Cayley
@@ -103,8 +128,9 @@ type witness = {
 }
 
 val set_transitivity_witness : t -> witness -> unit
-(** Attach a witness (resets any cached verdict). Call at construction
-    time, before the graph is shared across domains. *)
+(** Attach a witness (resets any cached verdict and regular exhibit).
+    Call at construction time, before the graph is shared across
+    domains. *)
 
 val transitivity_witness : t -> witness option
 
@@ -112,3 +138,9 @@ val witness_verdict : t -> bool option
 (** Cached verification result, if a consumer already checked. *)
 
 val set_witness_verdict : t -> bool -> unit
+
+val regular_exhibit : t -> int array option option
+(** Cached result of [Qe_symmetry.Transitive.certified_regular]:
+    [None] if nobody checked yet, [Some r] once it ran. *)
+
+val set_regular_exhibit : t -> int array option -> unit

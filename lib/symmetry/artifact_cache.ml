@@ -4,6 +4,8 @@ module Span = Qe_obs.Span
 module Export = Qe_obs.Export
 module Clock = Qe_obs.Clock
 module J = Qe_obs.Jsonl
+module Graph = Qe_graph.Graph
+module Bicolored = Qe_graph.Bicolored
 
 (* ---------- global switch ---------- *)
 
@@ -109,6 +111,51 @@ let lh_pool samples =
   |> fun merged ->
   match merged with [ (_, s) ] -> s | _ -> assert false
 
+(* ---------- keys ---------- *)
+
+(* The identity arrays are the instance's own memoized ones, so a key
+   retains a few flat arrays shared by every table, never a string of
+   its own; [colors] is [[||]] for a bare graph. *)
+type key = {
+  hash : int;
+  off : int array;
+  adj : int array;
+  colors : bool array;
+}
+
+module Key = struct
+  type t = key
+
+  (* Physical equality first (the same instance asking again), then the
+     arrays themselves — never the hash, which only picks the bucket: a
+     collision costs one comparison and can never serve another
+     instance's value. *)
+  let equal a b =
+    a == b
+    || Array.length a.off = Array.length b.off
+       && (a.colors == b.colors || a.colors = b.colors)
+       && (a.off == b.off || a.off = b.off)
+       && (a.adj == b.adj || a.adj = b.adj)
+
+  let hash k = k.hash
+end
+
+module Tbl = Hashtbl.Make (Key)
+
+let make_key g ~hash ~colors =
+  {
+    hash;
+    off = (Graph.csr g).Qe_graph.Csr.off;
+    adj = Graph.sorted_neighbors g;
+    colors;
+  }
+
+let key_of_graph g = make_key g ~hash:(Graph.structure_hash g) ~colors:[||]
+
+let key_of_bicolored b =
+  make_key (Bicolored.graph b) ~hash:(Bicolored.identity_hash b)
+    ~colors:(Bicolored.black_array b)
+
 (* ---------- sharded single-flight tables ---------- *)
 
 let num_shards = 32 (* power of two: shard = hash land (num_shards - 1) *)
@@ -130,7 +177,7 @@ and flight = {
   mutable fl_done : bool;
 }
 
-type 'a shard = { m : Mutex.t; tbl : (string, 'a entry) Hashtbl.t }
+type 'a shard = { m : Mutex.t; tbl : 'a entry Tbl.t }
 
 (* Domain-local first level: a plain hashtable of settled entries, no
    mutex anywhere on its path. Populated from L2 hits and own computes;
@@ -139,7 +186,7 @@ type 'a shard = { m : Mutex.t; tbl : (string, 'a entry) Hashtbl.t }
    without putting a shared counter on the hot path. *)
 type 'a l1 = {
   mutable l1_gen : int;
-  l1_tbl : (string, ('a, exn) result * Metrics.snapshot) Hashtbl.t;
+  l1_tbl : (('a, exn) result * Metrics.snapshot) Tbl.t;
   l1_hits : int Atomic.t;
   l1_lat : lhist;  (* this domain's L1 hit latencies *)
   l2_lat : lhist;  (* this domain's L2 hit latencies (incl. waits) *)
@@ -194,7 +241,7 @@ let create_table ~kind () =
         Mutex.lock l1_cells_m;
         l1_cells := (cell, l1_lat, l2_lat) :: !l1_cells;
         Mutex.unlock l1_cells_m;
-        { l1_gen = -1; l1_tbl = Hashtbl.create 64; l1_hits = cell;
+        { l1_gen = -1; l1_tbl = Tbl.create 64; l1_hits = cell;
           l1_lat; l2_lat })
   in
   let t =
@@ -202,7 +249,7 @@ let create_table ~kind () =
       kind;
       shards =
         Array.init num_shards (fun _ ->
-            { m = Mutex.create (); tbl = Hashtbl.create 16 });
+            { m = Mutex.create (); tbl = Tbl.create 16 });
       hits = Atomic.make 0;
       misses = Atomic.make 0;
       waits = Atomic.make 0;
@@ -217,9 +264,9 @@ let create_table ~kind () =
         Mutex.lock s.m;
         (* drop only settled entries: a racing computer will still
            publish its Ready over the In_flight it owns *)
-        Hashtbl.iter
-          (fun k e -> match e with Ready _ -> Hashtbl.remove s.tbl k | _ -> ())
-          (Hashtbl.copy s.tbl);
+        Tbl.filter_map_inplace
+          (fun _ e -> match e with Ready _ -> None | In_flight _ -> Some e)
+          s.tbl;
         Mutex.unlock s.m)
       t.shards
   in
@@ -306,7 +353,7 @@ let metrics_snapshot () =
 
 let publish shard key fl res delta =
   Mutex.lock shard.m;
-  Hashtbl.replace shard.tbl key (Ready (res, delta));
+  Tbl.replace shard.tbl key (Ready (res, delta));
   Mutex.unlock shard.m;
   Mutex.lock fl.fl_m;
   fl.fl_done <- true;
@@ -338,10 +385,10 @@ let memo t ~key compute =
     let l1 = Domain.DLS.get t.l1_key in
     let gen = Atomic.get generation in
     if l1.l1_gen <> gen then begin
-      Hashtbl.reset l1.l1_tbl;
+      Tbl.reset l1.l1_tbl;
       l1.l1_gen <- gen
     end;
-    match Hashtbl.find_opt l1.l1_tbl key with
+    match Tbl.find_opt l1.l1_tbl key with
     | Some (res, delta) ->
         Atomic.incr l1.l1_hits;
         bump ("cache.hit." ^ t.kind);
@@ -354,13 +401,13 @@ let memo t ~key compute =
         (* L2: shared shards, single-flight on a genuine cold miss. Any
            settled entry found here is copied into the L1 so this domain
            never takes the shard lock for this key again. *)
-        let shard = t.shards.(Hashtbl.hash key land (num_shards - 1)) in
+        let shard = t.shards.(key.hash land (num_shards - 1)) in
         let rec lookup () =
           Mutex.lock shard.m;
-          match Hashtbl.find_opt shard.tbl key with
+          match Tbl.find_opt shard.tbl key with
           | Some (Ready (res, delta)) ->
               Mutex.unlock shard.m;
-              Hashtbl.replace l1.l1_tbl key (res, delta);
+              Tbl.replace l1.l1_tbl key (res, delta);
               Atomic.incr t.hits;
               bump ("cache.hit." ^ t.kind);
               replay delta;
@@ -395,7 +442,7 @@ let memo t ~key compute =
                 { fl_m = Mutex.create (); fl_cv = Condition.create ();
                   fl_done = false }
               in
-              Hashtbl.replace shard.tbl key (In_flight fl);
+              Tbl.replace shard.tbl key (In_flight fl);
               Mutex.unlock shard.m;
               Atomic.incr t.misses;
               bump ("cache.miss." ^ t.kind);
@@ -413,23 +460,22 @@ let memo t ~key compute =
                 strip_cache (Metrics.snapshot scratch.Sink.metrics)
               in
               publish shard key fl res delta;
-              Hashtbl.replace l1.l1_tbl key (res, delta);
+              Tbl.replace l1.l1_tbl key (res, delta);
               replay delta;
               (match res with Ok v -> v | Error e -> raise e)
         in
         lookup ()
   end
 
-(* ---------- keys and cached artifacts ---------- *)
+(* ---------- cached artifacts ---------- *)
 
 let exact_key b = Cdigraph.certificate_of_identity (Cdigraph.of_bicolored b)
-let graph_key g = Cdigraph.certificate_of_identity (Cdigraph.of_graph g)
 
 let classes_tbl : Classes.t table = create_table ~kind:"classes" ()
 let fingerprint_tbl : string table = create_table ~kind:"certificate" ()
 
 let classes b =
-  memo classes_tbl ~key:(exact_key b) (fun () -> Classes.compute b)
+  memo classes_tbl ~key:(key_of_bicolored b) (fun () -> Classes.compute b)
 
 let fingerprint_uncached b =
   let r = Canon.run (Cdigraph.of_bicolored b) in
@@ -437,7 +483,7 @@ let fingerprint_uncached b =
      contain home-bases, an isomorphism invariant of the placement *)
   let reps =
     List.sort_uniq compare
-      (List.map (fun u -> r.Canon.orbits.(u)) (Qe_graph.Bicolored.blacks b))
+      (List.map (fun u -> r.Canon.orbits.(u)) (Bicolored.blacks b))
   in
   let size_of rep =
     let n = Array.length r.Canon.orbits in
@@ -452,4 +498,5 @@ let fingerprint_uncached b =
   ^ String.concat "," (List.map string_of_int sig_)
 
 let fingerprint b =
-  memo fingerprint_tbl ~key:(exact_key b) (fun () -> fingerprint_uncached b)
+  memo fingerprint_tbl ~key:(key_of_bicolored b) (fun () ->
+      fingerprint_uncached b)

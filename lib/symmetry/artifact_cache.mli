@@ -20,17 +20,32 @@
       Entered only on an L1 miss; any settled entry found is copied
       into the caller's L1 on the way out.
 
-    {b Keys.} The primary key of every table is the {e exact} structural
-    certificate of the instance ({!exact_key}: the
-    {!Cdigraph.certificate_of_identity} of its bicolored digraph —
-    numbering-sensitive on purpose). Agent maps are drawn
-    deterministically per (instance, home), so exact keys already
-    capture all cross-seed / cross-strategy redundancy, while keeping
-    every numbering-dependent byproduct ([canon.*] / [refine.*]
-    counters, class node ids) bit-identical to the uncached computation.
-    The {e canonical} fingerprint ({!fingerprint}: [Canon] certificate
-    plus black-node orbit signature, equal across isomorphic instances)
-    is itself one of the memoized artifacts.
+    {b Keys.} Every table is keyed by the instance's {e structural
+    identity} ({!key_of_bicolored}): its node count, each node's degree,
+    each node's sorted neighbour multiset and its node colours, plus a
+    wide hash over all of them. The graph part is memoized on the
+    {!Qe_graph.Graph.t} and the colour hash on the
+    {!Qe_graph.Bicolored.t}, both computed on the first lookup (never at
+    construction), so a repeat lookup hashes nothing and the key shares
+    the instance's arrays instead of printing them into a string. The
+    memos are published atomically (graph) or as one immediate word
+    (colour hash) rather than through [Lazy.t], which raises when two
+    domains force it at once; a race at worst computes the identity
+    twice. The hash only picks the bucket and the shard: a hit is
+    confirmed by {!Key.equal} — physical equality, then a full
+    comparison of node count, colours, degrees and sorted neighbours —
+    so a hash collision costs one comparison and can never serve
+    another instance's value.
+    Identities are equal exactly when the printable {!exact_key}s are:
+    numbering- and placement-sensitive on purpose, blind to port order
+    and edge ids. Agent maps are drawn deterministically per
+    (instance, home), so exact identities already capture all
+    cross-seed / cross-strategy redundancy, while keeping every
+    numbering-dependent byproduct ([canon.*] / [refine.*] counters,
+    class node ids) bit-identical to the uncached computation. The
+    {e canonical} fingerprint ({!fingerprint}: [Canon] certificate plus
+    black-node orbit signature, equal across isomorphic instances) is
+    itself one of the memoized artifacts.
 
     {b Metric transparency.} A miss runs the computation under a private
     scratch sink and stores the resulting kernel-metric delta next to
@@ -71,7 +86,31 @@ val create_table : kind:string -> unit -> 'a table
     {!stats} can reach them; create them once at module toplevel.
     @raise Invalid_argument if [kind] is already taken. *)
 
-val memo : 'a table -> key:string -> (unit -> 'a) -> 'a
+(** {1 Keys} *)
+
+type key
+(** The structural identity of an instance (see {b Keys} above). It
+    holds the instance's own memoized arrays, not copies. *)
+
+val key_of_bicolored : Qe_graph.Bicolored.t -> key
+(** The identity of a bicolored instance: equal exactly when
+    {!exact_key} is. O(1) once the instance's identity is memoized;
+    the first call pays O(m log d) for the sorted adjacency and O(n + m)
+    for the hash. *)
+
+val key_of_graph : Qe_graph.Graph.t -> key
+(** The identity of a bare (uncolored) graph: node count, degrees and
+    sorted neighbour multisets. *)
+
+module Key : Hashtbl.HashedType with type t = key
+(** [equal] is physical equality, then a full comparison of node
+    count, colours, degrees and sorted neighbours (each array compared
+    physically first); it never consults the hash. [hash] is the stored
+    hash. *)
+
+(** {1 Memoization} *)
+
+val memo : 'a table -> key:key -> (unit -> 'a) -> 'a
 (** [memo t ~key f] returns the cached value for [key], or runs [f]
     (single-flight across domains) and caches its result — including a
     raised exception, which is re-raised on every subsequent hit.
@@ -119,21 +158,21 @@ val metrics_snapshot : unit -> Qe_obs.Metrics.snapshot
 val hit_rate : stat list -> float
 (** Pooled [hits / (hits + misses)] over the rows; [0.] when idle. *)
 
-(** {1 Keys and cached artifacts} *)
+(** {1 Cached artifacts} *)
 
 val exact_key : Qe_graph.Bicolored.t -> string
-(** The identity certificate of the instance's bicolored digraph: equal
-    iff same graph numbering and same placement. O(n + m), no search. *)
-
-val graph_key : Qe_graph.Graph.t -> string
-(** Same, for a bare (uncolored) graph. *)
+(** The printable identity certificate of the instance's bicolored
+    digraph ({!Cdigraph.certificate_of_identity}): equal iff same graph
+    numbering and same placement. O(n + m) and several megabytes at
+    10{^5} nodes — no memo table uses it; {!key_of_bicolored} is its
+    hashable counterpart. *)
 
 val fingerprint : Qe_graph.Bicolored.t -> string
 (** Canonical instance fingerprint: the {!Canon} certificate of the
     bicolored digraph joined with the black-node orbit signature (sorted
     sizes of the orbits containing home-bases). Equal exactly on
     isomorphic instances. Memoized (kind ["certificate"]) under the
-    exact key. *)
+    instance's identity. *)
 
 val fingerprint_uncached : Qe_graph.Bicolored.t -> string
 (** The same computation with no memoization at all — [qelect selftest]

@@ -1,21 +1,10 @@
 module Graph = Qe_graph.Graph
 
-(* Verification scratch: the sorted adjacency of every node, precomputed
-   once, plus one per-call buffer. A generator phi is an automorphism
-   iff for every node u the multiset { phi(v) : v neighbor of u } equals
-   the neighbor multiset of phi(u) — O(m log d) per generator, no
-   Hashtbls, no dart records. *)
-
-let sort_range (a : int array) lo hi =
-  for i = lo + 1 to hi - 1 do
-    let x = a.(i) in
-    let j = ref (i - 1) in
-    while !j >= lo && a.(!j) > x do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- x
-  done
+(* A generator phi is an automorphism iff for every node u the multiset
+   { phi(v) : v neighbor of u } equals the neighbor multiset of phi(u).
+   The graph's memoized sorted adjacency is the right-hand side, so a
+   check is O(m log d) with one degree-sized buffer — no Hashtbls, no
+   dart records, no per-call copy of the adjacency. *)
 
 let is_permutation n (phi : int array) =
   Array.length phi = n
@@ -36,10 +25,7 @@ let is_automorphism g (phi : int array) =
   &&
   (* sorted image of each node's neighbor slice vs the sorted neighbor
      slice at the image node *)
-  let sorted = Array.copy dst in
-  for u = 0 to n - 1 do
-    sort_range sorted off.(u) off.(u + 1)
-  done;
+  let sorted = Graph.sorted_neighbors g in
   let buf = Array.make (Graph.max_degree g) 0 in
   let ok = ref true in
   let u = ref 0 in
@@ -51,7 +37,7 @@ let is_automorphism g (phi : int array) =
       for a = lo to hi - 1 do
         buf.(a - lo) <- phi.(dst.(a))
       done;
-      sort_range buf 0 (hi - lo);
+      Qe_graph.Csr.sort_range buf 0 (hi - lo);
       let b = ref off.(v) in
       for i = 0 to hi - lo - 1 do
         if buf.(i) <> sorted.(!b) then ok := false;
@@ -123,8 +109,9 @@ let certified g =
    differential tests against the regular-subgroup search on small
    instances is the trust argument (DESIGN §14). Consumers only ever
    draw POSITIVE conclusions from this — a failed check falls back to
-   the search. *)
-let certified_regular g =
+   the search. The outcome is memoized on the graph next to the witness
+   verdict, so the probes run once per graph. *)
+let check_regular g =
   match certified g with
   | None -> None
   | Some w ->
@@ -156,6 +143,14 @@ let certified_regular g =
           List.assoc_opt 1 probes
         else None
       end
+
+let certified_regular g =
+  match Graph.regular_exhibit g with
+  | Some e -> e
+  | None ->
+      let e = check_regular g in
+      Graph.set_regular_exhibit g e;
+      e
 
 let certified_translation g ~to_:v =
   match certified g with

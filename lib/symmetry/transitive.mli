@@ -5,8 +5,9 @@
     the graphs they build: claimed automorphism generators plus a
     translation oracle (see {!Qe_graph.Graph.witness}). This module is
     the trust boundary — it checks every generator really is a graph
-    automorphism (sorted neighbor-multiset comparison, O(m log d) per
-    generator, allocation-bounded) and that the generated group moves
+    automorphism (sorted neighbor-multiset comparison against the graph's
+    memoized sorted adjacency, O(m log d) per generator, one
+    degree-sized buffer) and that the generated group moves
     node 0 onto every node. Only a witness that passes becomes a
     certificate; the verdict is cached on the graph, so verification
     runs once per graph no matter how many consumers ask.
@@ -31,7 +32,9 @@ val certified_regular : Qe_graph.Graph.t -> int array option
     is verified in full. [None] when the graph is not certified
     transitive, has fewer than 2 nodes, or any check fails. Positive
     answers only: callers needing a definitive negative must run the
-    regular-subgroup search. *)
+    regular-subgroup search. The outcome is cached on the graph (reset by
+    {!Qe_graph.Graph.set_transitivity_witness}), so the probes run once
+    per graph. *)
 
 val certified_translation :
   Qe_graph.Graph.t -> to_:int -> int array option

@@ -65,7 +65,160 @@ let test_keys () =
     "exact_key is cheap and deterministic" true
     (Cache.exact_key b = Cache.exact_key (c6_antipodal ()))
 
+(* The structural identity must have exactly the exact key's semantics:
+   numbering- and placement-sensitive, blind to port order and edge ids.
+   Each case pairs a random small instance with a seeded renumbering
+   (node permutation, shuffled edge order, swapped endpoints — often the
+   identity or an automorphism on these sizes), a recolouring, or a
+   copy with only its ports reshuffled. *)
+let random_instance rng =
+  let n = 1 + Random.State.int rng 5 in
+  let edges =
+    List.init (Random.State.int rng 8) (fun _ ->
+        (Random.State.int rng n, Random.State.int rng n))
+  in
+  let black = List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id) in
+  (n, edges, if black = [] then [ Random.State.int rng n ] else black)
+
+let shuffle rng l =
+  List.map snd
+    (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) l))
+
+let renumber rng ~identity (n, edges, black) =
+  let perm =
+    if identity then Array.init n Fun.id
+    else Array.of_list (shuffle rng (List.init n Fun.id))
+  in
+  let edges =
+    shuffle rng
+      (List.map
+         (fun (u, v) ->
+           if Random.State.bool rng then (perm.(v), perm.(u))
+           else (perm.(u), perm.(v)))
+         edges)
+  in
+  (n, edges, List.map (fun u -> perm.(u)) black)
+
+let recolour rng (n, edges, _) =
+  let black = List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id) in
+  (n, edges, if black = [] then [ 0 ] else black)
+
+let build (n, edges, black) = Bicolored.make (Graph.of_edges ~n edges) ~black
+
+let prop_key_matches_exact_key =
+  QCheck.Test.make ~name:"identity equal iff exact_key equal" ~count:500
+    QCheck.(pair (int_bound 2) (int_bound 1_000_000))
+    (fun (variant, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let spec = random_instance rng in
+      let spec' =
+        match variant with
+        | 0 -> renumber rng ~identity:false spec
+        | 1 -> renumber rng ~identity:true spec
+        | _ -> recolour rng spec
+      in
+      let a = build spec and b = build spec' in
+      let ka = Cache.key_of_bicolored a and kb = Cache.key_of_bicolored b in
+      let same = Cache.exact_key a = Cache.exact_key b in
+      Cache.Key.equal ka kb = same
+      && Cache.Key.equal kb ka = same
+      && ((not same) || Cache.Key.hash ka = Cache.Key.hash kb)
+      && Cache.Key.equal ka (Cache.key_of_bicolored a))
+
+(* The hash only picks a bucket: under a hash that sends every key to
+   one bucket, equality alone must still keep distinct instances in
+   distinct entries. The set includes pairs that differ only in
+   adjacency (the two antipodal C6 numberings: same degrees, same
+   colours) and only in colours (C6 with different placements). *)
+module Colliding = Hashtbl.Make (struct
+  type t = Cache.key
+
+  let equal = Cache.Key.equal
+  let hash _ = 0
+end)
+
+let test_forced_collisions () =
+  let cycle6 black = Bicolored.make (Families.cycle 6) ~black in
+  let instances =
+    [
+      c6_antipodal ();
+      c6_antipodal_relabeled ();
+      cycle6 [ 0; 1 ];
+      cycle6 [ 0 ];
+      cycle6 (List.init 6 Fun.id);
+      Bicolored.make (Families.path 6) ~black:[ 0; 3 ];
+      Bicolored.make (Families.star 5) ~black:[ 0; 3 ];
+      Bicolored.make (Families.complete 4) ~black:[ 0 ];
+      Bicolored.make (Families.cycle 4) ~black:[ 0 ];
+    ]
+  in
+  let exact = List.map Cache.exact_key instances in
+  Alcotest.(check int) "the instances are pairwise distinct"
+    (List.length instances)
+    (List.length (List.sort_uniq compare exact));
+  let tbl = Colliding.create 8 in
+  List.iteri
+    (fun i b -> Colliding.replace tbl (Cache.key_of_bicolored b) i)
+    instances;
+  (* bare-graph keys never meet instance keys either *)
+  Colliding.replace tbl (Cache.key_of_graph (Families.cycle 6)) (-1);
+  Alcotest.(check int) "one entry per instance" (List.length instances + 1)
+    (Colliding.length tbl);
+  List.iteri
+    (fun i b ->
+      Alcotest.(check int)
+        (Printf.sprintf "instance %d finds its own entry" i)
+        i
+        (Colliding.find tbl (Cache.key_of_bicolored b)))
+    instances;
+  (* a fresh structurally equal copy lands on the existing entry *)
+  Colliding.replace tbl (Cache.key_of_bicolored (c6_antipodal ())) 100;
+  Alcotest.(check int) "equal copy replaces, never adds"
+    (List.length instances + 1)
+    (Colliding.length tbl);
+  Alcotest.(check int) "and is found by the original" 100
+    (Colliding.find tbl (Cache.key_of_bicolored (List.hd instances)))
+
+(* Eight domains ask for the identity of one shared instance that nobody
+   has keyed yet: the memos race, and every domain must come back with
+   the same identity — equal to that of an independently built copy. *)
+let test_identity_hammer () =
+  let build () =
+    let g = (Qe_group.Presentation.circulant 10_000 [ 1; 3; 9 ]).graph in
+    Bicolored.make g ~black:[ 0; 17; 4_242 ]
+  in
+  let shared = build () in
+  let domains = 8 in
+  let arrivals = Atomic.make 0 in
+  let body () =
+    Atomic.incr arrivals;
+    while Atomic.get arrivals < domains do
+      Domain.cpu_relax ()
+    done;
+    Cache.key_of_bicolored shared
+  in
+  let ds = List.init (domains - 1) (fun _ -> Domain.spawn body) in
+  let mine = body () in
+  let keys = mine :: List.map Domain.join ds in
+  let reference = Cache.key_of_bicolored (build ()) in
+  List.iteri
+    (fun i k ->
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d: identity equals an independent copy's" i)
+        true
+        (Cache.Key.equal k reference
+        && Cache.Key.hash k = Cache.Key.hash reference))
+    keys
+
 (* ---------- memo basics ---------- *)
+
+(* Small fixed instances whose identities serve as memo keys; each call
+   builds a fresh instance, so hits are found by structure, not by
+   physical identity. *)
+let key_a () = Cache.key_of_bicolored (Bicolored.make (Families.cycle 3) ~black:[ 0 ])
+
+let key_bb () =
+  Cache.key_of_bicolored (Bicolored.make (Families.cycle 3) ~black:[ 0; 1 ])
 
 let basic_tbl : int Cache.table = Cache.create_table ~kind:"test.basic" ()
 
@@ -74,14 +227,15 @@ let test_memo_basics () =
   Cache.clear ();
   Cache.reset_stats ();
   let computes = ref 0 in
-  let get k =
-    Cache.memo basic_tbl ~key:k (fun () ->
+  let get (k, v) =
+    Cache.memo basic_tbl ~key:(k ()) (fun () ->
         incr computes;
-        String.length k)
+        v)
   in
-  Alcotest.(check int) "first call computes" 1 (get "a");
-  Alcotest.(check int) "second call hits" 1 (get "a");
-  Alcotest.(check int) "distinct key computes" 2 (get "bb");
+  let a = (key_a, 1) and bb = (key_bb, 2) in
+  Alcotest.(check int) "first call computes" 1 (get a);
+  Alcotest.(check int) "second call hits" 1 (get a);
+  Alcotest.(check int) "distinct key computes" 2 (get bb);
   Alcotest.(check int) "one compute per key" 2 !computes;
   let s = stat_of "test.basic" in
   Alcotest.(check int) "misses" 2 s.Cache.misses;
@@ -89,7 +243,7 @@ let test_memo_basics () =
   Alcotest.(check int) "the repeat hit came from this domain's L1" 1
     s.Cache.l1_hits;
   Cache.clear ();
-  Alcotest.(check int) "clear drops entries" 1 (get "a");
+  Alcotest.(check int) "clear drops entries" 1 (get a);
   Alcotest.(check int) "recompute after clear" 3 !computes;
   Alcotest.(check bool) "duplicate kind rejected" true
     (try
@@ -102,7 +256,7 @@ let test_disabled_bypasses () =
   Cache.reset_stats ();
   let computes = ref 0 in
   let get () =
-    Cache.memo basic_tbl ~key:"disabled" (fun () ->
+    Cache.memo basic_tbl ~key:(key_a ()) (fun () ->
         incr computes;
         0)
   in
@@ -122,7 +276,7 @@ let test_exception_caching () =
   Cache.clear ();
   let computes = ref 0 in
   let get () =
-    Cache.memo err_tbl ~key:"k" (fun () ->
+    Cache.memo err_tbl ~key:(key_a ()) (fun () ->
         incr computes;
         raise Boom)
   in
@@ -147,7 +301,7 @@ let test_single_flight_hammer () =
        guaranteed to resolve this key while it is in flight or already
        published — never by computing it themselves *)
     Atomic.incr arrivals;
-    Cache.memo hammer_tbl ~key:"shared" (fun () ->
+    Cache.memo hammer_tbl ~key:(key_a ()) (fun () ->
         Atomic.incr computes;
         while Atomic.get arrivals < domains do
           Domain.cpu_relax ()
@@ -188,7 +342,7 @@ let test_l1_coherence () =
   Cache.reset_stats ();
   let computes = Atomic.make 0 in
   let get () =
-    Cache.memo l1_tbl ~key:"shared" (fun () ->
+    Cache.memo l1_tbl ~key:(key_a ()) (fun () ->
         Atomic.incr computes;
         1729)
   in
@@ -361,7 +515,15 @@ let test_plan_node_class () =
 let () =
   Alcotest.run "cache"
     [
-      ("keys", [ Alcotest.test_case "exact vs fingerprint" `Quick test_keys ]);
+      ( "keys",
+        [
+          Alcotest.test_case "exact vs fingerprint" `Quick test_keys;
+          QCheck_alcotest.to_alcotest prop_key_matches_exact_key;
+          Alcotest.test_case "forced hash collisions" `Quick
+            test_forced_collisions;
+          Alcotest.test_case "identity hammer (8 domains)" `Quick
+            test_identity_hammer;
+        ] );
       ( "memo",
         [
           Alcotest.test_case "basics + stats" `Quick test_memo_basics;

@@ -163,6 +163,91 @@ let test_certified_regular_good () =
       ("star_graph 4", Cayley.graph (Cayley.star_graph 4));
     ]
 
+(* the regular exhibit is memoized on the graph; attaching a new witness
+   must drop it, in both directions *)
+let test_exhibit_invalidated () =
+  let n = 6 in
+  let g = Families.cycle n in
+  let shift v = Array.init n (fun i -> (i + v) mod n) in
+  let good = { Graph.w_gens = [| shift 1 |]; w_translation = shift } in
+  let junk = { Graph.w_gens = [| shift 1 |]; w_translation = (fun _ -> shift 1) } in
+  Graph.set_transitivity_witness g good;
+  Alcotest.(check bool) "honest oracle certifies" true
+    (Transitive.certified_regular g <> None);
+  Alcotest.(check bool) "exhibit memoized" true
+    (Graph.regular_exhibit g = Some (Transitive.certified_regular g));
+  Graph.set_transitivity_witness g junk;
+  Alcotest.(check bool) "new witness drops the exhibit" true
+    (Graph.regular_exhibit g = None);
+  Alcotest.(check bool) "junk oracle rejected" true
+    (Transitive.certified_regular g = None);
+  Alcotest.(check bool) "rejection memoized" true
+    (Graph.regular_exhibit g = Some None);
+  Graph.set_transitivity_witness g good;
+  Alcotest.(check bool) "honest witness certifies again" true
+    (Transitive.certified_regular g <> None)
+
+(* the reference for [is_automorphism]: phi is a permutation mapping the
+   edge multiset onto itself *)
+let naive_automorphism g (phi : int array) =
+  let n = Graph.n g in
+  let norm (u, v) = (min u v, max u v) in
+  Array.length phi = n
+  && List.sort_uniq compare (Array.to_list phi) = List.init n Fun.id
+  && List.sort compare (List.map norm (Graph.edges g))
+     = List.sort compare
+         (List.map (fun (u, v) -> norm (phi.(u), phi.(v))) (Graph.edges g))
+
+let prop_is_automorphism_naive =
+  QCheck.Test.make
+    ~name:"is_automorphism = naive edge-multiset check" ~count:300
+    QCheck.(triple (int_bound 11) (int_bound 3) (int_bound 1_000_000))
+    (fun (which, kind, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let g =
+        match which with
+        | 0 -> Cayley.graph (Cayley.ring 6)
+        | 1 -> Cayley.graph (Cayley.hypercube 3)
+        | 2 -> (P.circulant 8 [ 1; 3 ]).P.graph
+        | 3 -> (P.cube_connected_cycles 3).P.graph
+        | 4 -> Cayley.graph (Cayley.torus 3 4)
+        | 5 -> Families.petersen ()
+        | 6 -> Families.star 4
+        | 7 -> Families.complete 4
+        | 8 -> Families.wheel 5
+        | 9 -> Families.path 4
+        | _ ->
+            (* a random multigraph with loops and parallel edges *)
+            let n = 2 + Random.State.int rng 4 in
+            Graph.of_edges ~n
+              (List.init (1 + Random.State.int rng 7) (fun _ ->
+                   (Random.State.int rng n, Random.State.int rng n)))
+      in
+      let n = Graph.n g in
+      let phi =
+        match (kind, Graph.transitivity_witness g) with
+        | 0, _ ->
+            let a = Array.init n Fun.id in
+            for i = n - 1 downto 1 do
+              let j = Random.State.int rng (i + 1) in
+              let t = a.(i) in
+              a.(i) <- a.(j);
+              a.(j) <- t
+            done;
+            a
+        | 1, Some w -> w.Graph.w_translation (Random.State.int rng n)
+        | 2, _ when n > 1 ->
+            (* not a permutation *)
+            Array.init n (fun i -> if i = 0 then 1 else i)
+        | _ ->
+            let a = Array.init n Fun.id in
+            let i = Random.State.int rng n and j = Random.State.int rng n in
+            a.(i) <- j;
+            a.(j) <- i;
+            a
+      in
+      Transitive.is_automorphism g phi = naive_automorphism g phi)
+
 (* the oracle's witness fast path must agree with its own slow path *)
 let test_oracle_fast_path () =
   (* uniform all-black on Cayley instances: provably unsolvable *)
@@ -316,6 +401,9 @@ let () =
           Alcotest.test_case "regular certificates" `Quick
             test_certified_regular_good;
           Alcotest.test_case "oracle fast path" `Quick test_oracle_fast_path;
+          Alcotest.test_case "new witness drops the exhibit" `Quick
+            test_exhibit_invalidated;
+          QCheck_alcotest.to_alcotest prop_is_automorphism_naive;
         ] );
       ( "presentation",
         [
