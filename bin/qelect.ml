@@ -1102,6 +1102,8 @@ type frontier_row = {
   fr_predict : Oracle.prediction;
   fr_predict_ns : int;
   fr_warm_predict_ns : int;  (** the same predict again: a cache hit *)
+  fr_witness : int option;
+      (** cycle length of the Unsolvable exhibit, if the witness has one *)
   fr_slow : (bool * int) option;
       (** [--slow-check]: partitions agree?, slow-path ns *)
 }
@@ -1140,6 +1142,11 @@ let frontier_measure slow_check spec =
   let t3 = now () in
   ignore (Oracle.predict b : Oracle.prediction);
   let warm_predict_ns = now () - t3 in
+  let witness =
+    Option.bind
+      (Qe_symmetry.Transitive.certified_regular g)
+      Qe_symmetry.Transitive.uniform_cycle_length
+  in
   let slow =
     if not slow_check then None
     else if n > slow_check_limit then None
@@ -1161,6 +1168,7 @@ let frontier_measure slow_check spec =
     fr_predict = predict;
     fr_predict_ns = predict_ns;
     fr_warm_predict_ns = warm_predict_ns;
+    fr_witness = witness;
     fr_slow = slow;
   }
 
@@ -1186,8 +1194,8 @@ let frontier_cmd specs jobs budget_mb slow_check =
       (fun r ->
         Printf.printf
           "%s: n=%d m=%d | generate %.1f ms (%.0f ns/node) | classes=%d \
-           (%s) %.1f ms (%.0f ns/node) | predict=%s %.1f ms | \
-           warm-predict %.3f ms\n"
+           (%s) %.1f ms (%.0f ns/node) | predict=%s witness=%s %.1f ms \
+           | warm-predict %.3f ms\n"
           r.fr_spec r.fr_n r.fr_m
           (float_of_int r.fr_gen_ns /. 1e6)
           (per_node r.fr_gen_ns r.fr_n)
@@ -1196,6 +1204,9 @@ let frontier_cmd specs jobs budget_mb slow_check =
           (float_of_int r.fr_classes_ns /. 1e6)
           (per_node r.fr_classes_ns r.fr_n)
           (Format.asprintf "%a" Oracle.pp_prediction r.fr_predict)
+          (match r.fr_witness with
+          | Some l -> Printf.sprintf "order-%d" l
+          | None -> "none")
           (float_of_int r.fr_predict_ns /. 1e6)
           (float_of_int r.fr_warm_predict_ns /. 1e6);
         match r.fr_slow with

@@ -32,32 +32,13 @@ let gcd_classes b =
 let elect_prediction b =
   if gcd_classes b = 1 then `Elects else `Reports_failure
 
-(* Fast positive evidence for [translation_impossible], usable at the
-   10⁵-node frontier where the regular-subgroup search is hopeless.
-   When the uniform all-black placement sits on a graph whose attached
-   transitivity witness passes {!Qe_symmetry.Transitive.certified_regular}
-   — a verified non-identity, fixed-point-free translation drawn from a
-   sample-checked regular family — that translation preserves the
-   (all-black) placement, which is exactly the search's success
-   condition. Only [Some true] ever comes from here: anything
-   inconclusive falls through to the exhaustive search, so negative
-   answers keep their original meaning. *)
-let translation_impossible_fast b =
-  let g = Bicolored.graph b in
-  let n = Graph.n g in
-  if n < 2 || Bicolored.num_blacks b <> n then None
-  else
-    match Qe_symmetry.Transitive.certified_regular g with
-    | Some _phi -> Some true
-    | None -> None
-
+(* Theorem 4.1 by exhaustive regular-subgroup search: it proves Cayley
+   provenance as well as impossibility, so its table holds only search
+   results. *)
 let translation_impossible b =
   Cache.memo translation_tbl ~key:(Cache.key_of_bicolored b) (fun () ->
-      match translation_impossible_fast b with
-      | Some verdict -> verdict
-      | None ->
-          Cayley_detect.exists_preserving_translation (Bicolored.graph b)
-            ~black:(Bicolored.blacks b))
+      Cayley_detect.exists_preserving_translation (Bicolored.graph b)
+        ~black:(Bicolored.blacks b))
 
 let symmetric_labeling_exists b =
   Cache.memo symlab_tbl ~key:(Cache.key_of_bicolored b) @@ fun () ->
@@ -80,9 +61,23 @@ let symmetric_labeling_exists b =
       Label_equiv.max_class_size ~placement:b labeling > 1)
     subgroups
 
+(* Theorem 2.1, deductively and in O(n) at the 10⁵-node frontier: on the
+   uniform placement, a certified witness generator whose cycles all
+   share one length L >= 2 is a placement-preserving automorphism that
+   lifts to a free action on darts, so it preserves a labeling in which
+   every node has a twin (DESIGN §14.3). No exhibit decides nothing:
+   [predict] falls through to the search. The witness is not part of
+   the cache key; it can only turn a verdict the search cannot prove
+   into a proved Unsolvable, and on the graphs that carry one (Cayley
+   builders, [Cayley_detect]) the search agrees. *)
+let witnessed_unsolvable b =
+  let g = Bicolored.graph b in
+  Bicolored.num_blacks b = Graph.n g
+  && Option.is_some (Qe_symmetry.Transitive.certified_regular g)
+
 let predict b =
   Cache.memo predict_tbl ~key:(Cache.key_of_bicolored b) (fun () ->
-      if translation_impossible b then Unsolvable
+      if witnessed_unsolvable b || translation_impossible b then Unsolvable
       else if gcd_classes b = 1 then Solvable
       else Frontier)
 

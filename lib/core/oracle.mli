@@ -26,7 +26,10 @@ val elect_prediction : Qe_graph.Bicolored.t -> [ `Elects | `Reports_failure ]
 val translation_impossible : Qe_graph.Bicolored.t -> bool
 (** Theorem 4.1 impossibility: some regular subgroup of [Aut(G)] contains
     a non-identity placement-preserving translation. (Meaningful when the
-    graph is Cayley; always sound as an impossibility proof.) *)
+    graph is Cayley; always sound as an impossibility proof.) Always the
+    exhaustive regular-subgroup search, so it is bounded by
+    {!Qe_symmetry.Cayley_detect}'s caps; an attached transitivity witness
+    is not consulted. *)
 
 val symmetric_labeling_exists : Qe_graph.Bicolored.t -> bool
 (** Theorem 2.1 impossibility via the natural Cayley labelings: for each
@@ -36,7 +39,10 @@ val symmetric_labeling_exists : Qe_graph.Bicolored.t -> bool
     a cross-check. *)
 
 val predict : Qe_graph.Bicolored.t -> prediction
-(** Combined prediction: [Unsolvable] if {!translation_impossible};
+(** Combined prediction: [Unsolvable] if the placement is uniform and
+    the graph's certified witness has a generator with all cycles of one
+    length > 1 ({!Qe_symmetry.Transitive.certified_regular}, a deductive
+    Theorem 2.1 exhibit checked in O(n)), or if {!translation_impossible};
     [Solvable] if [gcd_classes = 1]; [Frontier] otherwise. *)
 
 val is_cayley : Qe_graph.Graph.t -> bool

@@ -1,9 +1,6 @@
 type dart = { dst : int; dst_port : int; edge : int }
 
-type witness = {
-  w_gens : int array array;
-  w_translation : int -> int array;
-}
+type witness = { w_gens : int array array }
 
 type identity = { sorted_dst : int array; hash : int }
 
@@ -11,8 +8,7 @@ type t = {
   csr : Csr.t;
   identity : identity option Atomic.t;
   mutable witness : witness option;
-  mutable witness_verdict : bool option;
-  mutable regular_exhibit : int array option option;
+  mutable certified : witness option option;
 }
 
 let of_csr csr =
@@ -20,8 +16,7 @@ let of_csr csr =
     csr;
     identity = Atomic.make None;
     witness = None;
-    witness_verdict = None;
-    regular_exhibit = None;
+    certified = None;
   }
 
 let of_edges ~n edges =
@@ -146,16 +141,14 @@ let sorted_neighbors g = (identity g).sorted_dst
 let structure_hash g = (identity g).hash
 
 (* Witnesses are set at construction time (before a graph is shared
-   across domains); the verdict and exhibit caches are idempotent
-   single-word writes of immutable values, so a benign race re-verifies
+   across domains); the certified-witness cache is an idempotent
+   single-word write of an immutable value, so a benign race re-verifies
    at worst. *)
 let set_transitivity_witness g w =
   g.witness <- Some w;
-  g.witness_verdict <- None;
-  g.regular_exhibit <- None
+  g.certified <- None
 
 let transitivity_witness g = g.witness
-let witness_verdict g = g.witness_verdict
-let set_witness_verdict g v = g.witness_verdict <- Some v
-let regular_exhibit g = g.regular_exhibit
-let set_regular_exhibit g e = g.regular_exhibit <- Some e
+let certified_witness g = g.certified
+let set_certified_witness g c = g.certified <- Some c
+let witness_verdict g = Option.map Option.is_some g.certified

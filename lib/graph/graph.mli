@@ -110,37 +110,31 @@ val hash_mix : int -> int -> int
 
     A constructor that knows its graph is vertex-transitive (Cayley
     builders, the presentation generator, {!Qe_symmetry.Cayley_detect})
-    can attach a witness: a set of claimed automorphism generators whose
-    group acts transitively, plus a translation oracle [w ↦ λ] with
-    [λ 0 = w] (left translations of the underlying group, so every
-    non-identity [λ] is fixed-point-free). The witness is {e untrusted}:
+    can attach a witness: a list of claimed automorphism generators
+    whose group acts transitively. The witness is {e untrusted}:
     consumers must verify it — [Qe_symmetry.Transitive.certified] checks
-    each generator is a genuine automorphism and that the generated group
-    has one orbit, then caches the verdict here. *)
+    the generators in order and keeps the shortest prefix that is all
+    genuine automorphisms with one orbit, then caches that prefix
+    here. *)
 
 type witness = {
   w_gens : int array array;
       (** claimed automorphism generators, each a permutation of nodes *)
-  w_translation : int -> int array;
-      (** [w_translation w] is a claimed automorphism sending node 0 to
-          [w]; fixed-point-free for [w <> 0] by group-translation
-          provenance *)
 }
 
 val set_transitivity_witness : t -> witness -> unit
-(** Attach a witness (resets any cached verdict and regular exhibit).
-    Call at construction time, before the graph is shared across
-    domains. *)
+(** Attach a witness (resets any cached verification). Call at
+    construction time, before the graph is shared across domains. *)
 
 val transitivity_witness : t -> witness option
 
+val certified_witness : t -> witness option option
+(** Cached verification result: [None] if nobody checked yet,
+    [Some (Some w)] with [w] the certified generator prefix,
+    [Some None] if the witness was rejected. *)
+
+val set_certified_witness : t -> witness option -> unit
+
 val witness_verdict : t -> bool option
-(** Cached verification result, if a consumer already checked. *)
-
-val set_witness_verdict : t -> bool -> unit
-
-val regular_exhibit : t -> int array option option
-(** Cached result of [Qe_symmetry.Transitive.certified_regular]:
-    [None] if nobody checked yet, [Some r] once it ran. *)
-
-val set_regular_exhibit : t -> int array option -> unit
+(** Whether the cached verification accepted the witness, if a consumer
+    already checked. *)

@@ -45,7 +45,6 @@ let make genset =
           (List.map
              (fun s -> Array.init n (fun a -> Group.mul group s a))
              (Genset.elements genset));
-      w_translation = (fun w -> Array.init n (fun a -> Group.mul group w a));
     };
   { genset; graph; labeling }
 

@@ -226,7 +226,6 @@ let cayley p gens =
           (List.map
              (fun s -> Array.init n (fun a -> p.mul s a))
              connection);
-      w_translation = (fun w -> Array.init n (fun a -> p.mul w a));
     };
   { graph; labeling; connection; group = p }
 

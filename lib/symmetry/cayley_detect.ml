@@ -167,7 +167,6 @@ let recognize ?(max_aut = 50_000) ?max_leaves g =
                 {
                   Graph.w_gens =
                     Array.of_list (List.map (fun v -> translations.(v)) generators);
-                  w_translation = (fun w -> translations.(w));
                 };
               Cayley { group; generators; translations })
 

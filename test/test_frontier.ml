@@ -113,8 +113,7 @@ let test_bogus_witness_rejected () =
   let g = Families.cycle 6 in
   (* swap two adjacency images: not an automorphism *)
   let bad = [| 1; 0; 2; 3; 4; 5 |] in
-  Graph.set_transitivity_witness g
-    { Graph.w_gens = [| bad |]; w_translation = (fun _ -> bad) };
+  Graph.set_transitivity_witness g { Graph.w_gens = [| bad |] };
   Alcotest.(check bool) "bad generator rejected" true
     (Transitive.certified g = None);
   Alcotest.(check bool) "verdict cached as false" true
@@ -125,67 +124,198 @@ let test_bogus_witness_rejected () =
     (Classes.used_fast_path t);
   Alcotest.(check int) "still one class" 1 (Classes.num_classes t)
 
-(* a witness whose generators verify but whose translation oracle is
-   junk: transitivity certifies, regular provenance must not *)
-let test_bogus_translation_oracle () =
-  let n = 6 in
-  let g = Families.cycle 6 in
-  let rot = Array.init n (fun i -> (i + 1) mod n) in
+(* (01)(234) on K5 moves every node, but its square fixes 0 and 1 while
+   permuting their darts, so it preserves no labeling: transitivity
+   certifies, the Unsolvable exhibit must not, and the verdict comes
+   from the search *)
+let test_unequal_cycles_rejected () =
+  let g = Families.complete 5 in
   Graph.set_transitivity_witness g
-    {
-      Graph.w_gens = [| rot |];
-      (* ignores the target: λ_w(0) <> w for w <> 1 *)
-      w_translation = (fun _ -> rot);
-    };
+    { Graph.w_gens = [| [| 1; 0; 3; 4; 2 |]; [| 2; 1; 0; 3; 4 |] |] };
   Alcotest.(check bool) "transitivity certifies" true
     (Transitive.certified g <> None);
-  Alcotest.(check bool) "regular provenance rejected" true
+  Alcotest.(check bool) "no exhibit" true
     (Transitive.certified_regular g = None);
-  Alcotest.(check bool) "translation to 2 rejected" true
-    (Transitive.certified_translation g ~to_:2 = None);
-  Alcotest.(check bool) "translation to 1 verifies" true
-    (Transitive.certified_translation g ~to_:1 <> None)
+  let b = all_black g in
+  Alcotest.(check bool) "search finds a preserving translation" true
+    (Oracle.translation_impossible b);
+  Alcotest.(check bool) "predict unsolvable" true
+    (Oracle.predict b = Oracle.Unsolvable)
+
+let is_exhibit g phi =
+  Transitive.is_automorphism g phi
+  &&
+  match Transitive.uniform_cycle_length phi with
+  | Some l -> l >= 2
+  | None -> false
 
 let test_certified_regular_good () =
   List.iter
     (fun (name, g) ->
       match Transitive.certified_regular g with
-      | None -> Alcotest.failf "%s: expected regular certificate" name
+      | None -> Alcotest.failf "%s: expected an exhibit" name
       | Some phi ->
           Alcotest.(check bool)
-            (name ^ ": exhibit is fpf automorphism")
-            true
-            (Transitive.is_automorphism g phi
-            && Transitive.is_fixed_point_free phi))
+            (name ^ ": exhibit is an equal-cycle automorphism")
+            true (is_exhibit g phi))
     [
       ("ring 12", Cayley.graph (Cayley.ring 12));
       ("P.ccc 4", (P.cube_connected_cycles 4).P.graph);
       ("star_graph 4", Cayley.graph (Cayley.star_graph 4));
     ]
 
-(* the regular exhibit is memoized on the graph; attaching a new witness
-   must drop it, in both directions *)
-let test_exhibit_invalidated () =
+(* certification keeps the shortest verified prefix with one orbit: a
+   bogus generator after it is never read, one inside it rejects *)
+let test_shortest_prefix () =
   let n = 6 in
+  let rot = Array.init n (fun i -> (i + 1) mod n) in
+  let bogus = [| 1; 0; 2; 3; 4; 5 |] in
   let g = Families.cycle n in
-  let shift v = Array.init n (fun i -> (i + v) mod n) in
-  let good = { Graph.w_gens = [| shift 1 |]; w_translation = shift } in
-  let junk = { Graph.w_gens = [| shift 1 |]; w_translation = (fun _ -> shift 1) } in
-  Graph.set_transitivity_witness g good;
-  Alcotest.(check bool) "honest oracle certifies" true
+  Graph.set_transitivity_witness g { Graph.w_gens = [| rot; bogus |] };
+  (match Transitive.certified g with
+  | Some w ->
+      Alcotest.(check int) "prefix of one" 1 (Array.length w.Graph.w_gens)
+  | None -> Alcotest.fail "[rotation; bogus] should certify");
+  (match Transitive.certified_regular g with
+  | Some phi ->
+      Alcotest.(check bool) "exhibit is not the bogus map" true
+        (phi <> bogus && is_exhibit g phi)
+  | None -> Alcotest.fail "[rotation; bogus] should give an exhibit");
+  let g = Families.cycle n in
+  Graph.set_transitivity_witness g { Graph.w_gens = [| bogus; rot |] };
+  Alcotest.(check bool) "[bogus; rotation] rejected" true
+    (Transitive.certified g = None);
+  Alcotest.(check bool) "no exhibit" true
+    (Transitive.certified_regular g = None)
+
+(* the certified prefix is memoized on the graph; attaching a new witness
+   must drop it, in both directions *)
+let test_new_witness_reverified () =
+  let g = Families.complete 5 in
+  let semiregular = { Graph.w_gens = [| [| 1; 2; 3; 4; 0 |] |] } in
+  let unequal =
+    { Graph.w_gens = [| [| 1; 0; 3; 4; 2 |]; [| 2; 1; 0; 3; 4 |] |] }
+  in
+  Graph.set_transitivity_witness g semiregular;
+  Alcotest.(check bool) "semiregular set gives an exhibit" true
     (Transitive.certified_regular g <> None);
-  Alcotest.(check bool) "exhibit memoized" true
-    (Graph.regular_exhibit g = Some (Transitive.certified_regular g));
-  Graph.set_transitivity_witness g junk;
-  Alcotest.(check bool) "new witness drops the exhibit" true
-    (Graph.regular_exhibit g = None);
-  Alcotest.(check bool) "junk oracle rejected" true
+  Alcotest.(check bool) "verification memoized" true
+    (Graph.witness_verdict g = Some true);
+  Graph.set_transitivity_witness g unequal;
+  Alcotest.(check bool) "new witness drops the verdict" true
+    (Graph.witness_verdict g = None);
+  Alcotest.(check bool) "unequal cycles give none" true
     (Transitive.certified_regular g = None);
-  Alcotest.(check bool) "rejection memoized" true
-    (Graph.regular_exhibit g = Some None);
-  Graph.set_transitivity_witness g good;
-  Alcotest.(check bool) "honest witness certifies again" true
+  Alcotest.(check bool) "still certified transitive" true
+    (Graph.witness_verdict g = Some true);
+  Graph.set_transitivity_witness g semiregular;
+  Alcotest.(check bool) "semiregular set gives an exhibit again" true
     (Transitive.certified_regular g <> None)
+
+(* reference for the cycle scan: the full cycle decomposition *)
+let naive_cycle_lengths (phi : int array) =
+  let n = Array.length phi in
+  let seen = Array.make n false in
+  List.filter_map
+    (fun u ->
+      if seen.(u) then None
+      else begin
+        let rec walk v l =
+          seen.(v) <- true;
+          if phi.(v) = u then l else walk phi.(v) (l + 1)
+        in
+        Some (walk u 1)
+      end)
+    (List.init n Fun.id)
+
+let prop_cycle_scan_naive =
+  QCheck.Test.make ~name:"cycle scan = naive decomposition" ~count:500
+    QCheck.(triple (int_range 1 12) (int_bound 3) (int_bound 1_000_000))
+    (fun (n, kind, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let shuffle a =
+        for i = Array.length a - 1 downto 1 do
+          let j = Random.State.int rng (i + 1) in
+          let t = a.(i) in
+          a.(i) <- a.(j);
+          a.(j) <- t
+        done
+      in
+      let phi =
+        match kind with
+        | 0 -> Array.init n Fun.id
+        | 1 ->
+            (* cycles of one length L dividing n, on a shuffled order *)
+            let divisors = List.filter (fun l -> n mod l = 0) (List.init n succ) in
+            let l = List.nth divisors (Random.State.int rng (List.length divisors)) in
+            let order = Array.init n Fun.id in
+            shuffle order;
+            let phi = Array.make n 0 in
+            Array.iteri
+              (fun i u ->
+                let next = if (i + 1) mod l = 0 then i + 1 - l else i + 1 in
+                phi.(u) <- order.(next))
+              order;
+            phi
+        | 2 ->
+            (* fixed points next to one longer cycle *)
+            let phi = Array.init n Fun.id in
+            let k = Random.State.int rng n in
+            for i = 0 to k do
+              phi.(i) <- (if i = k then 0 else i + 1)
+            done;
+            phi
+        | _ ->
+            let a = Array.init n Fun.id in
+            shuffle a;
+            a
+      in
+      let expected =
+        match List.sort_uniq compare (naive_cycle_lengths phi) with
+        | [ l ] -> Some l
+        | _ -> None
+      in
+      Transitive.uniform_cycle_length phi = expected)
+
+(* whenever the witness fires on a small Cayley instance, the
+   regular-subgroup search and the natural-labeling check agree *)
+let test_witness_vs_search () =
+  let built =
+    [
+      Cayley.graph (Cayley.ring 12);
+      Cayley.graph (Cayley.hypercube 3);
+      Cayley.graph (Cayley.torus 3 4);
+      Cayley.graph (Cayley.circulant 10 [ 1; 3 ]);
+      (P.circulant 12 [ 1; 5 ]).P.graph;
+      (P.cayley (P.dihedral 5) [ 5; 6 ]).P.graph;
+    ]
+  in
+  (* zoo topologies carry no witness until recognition attaches one *)
+  let recognized =
+    List.filter_map
+      (fun (i : Qe_elect.Campaign.instance) ->
+        let g = i.Qe_elect.Campaign.graph in
+        if Graph.n g > 12 then None
+        else
+          match Qe_symmetry.Cayley_detect.recognize g with
+          | Qe_symmetry.Cayley_detect.Cayley _ -> Some g
+          | _ -> None)
+      (Qe_elect.Campaign.cayley_zoo ())
+  in
+  Alcotest.(check bool) "zoo recognitions found" true (recognized <> []);
+  List.iteri
+    (fun i g ->
+      let b = all_black g in
+      let name = Printf.sprintf "instance %d (n=%d)" i (Graph.n g) in
+      match Transitive.certified_regular g with
+      | None -> Alcotest.failf "%s: Cayley witness gave no exhibit" name
+      | Some _ ->
+          Alcotest.(check bool) (name ^ ": search agrees") true
+            (Qe_symmetry.Cayley_detect.exists_preserving_translation g
+               ~black:(Bicolored.blacks b));
+          Alcotest.(check bool) (name ^ ": natural labeling agrees") true
+            (Oracle.symmetric_labeling_exists b))
+    (built @ recognized)
 
 (* the reference for [is_automorphism]: phi is a permutation mapping the
    edge multiset onto itself *)
@@ -235,7 +365,8 @@ let prop_is_automorphism_naive =
               a.(j) <- t
             done;
             a
-        | 1, Some w -> w.Graph.w_translation (Random.State.int rng n)
+        | 1, Some w ->
+            w.Graph.w_gens.(Random.State.int rng (Array.length w.Graph.w_gens))
         | 2, _ when n > 1 ->
             (* not a permutation *)
             Array.init n (fun i -> if i = 0 then 1 else i)
@@ -265,7 +396,11 @@ let test_oracle_fast_path () =
      must land on the same verdict (structural cache key is shared, so
      compare across distinct structures) *)
   Alcotest.(check bool) "unwitnessed cycle agrees" true
-    (Oracle.predict (all_black (Families.cycle 14)) = Oracle.Unsolvable)
+    (Oracle.predict (all_black (Families.cycle 14)) = Oracle.Unsolvable);
+  (* the witness's rotation moves a lone agent: not an exhibit *)
+  Alcotest.(check bool) "non-uniform placement ignores the witness" true
+    (Oracle.predict (Bicolored.make (Cayley.graph (Cayley.ring 8)) ~black:[ 0 ])
+    = Oracle.Solvable)
 
 (* ---------- presentation/group differentials ---------- *)
 
@@ -396,14 +531,19 @@ let () =
         [
           Alcotest.test_case "bogus witness rejected" `Quick
             test_bogus_witness_rejected;
-          Alcotest.test_case "bogus translation oracle" `Quick
-            test_bogus_translation_oracle;
+          Alcotest.test_case "unequal cycle lengths rejected" `Quick
+            test_unequal_cycles_rejected;
           Alcotest.test_case "regular certificates" `Quick
             test_certified_regular_good;
           Alcotest.test_case "oracle fast path" `Quick test_oracle_fast_path;
-          Alcotest.test_case "new witness drops the exhibit" `Quick
-            test_exhibit_invalidated;
+          Alcotest.test_case "a new witness is re-verified" `Quick
+            test_new_witness_reverified;
           QCheck_alcotest.to_alcotest prop_is_automorphism_naive;
+          Alcotest.test_case "shortest verified prefix" `Quick
+            test_shortest_prefix;
+          QCheck_alcotest.to_alcotest prop_cycle_scan_naive;
+          Alcotest.test_case "witness agrees with the search" `Quick
+            test_witness_vs_search;
         ] );
       ( "presentation",
         [
