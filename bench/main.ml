@@ -24,6 +24,19 @@ module Anonymous_demo = Qe_elect.Anonymous_demo
 module Oracle = Qe_elect.Oracle
 module Campaign = Qe_elect.Campaign
 
+(* A fresh sweep's full records. A quarantined task would silently
+   shrink the matrix under every number a section reports, so it fails
+   the bench instead. *)
+let sweep_records ?seeds ?strategies ?jobs ?live ~expected proto instances =
+  let rows, summary =
+    Campaign.sweep ?seeds ?strategies ?jobs ?live ~expected proto instances
+  in
+  if summary.Campaign.h_quarantined <> [] then
+    failwith
+      (Printf.sprintf "FAIL: %d sweep task(s) quarantined"
+         (List.length summary.Campaign.h_quarantined));
+  List.filter_map (fun r -> r.Campaign.s_record) rows
+
 (* ---------- pretty printing ---------- *)
 
 let section title =
@@ -88,7 +101,7 @@ let table1 () =
   in
   (* qualitative, effectual on Cayley: ELECT-translation conformance *)
   let cayley_records =
-    Campaign.sweep ~seeds:[ 0 ]
+    sweep_records ~seeds:[ 0 ]
       ~strategies:[ ("random", Engine.Random_fair 0) ]
       ~expected:Campaign.elect_expected Elect_cayley.protocol
       (Campaign.cayley_zoo ())
@@ -103,7 +116,7 @@ let table1 () =
   in
   (* quantitative: universal election everywhere *)
   let quant_records =
-    Campaign.sweep ~seeds:[ 0 ]
+    sweep_records ~seeds:[ 0 ]
       ~strategies:[ ("random", Engine.Random_fair 0) ]
       ~expected:(fun _ -> true)
       Quantitative.protocol (Campaign.zoo ())
@@ -312,7 +325,7 @@ let thm31_correctness () =
   section
     "Theorem 3.1: ELECT elects iff gcd(|C_1|,...,|C_k|) = 1 (full sweep)";
   let records =
-    Campaign.sweep ~seeds:[ 0; 1 ] ~expected:Campaign.elect_expected
+    sweep_records ~seeds:[ 0; 1 ] ~expected:Campaign.elect_expected
       Elect.protocol (Campaign.zoo ())
   in
   let by_family = Hashtbl.create 8 in
@@ -1218,7 +1231,7 @@ let fault_overhead () =
 
 (* The nontrivially-symmetric suite shared by the scaling and cache
    sections: real symmetry work per instance, sizes spread out enough
-   that the pool's weighted assignment has something to balance. *)
+   that a straggler instance shows up in the scaling numbers. *)
 let sym_suite () =
   [
     Campaign.instance ~name:"torus6x6/pair" ~family:"torus" ~cayley:true
@@ -1238,12 +1251,11 @@ let par_scaling () =
   section "Par scaling: cold and warm sweeps at -j 1, 2, 4, 8";
   print_endline
     "the same conformance sweep (symmetric suite x strategies x 8\n\
-     seeds) on a Qe_par.Pool of j domains, twice per j: cold (artifact\n\
+     seeds) on j supervised worker domains, twice per j: cold (artifact\n\
      cache just cleared — misses, single-flight) and warm (second sweep\n\
-     — per-domain L1 hits). Per-layer telemetry per warm row: items\n\
-     stolen and summed idle-tail ns from Pool.totals, single-flight\n\
-     waits from Cache.stats. Records are cross-checked bit-identical\n\
-     (CSV minus wall_ns) against -j 1.\n";
+     — per-domain L1 hits). Per-layer telemetry per warm row:\n\
+     single-flight waits from Cache.stats. Records are cross-checked\n\
+     bit-identical (CSV minus wall_ns) against -j 1.\n";
   let module Cache = Qe_symmetry.Artifact_cache in
   let module Pool = Qe_par.Pool in
   let cores = Domain.recommended_domain_count () in
@@ -1255,7 +1267,7 @@ let par_scaling () =
   let suite = sym_suite () in
   let seeds = List.init 8 Fun.id in
   let sweep jobs () =
-    Campaign.sweep ~seeds ~jobs ~expected:Campaign.elect_expected
+    sweep_records ~seeds ~jobs ~expected:Campaign.elect_expected
       Qe_elect.Elect.protocol suite
   in
   let time f =
@@ -1289,13 +1301,9 @@ let par_scaling () =
         Cache.clear ();
         Cache.reset_stats ();
         let recs_cold, t_cold = time (sweep jobs) in
-        let tot0 = Pool.totals () and w0 = waits () in
+        let w0 = waits () in
         let recs_warm, t_warm = time (sweep jobs) in
-        let tot1 = Pool.totals () and w1 = waits () in
-        let steals = tot1.Pool.steals - tot0.Pool.steals in
-        let idle_ms =
-          float_of_int (tot1.Pool.idle_ns - tot0.Pool.idle_ns) /. 1e6
-        in
+        let w1 = waits () in
         if jobs = 1 then baseline := csv recs_warm
         else if csv recs_warm <> !baseline || csv recs_cold <> !baseline then
           fails := Printf.sprintf "j%d: records diverged from -j 1" jobs :: !fails;
@@ -1305,17 +1313,15 @@ let par_scaling () =
           @ [
               ("cold/" ^ j, t_cold *. 1e9);
               ("warm/" ^ j, t_warm *. 1e9);
-              ("steals/" ^ j, float_of_int steals);
-              ("idle-ms/" ^ j, idle_ms);
               ("cache-waits/" ^ j, float_of_int (w1 - w0));
             ];
-        (jobs, t_cold, t_warm, steals, idle_ms, w1 - w0))
+        (jobs, t_cold, t_warm, w1 - w0))
       [ 1; 2; 4; 8 ]
   in
-  let _, cold1, warm1, _, _, _ = List.hd rows in
+  let _, cold1, warm1, _ = List.hd rows in
   let speedups =
     List.map
-      (fun (jobs, t_cold, t_warm, steals, idle_ms, waits) ->
+      (fun (jobs, t_cold, t_warm, waits) ->
         let su_cold = cold1 /. t_cold and su_warm = warm1 /. t_warm in
         if jobs > 1 then
           recorded_scaling :=
@@ -1331,15 +1337,13 @@ let par_scaling () =
             Printf.sprintf "%7.3f s" t_warm;
             Printf.sprintf "%.2fx" su_cold;
             Printf.sprintf "%.2fx" su_warm;
-            string_of_int steals;
-            Printf.sprintf "%.1f" idle_ms;
             string_of_int waits;
           ],
           su_warm ))
       rows
   in
   print_table
-    [ "jobs"; "cold"; "warm"; "cold x"; "warm x"; "steals"; "idle ms"; "waits" ]
+    [ "jobs"; "cold"; "warm"; "cold x"; "warm x"; "waits" ]
     (List.map (fun (_, r, _) -> r) speedups);
   Printf.printf
     "\n(%d runs per sweep: %d instances x %d strategies x 8 seeds)\n"
@@ -1386,7 +1390,7 @@ let cache_bench () =
   let suite = sym_suite () in
   let seeds = List.init 8 Fun.id in
   let sweep jobs () =
-    Campaign.sweep ~seeds ~jobs ~expected:Campaign.elect_expected
+    sweep_records ~seeds ~jobs ~expected:Campaign.elect_expected
       Qe_elect.Elect.protocol suite
   in
   let time f =
@@ -1641,7 +1645,7 @@ let exposition () =
         Fun.protect
           ~finally:(fun () -> Atomic.set finished true)
           (fun () ->
-            Campaign.sweep ~seeds:(List.init 4 Fun.id) ~jobs:4 ~live:push
+            sweep_records ~seeds:(List.init 4 Fun.id) ~jobs:4 ~live:push
               ~expected:Campaign.elect_expected Elect.protocol (sym_suite ())))
   in
   let scrapes = ref 0 and bad = ref 0 in
@@ -1698,9 +1702,10 @@ let resilience () =
     "Resilience: supervised sweep overhead and self-healing under harness \
      chaos";
   print_endline
-    "the same -j 4 sweep three ways. 'plain' is Campaign.sweep; \n\
-     'supervised' arms the self-healing harness (deadline + retry +\n\
-     quarantine) with no faults, so its cost is one claim/settle\n\
+    "the same -j 4 sweep matrix three ways. 'plain' is a bare\n\
+     Qe_par.Pool.run of Campaign.run_one over it; 'supervised' is\n\
+     Campaign.sweep with the self-healing harness armed (deadline +\n\
+     retry + quarantine) and no faults, so its cost is one claim/settle\n\
      handshake per task and a 2 ms monitor poll — it must sit within\n\
      noise of plain. The chaos rows then inject task kills and show the\n\
      harness retrying everything to completion, and quarantining the\n\
@@ -1725,18 +1730,34 @@ let resilience () =
     Array.sort compare a;
     a.(Array.length a / 2)
   in
+  (* the matrix in the sweep's canonical order: instance, strategy, seed *)
+  let matrix =
+    Array.of_list
+      (List.concat_map
+         (fun inst ->
+           List.concat_map
+             (fun strat -> List.map (fun seed -> (inst, strat, seed)) seeds)
+             Campaign.strategies)
+         suite)
+  in
   let plain () =
-    Campaign.sweep ~seeds ~jobs:4 ~expected:Campaign.elect_expected
-      Elect.protocol suite
+    Array.to_list
+      (Qe_par.Pool.run ~jobs:4
+         ~f:(fun _ (inst, strategy, seed) ->
+           Campaign.run_one ~strategy ~seed
+             ~expected_elected:(Campaign.elect_expected inst)
+             inst Elect.protocol)
+         matrix)
   in
   let policy =
     Supervisor.policy ~deadline_ns:30_000_000_000 ~max_attempts:3 ()
   in
   let hardened ?harness_chaos ?(policy = policy) () =
-    Campaign.sweep_hardened ~seeds ~jobs:4 ~supervise:policy ?harness_chaos
+    Campaign.sweep ~seeds ~jobs:4 ~supervise:policy ?harness_chaos
       ~expected:Campaign.elect_expected Elect.protocol suite
   in
-  (* warm the artifact cache once so every timed rep runs warm *)
+  (* warm the artifact cache once so every timed rep runs warm (the bare
+     pool has no prewarm of its own) *)
   let baseline = plain () in
   let reps = 5 in
   let t_plain =

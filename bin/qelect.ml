@@ -640,7 +640,7 @@ let sweep_cmd protocol seeds jobs no_cache stats metrics_port
     in
     with_metrics_server metrics_port (fun live ->
         let rows, summary =
-          Campaign.sweep_hardened ~seeds ~jobs ?live ~supervise
+          Campaign.sweep ~seeds ~jobs ?live ~supervise
             ?harness_chaos:hchaos ?checkpoint ~resume ~expected proto
             (Campaign.zoo ())
         in
@@ -664,14 +664,10 @@ let chaos_cmd protocol seeds trace_out jobs no_cache stats
     Cache.reset_stats ();
     if resume && checkpoint = None then
       failwith "--resume needs --checkpoint FILE";
-    let hardened =
-      checkpoint <> None || harness_chaos <> None || task_deadline > 0
-    in
-    if hardened && trace_out <> None then
+    if resume && trace_out <> None then
       failwith
-        "--trace-out cannot be combined with \
-         --checkpoint/--harness-chaos/--task-deadline (the hardened path \
-         has no trace sink)";
+        "--trace-out cannot be combined with --resume (the replayed runs \
+         would be missing from the trace)";
     let proto =
       match protocol with
       | "elect" -> Qe_elect.Elect.protocol
@@ -695,24 +691,19 @@ let chaos_cmd protocol seeds trace_out jobs no_cache stats
         (fun oc -> Qe_obs.Sink.create ~on_line:(Qe_obs.Export.write oc) ())
         oc
     in
+    let supervise, hchaos =
+      supervision_of_flags ~task_deadline_ms:task_deadline ~task_retries
+        ~harness_chaos
+    in
     let report =
       with_metrics_server metrics_port (fun live ->
-          if hardened then begin
-            let supervise, hchaos =
-              supervision_of_flags ~task_deadline_ms:task_deadline
-                ~task_retries ~harness_chaos
-            in
-            let report, summary =
-              Campaign.chaos_sweep_hardened ~seeds ~jobs ?live ~supervise
-                ?harness_chaos:hchaos ?checkpoint ~resume
-                ~expected:Campaign.elect_expected proto (Campaign.zoo ())
-            in
-            report_supervision summary stdout;
-            report
-          end
-          else
-            Campaign.chaos_sweep ~seeds ?obs ~jobs ?live
-              ~expected:Campaign.elect_expected proto (Campaign.zoo ()))
+          let report, summary =
+            Campaign.chaos_sweep ~seeds ?obs ~jobs ?live ~supervise
+              ?harness_chaos:hchaos ?checkpoint ~resume
+              ~expected:Campaign.elect_expected proto (Campaign.zoo ())
+          in
+          report_supervision summary stdout;
+          report)
     in
     Option.iter close_out oc;
     Printf.printf "runs: %d (%d with zero faults fired)\n"
@@ -1466,7 +1457,9 @@ let chaos_trace_out_arg =
     value
     & opt (some string) None
     & info [ "trace-out" ]
-        ~doc:"Write the telemetry of every chaos run as JSONL to $(docv)."
+        ~doc:
+          "Write the telemetry of every chaos run as JSONL to $(docv). \
+           Refused with $(b,--resume): the replayed runs would be missing."
         ~docv:"FILE")
 
 let chaos_term =

@@ -220,36 +220,29 @@ let run_one ?strategy ?obs ?(seed = 0) ~expected_elected inst proto =
 
 let elect_expected inst = Oracle.gcd_classes (bicolored inst) = 1
 
-(* ---------- parallel execution ----------
+(* ---------- the sweep pipeline ----------
 
-   Every sweep below follows the same recipe: build the full task matrix
-   as an array in {e canonical order} (the nesting order of the old
-   sequential loops), farm it out with [Qe_par.Pool.run] — which writes
-   each task's result back into its input slot, whatever domain ran it —
-   and read the results off in index order. Determinism needs nothing
-   more: each task is self-contained (the engine derives its scheduling
-   [Random.State] from the task's own seed, the fault injector from the
-   plan's seed, and telemetry goes to a task- or instance-private sink),
-   so no observable value depends on which domain ran a task or when.
-   [jobs:1] (the default) runs the plain sequential loop with no pool
-   and no domains at all; [jobs:0] means "ask the machine"
+   Both sweeps below follow one recipe: build the full task matrix as an
+   array in {e canonical order} (sweep: instance, strategy, seed; chaos:
+   seed, instance, strategy, plan), settle it through [run_matrix] —
+   supervised, optionally journaled — and read the results off in index
+   order. Determinism needs nothing more: each task is self-contained
+   (the engine derives its scheduling [Random.State] from the task's own
+   seed, the fault injector from the plan's seed, and telemetry goes to
+   a task-private sink), so no observable value depends on which domain
+   ran a task or when. [jobs:1] (the default) runs the matrix inline
+   with no domains at all; [jobs:0] means "ask the machine"
    ([Qe_par.Pool.default_jobs]). *)
 
 let resolve_jobs jobs =
   if jobs = 0 then Qe_par.Pool.default_jobs () else max 1 jobs
 
-(* Relative cost estimate handed to the pool's LPT assignment: symmetry
-   refinement, the oracle and the engine all scale with the instance's
-   graph, so nodes + edges keeps a torus from serializing a queue of
-   cycles behind it. Purely advisory — results never depend on it. *)
-let instance_weight inst = Graph.n inst.graph + Graph.m inst.graph
-
 (* Hoist the per-instance symmetry artifacts out of the per-seed loop:
    resolve the oracle verdicts (and, through them, the classes) once per
-   distinct instance before farming the matrix out, so pool domains find
-   warm entries instead of racing on the first lookups. With the cache
-   disabled this is a no-op and every run recomputes as before. The
-   prewarm runs with no ambient sink: metric deltas are recorded at
+   distinct instance before farming the matrix out, so worker domains
+   find warm entries instead of racing on the first lookups. With the
+   cache disabled this is a no-op and every run recomputes as before.
+   The prewarm runs with no ambient sink: metric deltas are recorded at
    compute time into the cache entry and replayed at each in-run lookup,
    so observed snapshots are placement-identical either way. *)
 let prewarm instances =
@@ -263,94 +256,20 @@ let prewarm instances =
 
 (* Wall-clock latency histograms ([*_latency]) are real time, so they
    can never be part of the determinism contract: any snapshot that is
-   compared across runs or job counts ([obs_report], [c_metrics]) has
-   them stripped. They still flow to live scrape hooks, [qelect run]
-   sinks and trace metric lines, where wall time is the point. *)
+   compared across runs or job counts ([c_metrics]) has them stripped.
+   They still flow to live scrape hooks, [qelect run] sinks and trace
+   metric lines, where wall time is the point. *)
 let strip_latency snap =
   List.filter (fun (name, _) -> not (Qe_obs.Metrics.is_latency name)) snap
 
-let sweep ?(seeds = [ 0; 1 ]) ?(strategies = strategies) ?(jobs = 1) ?live
-    ~expected proto instances =
-  let jobs = resolve_jobs jobs in
-  prewarm instances;
-  let tasks =
-    List.concat_map
-      (fun inst ->
-        let expected_elected = expected inst in
-        List.concat_map
-          (fun strat ->
-            List.map (fun seed -> (inst, strat, seed, expected_elected)) seeds)
-          strategies)
-      instances
-    |> Array.of_list
-  in
-  Qe_par.Pool.run ~jobs
-    ~weight:(fun _ (inst, _, _, _) -> instance_weight inst)
-    ~f:(fun _ (inst, strat, seed, expected_elected) ->
-      match live with
-      | None -> run_one ~strategy:strat ~seed ~expected_elected inst proto
-      | Some push ->
-          (* a live scrape wants engine *and* kernel/cache activity, so
-             give the run the full observed setup; the record itself is
-             unchanged by observation *)
-          let sink = Qe_obs.Sink.create () in
-          let r =
-            Qe_obs.Sink.with_ambient sink (fun () ->
-                run_one ~strategy:strat ~obs:sink ~seed ~expected_elected inst
-                  proto)
-          in
-          push (Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics);
-          r)
-    tasks
-  |> Array.to_list
-
-type obs_report = {
-  per_instance : (string * Qe_obs.Metrics.snapshot) list;
-  total : Qe_obs.Metrics.snapshot;
-}
-
-let observed_sweep ?(seeds = [ 0; 1 ]) ?(strategies = strategies) ?(jobs = 1)
-    ?live ~expected proto instances =
-  let jobs = resolve_jobs jobs in
-  prewarm instances;
-  (* parallel at instance granularity: one sink per instance is the
-     published contract of [obs_report], and an instance's runs sharing
-     their domain-local ambient sink is exactly the sequential setup,
-     so per-instance snapshots are bit-identical at any [jobs] *)
-  let per_inst =
-    Qe_par.Pool.run ~jobs
-      ~weight:(fun _ inst -> instance_weight inst)
-      ~f:(fun _ inst ->
-        let expected_elected = expected inst in
-        (* one sink per instance: engine counters arrive via ?obs, kernel
-           refine/canon counters via the ambient hook, so any symmetry
-           work triggered inside the runs lands in the same snapshot *)
-        let sink = Qe_obs.Sink.create () in
-        let rs =
-          Qe_obs.Sink.with_ambient sink (fun () ->
-              List.concat_map
-                (fun strat ->
-                  List.map
-                    (fun seed ->
-                      run_one ~strategy:strat ~obs:sink ~seed
-                        ~expected_elected inst proto)
-                    seeds)
-                strategies)
-        in
-        let snap = Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics in
-        Option.iter (fun push -> push snap) live;
-        (rs, (inst.name, strip_latency snap)))
-      (Array.of_list instances)
-    |> Array.to_list
-  in
-  let records = List.concat_map fst per_inst in
-  let per_instance = List.map snd per_inst in
-  let total =
-    List.fold_left
-      (fun acc (_, s) -> Qe_obs.Metrics.merge acc s)
-      [] per_instance
-  in
-  (records, { per_instance; total })
+(* [cache.*] counters say where an artifact was found — this domain's
+   L1, the shared L2, or a miss — which depends on task placement and on
+   what earlier sweeps left in the cache. Like latency they reach [live]
+   untouched, but never a merged, determinism-checked snapshot. *)
+let placement_free snap =
+  List.filter
+    (fun (name, _) -> not (String.starts_with ~prefix:"cache." name))
+    snap
 
 let conformance_rate records =
   let total = List.length records in
@@ -517,227 +436,13 @@ let chaos_run ?obs ~strategy:(strategy_name, strategy) ~seed ~watchdog
     c_turns = result.Engine.scheduler_turns;
   }
 
-let chaos_sweep ?(seeds = 8) ?(strategies = strategies)
-    ?(watchdog = default_chaos_watchdog) ?obs ?(jobs = 1) ?live ~expected
-    proto instances =
-  let jobs = resolve_jobs jobs in
-  prewarm instances;
-  let tasks =
-    List.concat_map
-      (fun seed ->
-        let plans =
-          [
-            ("chaos", FPlan.chaos ~seed); ("crash-only", FPlan.crash_only ~seed);
-          ]
-        in
-        List.concat_map
-          (fun inst ->
-            let expected_elected = expected inst in
-            List.concat_map
-              (fun strategy ->
-                List.map
-                  (fun (plan_kind, plan) ->
-                    (seed, inst, expected_elected, strategy, plan_kind, plan))
-                  plans)
-              strategies)
-          instances)
-      (List.init seeds Fun.id)
-    |> Array.of_list
-  in
-  let records, c_metrics =
-    if jobs <= 1 then begin
-      (* the untouched sequential path: every run shares [obs] directly,
-         so traces keep their historical shape (per-run cumulative
-         snapshots); the sweep's own totals are the interval reading *)
-      let before =
-        Option.map
-          (fun s -> Qe_obs.Metrics.snapshot s.Qe_obs.Sink.metrics)
-          obs
-      in
-      let records =
-        Array.to_list tasks
-        |> List.map
-             (fun (seed, inst, expected_elected, strategy, plan_kind, plan) ->
-               match (live, obs) with
-               | None, _ ->
-                   chaos_run ?obs ~strategy ~seed ~watchdog ~plan_kind ~plan
-                     ~expected_elected inst proto
-               | Some push, Some s ->
-                   (* per-run interval reading of the shared sink *)
-                   let b =
-                     Qe_obs.Metrics.snapshot s.Qe_obs.Sink.metrics
-                   in
-                   let r =
-                     chaos_run ~obs:s ~strategy ~seed ~watchdog ~plan_kind
-                       ~plan ~expected_elected inst proto
-                   in
-                   push
-                     (Qe_obs.Metrics.diff
-                        ~after:
-                          (Qe_obs.Metrics.snapshot s.Qe_obs.Sink.metrics)
-                        ~before:b);
-                   r
-               | Some push, None ->
-                   let sink = Qe_obs.Sink.create () in
-                   let r =
-                     chaos_run ~obs:sink ~strategy ~seed ~watchdog ~plan_kind
-                       ~plan ~expected_elected inst proto
-                   in
-                   push
-                     (Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics);
-                   r)
-      in
-      let c_metrics =
-        match (obs, before) with
-        | Some s, Some before ->
-            strip_latency
-              (Qe_obs.Metrics.diff
-                 ~after:(Qe_obs.Metrics.snapshot s.Qe_obs.Sink.metrics)
-                 ~before)
-        | _ -> []
-      in
-      (records, c_metrics)
-    end
-    else begin
-      (* parallel: one run = one task with a private sink. Trace lines
-         are buffered per task and replayed to [obs] in canonical task
-         order afterwards — minus the per-run snapshots, which are
-         per-sink readings here; the sweep appends one merged snapshot
-         instead, so `qelect report`'s last-wins totals agree with the
-         sequential trace. Engine/fault instruments are counters and
-         histograms only, so [Metrics.merge] of the per-run snapshots
-         equals the sequential interval reading exactly. *)
-      let streaming =
-        match obs with
-        | Some { Qe_obs.Sink.on_line = Some _; _ } -> true
-        | _ -> false
-      in
-      (* with a streaming parent, the batch's scheduler telemetry is
-         captured in a side sink installed around the pool run (its
-         [pool.batch] per-domain span lanes are appended to the trace
-         after the replayed task lines; its metrics are discarded — they
-         are wall-clock and would break jobs-invariance of [c_metrics]) *)
-      let pool_sink =
-        if streaming then Some (Qe_obs.Sink.create ()) else None
-      in
-      let run_tasks () =
-        Qe_par.Pool.run ~jobs
-          ~weight:(fun _ (_, inst, _, _, _, _) -> instance_weight inst)
-          ~f:(fun _ (seed, inst, expected_elected, strategy, plan_kind, plan)
-             ->
-            match (obs, live) with
-            | None, None ->
-                ( chaos_run ~strategy ~seed ~watchdog ~plan_kind ~plan
-                    ~expected_elected inst proto,
-                  [],
-                  [] )
-            | _ ->
-                let lines = ref [] in
-                let on_line =
-                  if streaming then Some (fun l -> lines := l :: !lines)
-                  else None
-                in
-                let sink = Qe_obs.Sink.create ?on_line () in
-                let r =
-                  chaos_run ~obs:sink ~strategy ~seed ~watchdog ~plan_kind
-                    ~plan ~expected_elected inst proto
-                in
-                let snap =
-                  Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics
-                in
-                Option.iter (fun push -> push snap) live;
-                (r, snap, List.rev !lines))
-          tasks
-      in
-      let results =
-        match pool_sink with
-        | Some ps -> Qe_obs.Sink.with_ambient ps run_tasks
-        | None -> run_tasks ()
-      in
-      let merged =
-        match obs with
-        | None -> []
-        | Some _ ->
-            Array.fold_left
-              (fun acc (_, s, _) -> Qe_obs.Metrics.merge acc s)
-              [] results
-      in
-      let c_metrics = strip_latency merged in
-      (match obs with
-      | None -> ()
-      | Some parent ->
-          Array.iter
-            (fun (_, _, lines) ->
-              List.iter
-                (function
-                  | Qe_obs.Export.Metric_snapshot _ -> ()
-                  | l -> Qe_obs.Sink.emit parent l)
-                lines)
-            results;
-          (match pool_sink with
-          | Some ps ->
-              List.iter
-                (fun root ->
-                  Qe_obs.Sink.emit parent (Qe_obs.Export.Span_tree root))
-                (Qe_obs.Span.roots ps.Qe_obs.Sink.spans)
-          | None -> ());
-          (* the trace keeps the unstripped merge: latency quantiles are
-             useful in `qelect report`, and traces are wall-clock anyway *)
-          if merged <> [] then
-            Qe_obs.Sink.emit parent (Qe_obs.Export.Metric_snapshot merged));
-      (Array.to_list results |> List.map (fun (r, _, _) -> r), c_metrics)
-    end
-  in
-  let by_kind =
-    List.filter_map
-      (fun k ->
-        let n =
-          List.fold_left
-            (fun acc r ->
-              acc
-              + (match List.assoc_opt k r.c_faults with
-                | Some n -> n
-                | None -> 0))
-            0 records
-        in
-        if n > 0 then Some (k, n) else None)
-      FKind.all
-  in
-  let outcomes =
-    List.fold_left
-      (fun acc r ->
-        let l = outcome_label r.c_outcome in
-        let n = match List.assoc_opt l acc with Some n -> n | None -> 0 in
-        (l, n + 1) :: List.remove_assoc l acc)
-      [] records
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
-  in
-  {
-    c_records = records;
-    c_runs = List.length records;
-    c_faults_fired =
-      List.fold_left (fun acc (_, n) -> acc + n) 0 by_kind;
-    c_by_kind = by_kind;
-    c_outcomes = outcomes;
-    c_zero_fault_runs =
-      List.length (List.filter (fun r -> r.c_faults = []) records);
-    c_violating = List.filter (fun r -> r.c_violations <> []) records;
-    c_metrics;
-    c_jobs = jobs;
-    c_cores = Domain.recommended_domain_count ();
-  }
-
-(* ---------- hardened campaigns: supervision + checkpoint ---------- *)
+(* ---------- the matrix driver: supervision + checkpoint ---------- *)
 
 module Supervisor = Qe_par.Supervisor
 module J = Qe_obs.Jsonl
-
-type sweep_row = {
-  s_idx : int;
-  s_csv : string;
-  s_conforms : bool;
-  s_replayed : bool;
-}
+module Sink = Qe_obs.Sink
+module Metrics = Qe_obs.Metrics
+module Export = Qe_obs.Export
 
 type hardened_summary = {
   h_tasks : int;
@@ -750,44 +455,166 @@ type hardened_summary = {
   h_degraded : bool;
 }
 
-(* Replay the journal (if resuming) and open it for appends. The header
-   meta pins the exact task matrix: protocol, instance list, strategy
-   list, seed set — resuming under different arguments must fail, not
-   silently merge two different sweeps. *)
-let checkpoint_setup ~checkpoint ~resume ~meta ~len =
+(* how one task of the matrix settled *)
+type ('r, 'j) settled = Ran of 'r | Replayed of 'j | Quarantined
+
+(* The one driver behind both sweeps. [run obs task] executes a task,
+   [obs] being its private sink when the sweep is observed; [encode r]
+   is the journal payload of a result ([None]: never journal it) and
+   [decode] reads one back ([None]: the line is treated as not
+   journaled, so its task re-runs). [meta] pins the exact task matrix in
+   the journal header: resuming under different arguments must fail,
+   not silently merge two different sweeps. Returns every task's
+   settlement in canonical order, the merge of the fresh runs'
+   placement-free snapshots, and the supervision summary. Callers
+   {!prewarm} before laying out [tasks]: the layout evaluates [expected]
+   per instance, which should hit the warm cache too. *)
+let run_matrix ~jobs ~supervise ~harness_chaos ~checkpoint ~resume ~meta ~obs
+    ~live ~label ~run ~encode ~decode tasks =
+  let len = Array.length tasks in
   let replayed = Hashtbl.create 97 in
   let journal =
     match checkpoint with
     | None -> None
-    | Some path ->
-        if resume && Sys.file_exists path then begin
-          List.iter
-            (fun (i, v) ->
-              if i >= 0 && i < len then Hashtbl.replace replayed i v)
-            (Checkpoint.load ~path ~meta);
-          Some (Checkpoint.resume ~path ~meta)
-        end
-        else Some (Checkpoint.create ~path ~meta)
+    | Some path when resume && Sys.file_exists path ->
+        List.iter
+          (fun (i, v) ->
+            if i >= 0 && i < len then
+              Option.iter (Hashtbl.replace replayed i) (decode v))
+          (Checkpoint.load ~path ~meta);
+        Some (Checkpoint.resume ~path ~meta)
+    | Some path -> Some (Checkpoint.create ~path ~meta)
   in
-  (replayed, journal)
+  let todo =
+    Array.of_list
+      (List.filter
+         (fun i -> not (Hashtbl.mem replayed i))
+         (List.init len Fun.id))
+  in
+  let streaming =
+    match obs with Some { Sink.on_line = Some _; _ } -> true | _ -> false
+  in
+  (* an observed task runs under a private sink, installed both as the
+     engine's [~obs] and as the ambient sink so kernel and cache work
+     inside the run lands with it. Its trace lines are buffered and
+     replayed to [obs] in canonical order after the batch — minus the
+     per-run snapshots, which are per-sink readings; one merged snapshot
+     closes the trace instead, so `qelect report`'s last-wins totals
+     cover the whole sweep *)
+  let exec _ idx =
+    let task = tasks.(idx) in
+    let ((r, _, _) as out) =
+      if Option.is_none obs && Option.is_none live then
+        (run None task, [], [])
+      else begin
+        let lines = ref [] in
+        let on_line =
+          if streaming then Some (fun l -> lines := l :: !lines) else None
+        in
+        let sink = Sink.create ?on_line () in
+        let r = Sink.with_ambient sink (fun () -> run (Some sink) task) in
+        let snap = Metrics.snapshot sink.Sink.metrics in
+        Option.iter (fun push -> push snap) live;
+        (r, placement_free snap, List.rev !lines)
+      end
+    in
+    (* journal at completion time: a kill -9 any time after this line
+       loses nothing of the task *)
+    Option.iter
+      (fun j -> Option.iter (Checkpoint.append j idx) (encode r))
+      journal;
+    out
+  in
+  (* with a streaming [obs], the batch's own telemetry (retry spans and
+     per-worker [pool.batch] lanes) is caught in a side sink and appended
+     to the trace after the task lines; its [pool.*] metrics are
+     scheduling facts, not sweep results, and are dropped *)
+  let lanes = if streaming then Some (Sink.create ()) else None in
+  let t0 = Supervisor.totals () in
+  let reports =
+    let go () =
+      Supervisor.map ~policy:supervise ?chaos:harness_chaos ~jobs ~f:exec todo
+    in
+    match lanes with Some s -> Sink.with_ambient s go | None -> go ()
+  in
+  Option.iter Checkpoint.close journal;
+  let t1 = Supervisor.totals () in
+  (* [todo] is ascending, so [fresh] is in canonical order *)
+  let fresh = List.filter_map Supervisor.value (Array.to_list reports) in
+  let settled = Array.make len Quarantined in
+  Hashtbl.iter (fun i j -> settled.(i) <- Replayed j) replayed;
+  Array.iteri
+    (fun k rep ->
+      Option.iter (fun (r, _, _) -> settled.(todo.(k)) <- Ran r)
+        (Supervisor.value rep))
+    reports;
+  let merged =
+    List.fold_left (fun acc (_, snap, _) -> Metrics.merge acc snap) [] fresh
+  in
+  Option.iter
+    (fun parent ->
+      List.iter
+        (fun (_, _, lines) ->
+          List.iter
+            (function
+              | Export.Metric_snapshot _ -> () | l -> Sink.emit parent l)
+            lines)
+        fresh;
+      Option.iter
+        (fun s ->
+          List.iter
+            (fun root -> Sink.emit parent (Export.Span_tree root))
+            (Qe_obs.Span.roots s.Sink.spans))
+        lanes;
+      (* the trace keeps latency: `qelect report` prints its quantiles,
+         and traces are wall-clock anyway *)
+      if merged <> [] then Sink.emit parent (Export.Metric_snapshot merged))
+    obs;
+  let quarantined =
+    List.filter_map
+      (fun i ->
+        match settled.(i) with
+        | Quarantined -> Some (i, label tasks.(i))
+        | _ -> None)
+      (List.init len Fun.id)
+  in
+  let n_replayed = Hashtbl.length replayed in
+  ( settled,
+    merged,
+    {
+      h_tasks = len;
+      h_replayed = n_replayed;
+      h_ran = len - n_replayed;
+      h_quarantined = quarantined;
+      h_retries = t1.Supervisor.retries - t0.Supervisor.retries;
+      h_timeouts = t1.Supervisor.timeouts - t0.Supervisor.timeouts;
+      h_replaced = t1.Supervisor.replaced - t0.Supervisor.replaced;
+      h_degraded = t1.Supervisor.degraded > t0.Supervisor.degraded;
+    } )
 
-let summary_of_totals ~len ~replayed_n ~quarantined ~(t0 : Supervisor.totals)
-    ~(t1 : Supervisor.totals) =
-  {
-    h_tasks = len;
-    h_replayed = replayed_n;
-    h_ran = len - replayed_n;
-    h_quarantined = quarantined;
-    h_retries = t1.Supervisor.retries - t0.Supervisor.retries;
-    h_timeouts = t1.Supervisor.timeouts - t0.Supervisor.timeouts;
-    h_replaced = t1.Supervisor.replaced - t0.Supervisor.replaced;
-    h_degraded = t1.Supervisor.degraded > t0.Supervisor.degraded;
-  }
+let matrix_meta ~mode ~proto ~seeds ~strategies ~len instances =
+  [
+    ("mode", J.String mode);
+    ("protocol", J.String proto.Protocol.name);
+    ("tasks", J.Int len);
+    ("seeds", seeds);
+    ("strategies", J.String (String.concat "," (List.map fst strategies)));
+    ( "instances",
+      J.String (String.concat "," (List.map (fun i -> i.name) instances)) );
+  ]
 
-let sweep_hardened ?(seeds = [ 0; 1 ]) ?(strategies = strategies) ?(jobs = 1)
-    ?live ?(supervise = Supervisor.policy ()) ?harness_chaos ?checkpoint
+(* ---------- the two sweeps ---------- *)
+
+type sweep_row = {
+  s_idx : int;
+  s_csv : string;
+  s_conforms : bool;
+  s_record : record option;
+}
+
+let sweep ?(seeds = [ 0; 1 ]) ?(strategies = strategies) ?(jobs = 1) ?live
+    ?(supervise = Supervisor.policy ()) ?harness_chaos ?checkpoint
     ?(resume = false) ~expected proto instances =
-  let jobs = resolve_jobs jobs in
   prewarm instances;
   let tasks =
     List.concat_map
@@ -800,104 +627,63 @@ let sweep_hardened ?(seeds = [ 0; 1 ]) ?(strategies = strategies) ?(jobs = 1)
       instances
     |> Array.of_list
   in
-  let len = Array.length tasks in
   let meta =
-    [
-      ("mode", J.String "sweep");
-      ("protocol", J.String proto.Protocol.name);
-      ("tasks", J.Int len);
-      ("seeds", J.String (String.concat "," (List.map string_of_int seeds)));
-      ("strategies", J.String (String.concat "," (List.map fst strategies)));
-      ( "instances",
-        J.String (String.concat "," (List.map (fun i -> i.name) instances)) );
-    ]
+    matrix_meta ~mode:"sweep" ~proto
+      ~seeds:(J.String (String.concat "," (List.map string_of_int seeds)))
+      ~strategies ~len:(Array.length tasks) instances
   in
-  let replayed, journal = checkpoint_setup ~checkpoint ~resume ~meta ~len in
-  let todo =
-    Array.of_list
-      (List.filter_map
-         (fun idx ->
-           if Hashtbl.mem replayed idx then None else Some (idx, tasks.(idx)))
-         (List.init len Fun.id))
+  let settled, _, summary =
+    run_matrix ~jobs:(resolve_jobs jobs) ~supervise ~harness_chaos
+      ~checkpoint ~resume ~meta ~obs:None ~live
+      ~label:(fun (inst, (sname, _), seed, _) ->
+        Printf.sprintf "%s/%s/seed%d" inst.name sname seed)
+      ~run:(fun obs (inst, strategy, seed, expected_elected) ->
+        run_one ~strategy ?obs ~seed ~expected_elected inst proto)
+      ~encode:(fun r ->
+        Some [ ("row", J.String (csv_row r)); ("conforms", J.Bool r.conforms) ])
+      ~decode:(fun v ->
+        match (J.member "row" v, J.member "conforms" v) with
+        | Some (J.String csv), Some (J.Bool conforms) -> Some (csv, conforms)
+        | _ -> None)
+      tasks
   in
-  let t0 = Supervisor.totals () in
-  let reports =
-    Supervisor.map ~policy:supervise ?chaos:harness_chaos ~jobs
-      ~f:(fun _ (idx, (inst, strat, seed, expected_elected)) ->
-        let r =
-          match live with
-          | None -> run_one ~strategy:strat ~seed ~expected_elected inst proto
-          | Some push ->
-              let sink = Qe_obs.Sink.create () in
-              let r =
-                Qe_obs.Sink.with_ambient sink (fun () ->
-                    run_one ~strategy:strat ~obs:sink ~seed ~expected_elected
-                      inst proto)
-              in
-              push (Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics);
-              r
-        in
-        (* journal at completion time: a kill -9 any time after this
-           line loses nothing of the task *)
-        Option.iter
-          (fun j ->
-            Checkpoint.append j idx
-              [ ("row", J.String (csv_row r)); ("conforms", J.Bool r.conforms) ])
-          journal;
-        r)
-      todo
+  let rows =
+    List.filter_map Fun.id
+      (List.mapi
+         (fun s_idx -> function
+           | Ran r ->
+               Some
+                 {
+                   s_idx;
+                   s_csv = csv_row r;
+                   s_conforms = r.conforms;
+                   s_record = Some r;
+                 }
+           | Replayed (s_csv, s_conforms) ->
+               Some { s_idx; s_csv; s_conforms; s_record = None }
+           | Quarantined -> None)
+         (Array.to_list settled))
   in
-  Option.iter Checkpoint.close journal;
-  let t1 = Supervisor.totals () in
-  let fresh = Hashtbl.create 97 in
-  Array.iteri
-    (fun k rep ->
-      let idx, _ = todo.(k) in
-      Hashtbl.replace fresh idx rep)
-    reports;
-  let rows = ref [] in
-  let quarantined = ref [] in
-  for idx = len - 1 downto 0 do
-    match Hashtbl.find_opt replayed idx with
-    | Some v ->
-        let csv =
-          Option.value ~default:""
-            (Option.bind (J.member "row" v) J.to_str)
-        in
-        let conforms =
-          match J.member "conforms" v with Some (J.Bool b) -> b | _ -> false
-        in
-        rows :=
-          { s_idx = idx; s_csv = csv; s_conforms = conforms; s_replayed = true }
-          :: !rows
-    | None -> (
-        match Hashtbl.find_opt fresh idx with
-        | None -> ()
-        | Some rep -> (
-            match Supervisor.value rep with
-            | Some r ->
-                rows :=
-                  {
-                    s_idx = idx;
-                    s_csv = csv_row r;
-                    s_conforms = r.conforms;
-                    s_replayed = false;
-                  }
-                  :: !rows
-            | None ->
-                let inst, (sname, _), seed, _ = tasks.(idx) in
-                quarantined :=
-                  (idx, Printf.sprintf "%s/%s/seed%d" inst.name sname seed)
-                  :: !quarantined))
-  done;
-  ( !rows,
-    summary_of_totals ~len ~replayed_n:(Hashtbl.length replayed)
-      ~quarantined:!quarantined ~t0 ~t1 )
+  (rows, summary)
 
-let kind_of_name s = List.find_opt (fun k -> FKind.name k = s) FKind.all
+(* A chaos journal line, read back: its outcome label and fired faults.
+   Every fault kind must be known — a line naming one this build does
+   not know cannot be aggregated faithfully, so it does not decode. *)
+let decode_chaos v =
+  let fault = function
+    | J.List [ J.String name; J.Int n ] ->
+        List.find_opt (fun k -> FKind.name k = name) FKind.all
+        |> Option.map (fun k -> (k, n))
+    | _ -> None
+  in
+  match (J.member "outcome" v, J.member "faults" v) with
+  | Some (J.String label), Some (J.List l) ->
+      let faults = List.filter_map fault l in
+      if List.length faults = List.length l then Some (label, faults) else None
+  | _ -> None
 
-let chaos_sweep_hardened ?(seeds = 8) ?(strategies = strategies)
-    ?(watchdog = default_chaos_watchdog) ?(jobs = 1) ?live
+let chaos_sweep ?(seeds = 8) ?(strategies = strategies)
+    ?(watchdog = default_chaos_watchdog) ?obs ?(jobs = 1) ?live
     ?(supervise = Supervisor.policy ()) ?harness_chaos ?checkpoint
     ?(resume = false) ~expected proto instances =
   let jobs = resolve_jobs jobs in
@@ -924,122 +710,59 @@ let chaos_sweep_hardened ?(seeds = 8) ?(strategies = strategies)
       (List.init seeds Fun.id)
     |> Array.of_list
   in
-  let len = Array.length tasks in
   let meta =
-    [
-      ("mode", J.String "chaos");
-      ("protocol", J.String proto.Protocol.name);
-      ("tasks", J.Int len);
-      ("seeds", J.Int seeds);
-      ("strategies", J.String (String.concat "," (List.map fst strategies)));
-      ( "instances",
-        J.String (String.concat "," (List.map (fun i -> i.name) instances)) );
-    ]
+    matrix_meta ~mode:"chaos" ~proto ~seeds:(J.Int seeds) ~strategies
+      ~len:(Array.length tasks) instances
   in
-  let replayed, journal = checkpoint_setup ~checkpoint ~resume ~meta ~len in
-  let todo =
-    Array.of_list
-      (List.filter_map
-         (fun idx ->
-           if Hashtbl.mem replayed idx then None else Some (idx, tasks.(idx)))
-         (List.init len Fun.id))
-  in
-  let t0 = Supervisor.totals () in
-  let reports =
-    Supervisor.map ~policy:supervise ?chaos:harness_chaos ~jobs
-      ~f:(fun _ (idx, (seed, inst, expected_elected, strategy, plan_kind, plan))
-         ->
-        let r =
-          match live with
-          | None ->
-              chaos_run ~strategy ~seed ~watchdog ~plan_kind ~plan
-                ~expected_elected inst proto
-          | Some push ->
-              let sink = Qe_obs.Sink.create () in
-              let r =
-                chaos_run ~obs:sink ~strategy ~seed ~watchdog ~plan_kind ~plan
-                  ~expected_elected inst proto
-              in
-              push (Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics);
-              r
-        in
+  let settled, merged, summary =
+    run_matrix ~jobs ~supervise ~harness_chaos ~checkpoint ~resume ~meta ~obs
+      ~live
+      ~label:(fun (_, inst, _, (sname, _), plan_kind, _) ->
+        Printf.sprintf "%s/%s/%s" inst.name sname plan_kind)
+      ~run:(fun obs (seed, inst, expected_elected, strategy, plan_kind, plan) ->
+        chaos_run ?obs ~strategy ~seed ~watchdog ~plan_kind ~plan
+          ~expected_elected inst proto)
+      ~encode:(fun r ->
         (* violating runs are deliberately not journaled: a resume must
            re-run them and re-surface the (typed) violations *)
-        if r.c_violations = [] then
-          Option.iter
-            (fun j ->
-              Checkpoint.append j idx
-                [
-                  ("outcome", J.String (outcome_label r.c_outcome));
-                  ( "faults",
-                    J.List
-                      (List.map
-                         (fun (k, n) -> J.List [ J.String (FKind.name k); J.Int n ])
-                         r.c_faults) );
-                  ("leaders", J.Int r.c_leaders);
-                  ("turns", J.Int r.c_turns);
-                ])
-            journal;
-        r)
-      todo
+        if r.c_violations <> [] then None
+        else
+          Some
+            [
+              ("outcome", J.String (outcome_label r.c_outcome));
+              ( "faults",
+                J.List
+                  (List.map
+                     (fun (k, n) -> J.List [ J.String (FKind.name k); J.Int n ])
+                     r.c_faults) );
+              ("leaders", J.Int r.c_leaders);
+              ("turns", J.Int r.c_turns);
+            ])
+      ~decode:decode_chaos tasks
   in
-  Option.iter Checkpoint.close journal;
-  let t1 = Supervisor.totals () in
-  let fresh = Hashtbl.create 97 in
-  Array.iteri
-    (fun k rep ->
-      let idx, _ = todo.(k) in
-      Hashtbl.replace fresh idx rep)
-    reports;
   (* the merged view: one (label, faults) per settled task, in canonical
-     matrix order, sourced from the journal or from this run — the
+     matrix order, sourced from this run or from the journal — the
      aggregates below are computed over it so a resumed sweep prints
      exactly what the uninterrupted one would *)
-  let quarantined = ref [] in
-  let views = ref [] in
-  let records = ref [] in
-  for idx = len - 1 downto 0 do
-    match Hashtbl.find_opt replayed idx with
-    | Some v ->
-        let label =
-          Option.value ~default:"?"
-            (Option.bind (J.member "outcome" v) J.to_str)
-        in
-        let faults =
-          match J.member "faults" v with
-          | Some (J.List l) ->
-              List.filter_map
-                (function
-                  | J.List [ J.String name; J.Int n ] ->
-                      Option.map (fun k -> (k, n)) (kind_of_name name)
-                  | _ -> None)
-                l
-          | _ -> []
-        in
-        views := (label, faults) :: !views
-    | None -> (
-        match Hashtbl.find_opt fresh idx with
-        | None -> ()
-        | Some rep -> (
-            match Supervisor.value rep with
-            | Some r ->
-                records := r :: !records;
-                views := (outcome_label r.c_outcome, r.c_faults) :: !views
-            | None ->
-                let _, inst, _, (sname, _), plan_kind, _ = tasks.(idx) in
-                quarantined :=
-                  (idx, Printf.sprintf "%s/%s/%s" inst.name sname plan_kind)
-                  :: !quarantined))
-  done;
-  let views = !views in
+  let settled = Array.to_list settled in
+  let views =
+    List.filter_map
+      (function
+        | Ran r -> Some (outcome_label r.c_outcome, r.c_faults)
+        | Replayed v -> Some v
+        | Quarantined -> None)
+      settled
+  in
+  let records =
+    List.filter_map (function Ran r -> Some r | _ -> None) settled
+  in
   let by_kind =
     List.filter_map
       (fun k ->
         let n =
           List.fold_left
             (fun acc (_, faults) ->
-              acc
-              + (match List.assoc_opt k faults with Some n -> n | None -> 0))
+              acc + Option.value ~default:0 (List.assoc_opt k faults))
             0 views
         in
         if n > 0 then Some (k, n) else None)
@@ -1048,26 +771,22 @@ let chaos_sweep_hardened ?(seeds = 8) ?(strategies = strategies)
   let outcomes =
     List.fold_left
       (fun acc (l, _) ->
-        let n = match List.assoc_opt l acc with Some n -> n | None -> 0 in
+        let n = Option.value ~default:0 (List.assoc_opt l acc) in
         (l, n + 1) :: List.remove_assoc l acc)
       [] views
     |> List.sort (fun (_, a) (_, b) -> compare b a)
   in
-  let report =
-    {
-      c_records = !records;
+  ( {
+      c_records = records;
       c_runs = List.length views;
       c_faults_fired = List.fold_left (fun acc (_, n) -> acc + n) 0 by_kind;
       c_by_kind = by_kind;
       c_outcomes = outcomes;
       c_zero_fault_runs =
         List.length (List.filter (fun (_, faults) -> faults = []) views);
-      c_violating = List.filter (fun r -> r.c_violations <> []) !records;
-      c_metrics = [];
+      c_violating = List.filter (fun r -> r.c_violations <> []) records;
+      c_metrics = strip_latency merged;
       c_jobs = jobs;
       c_cores = Domain.recommended_domain_count ();
-    }
-  in
-  ( report,
-    summary_of_totals ~len ~replayed_n:(Hashtbl.length replayed)
-      ~quarantined:!quarantined ~t0 ~t1 )
+    },
+    summary )

@@ -1,5 +1,14 @@
-(** Experiment driver: the standard instance suite and batch runners used
-    by the benches, the CLI and the integration tests. *)
+(** Experiment driver: the standard instance suite and the sweep
+    pipeline used by the benches, the CLI and the integration tests.
+
+    There are two sweeps — {!sweep} (conformance: ELECT elects iff the
+    class gcd is 1) and {!chaos_sweep} (fault plans against the safety
+    invariants) — and one way to run them: the task matrix is laid out
+    in canonical order and settled on {!Qe_par.Supervisor} (per-task
+    outcomes, deadline/retry/backoff, quarantine, worker replacement),
+    optionally journaled to a crash-safe {!Checkpoint}, with
+    observation ([live], [obs]) and harness faults as arguments of the
+    same pipeline rather than separate entry points. *)
 
 type instance = {
   name : string;
@@ -63,74 +72,6 @@ val run_one :
 val elect_expected : instance -> bool
 (** Theorem 3.1: ELECT elects iff the class gcd is 1. *)
 
-val sweep :
-  ?seeds:int list ->
-  ?strategies:(string * Qe_runtime.Engine.strategy) list ->
-  ?jobs:int ->
-  ?live:(Qe_obs.Metrics.snapshot -> unit) ->
-  expected:(instance -> bool) ->
-  Qe_runtime.Protocol.t ->
-  instance list ->
-  record list
-(** Full matrix: instances x strategies x seeds.
-
-    [live] is the scrape hook: when given, every run executes under a
-    private fully-observed sink (engine [?obs] + ambient) and [live] is
-    called with the run's snapshot — {e including} wall-clock
-    [*_latency] histograms — as soon as it completes. It is called from
-    pool domains, concurrently: the callback must be domain-safe
-    (e.g. fold into an accumulator under a mutex, as
-    [qelect --metrics-port] does). Records are unchanged by
-    observation, so the determinism contract below is unaffected.
-
-    [jobs] (default 1) runs the matrix on a {!Qe_par.Pool} of that many
-    domains; [jobs:0] resolves to {!Qe_par.Pool.default_jobs} (the CLI's
-    [-j 0]). The record list is {e bit-identical} at any [jobs]: tasks
-    are laid out in canonical sweep order, every run derives its RNG
-    from its own seed (never from scheduling), and results are collected
-    by task index. [jobs:1] bypasses the pool entirely. Instance sizes
-    (nodes + edges) are passed to the pool as scheduling weights, so a
-    heavyweight instance gets a queue to itself.
-
-    When the {!Qe_symmetry.Artifact_cache} is enabled (the default),
-    every sweep first prewarms the per-instance oracle artifacts once,
-    so the per-(strategy, seed) runs hit the cache instead of
-    recomputing the symmetry stack — observably transparent: records
-    and metric snapshots are identical with the cache disabled, modulo
-    the [cache.*] counters. *)
-
-type obs_report = {
-  per_instance : (string * Qe_obs.Metrics.snapshot) list;
-      (** one snapshot per instance (all strategies and seeds pooled), in
-          sweep order *)
-  total : Qe_obs.Metrics.snapshot;
-      (** {!Qe_obs.Metrics.merge} of the per-instance snapshots: counters
-          and histograms summed, gauges maxed *)
-}
-
-val observed_sweep :
-  ?seeds:int list ->
-  ?strategies:(string * Qe_runtime.Engine.strategy) list ->
-  ?jobs:int ->
-  ?live:(Qe_obs.Metrics.snapshot -> unit) ->
-  expected:(instance -> bool) ->
-  Qe_runtime.Protocol.t ->
-  instance list ->
-  record list * obs_report
-(** {!sweep} with telemetry: each instance's runs share a fresh
-    {!Qe_obs.Sink.t}, installed both as [Engine.run ~obs] and as the
-    (domain-local) ambient sink, so engine counters {e and} any
-    [refine.*]/[canon.*] kernel work triggered by the runs are captured
-    together.
-
-    [jobs] parallelizes at {e instance} granularity — the sink-sharing
-    unit — so records, per-instance snapshots and the merged total are
-    bit-identical at any [jobs] ([jobs:0] = auto, as in {!sweep}).
-    Wall-clock [*_latency] histograms are recorded into the sinks but
-    {e stripped} from [per_instance] and [total] (they could never be
-    bit-identical); [live] (domain-safe callback, as in {!sweep})
-    receives each instance's {e unstripped} snapshot on completion. *)
-
 val conformance_rate : record list -> int * int
 (** (conforming runs, total runs). *)
 
@@ -191,8 +132,9 @@ type chaos_report = {
   c_zero_fault_runs : int;
   c_violating : chaos_record list;  (** records with violations *)
   c_metrics : Qe_obs.Metrics.snapshot;
-      (** merged engine/fault metrics over every run of the sweep, in
-          canonical order ([[]] when no [obs] sink was attached). The
+      (** merged engine/fault/kernel metrics over the sweep's fresh
+          runs, in canonical order ([[]] when neither [obs] nor [live]
+          was attached). The
           [fault.injected.*] counters here must equal the sums of the
           records' [c_faults] — the stress tests enforce it. *)
   c_jobs : int;
@@ -209,61 +151,60 @@ val default_chaos_watchdog : Qe_fault.Watchdog.t
 (** turn budget 500k, livelock window 120k — generous for the zoo, tight
     enough to kill a wedged run. *)
 
-val chaos_sweep :
-  ?seeds:int ->
-  ?strategies:(string * Qe_runtime.Engine.strategy) list ->
-  ?watchdog:Qe_fault.Watchdog.t ->
-  ?obs:Qe_obs.Sink.t ->
-  ?jobs:int ->
-  ?live:(Qe_obs.Metrics.snapshot -> unit) ->
-  expected:(instance -> bool) ->
-  Qe_runtime.Protocol.t ->
-  instance list ->
-  chaos_report
-(** The chaos matrix: for each seed in [0..seeds-1] (default 8), each
-    instance, each strategy, run both {!Qe_fault.Plan.chaos} and
-    {!Qe_fault.Plan.crash_only} with that seed under [watchdog], and
-    check every safety invariant on every run.
+(** {1 The sweep pipeline}
 
-    [jobs] parallelizes at run granularity ([jobs:0] = auto, as in
-    {!sweep}; the resolved value is reported as [c_jobs]). Records,
-    aggregates and
-    [c_metrics] are bit-identical at any [jobs] (fault decisions come
-    from the plan's private seeded streams; the stock watchdogs are
-    turn-based, so outcomes don't depend on wall time) — wall-clock
-    [*_latency] histograms are therefore stripped from [c_metrics],
-    though they stay in the trace's metric lines and in what [live]
-    sees. Traces differ
-    only in their metrics lines: at [jobs:1] each run appends its sink's
-    cumulative snapshot as before, while at [jobs > 1] per-run trace
-    lines are replayed to [obs] in canonical run order with a single
-    merged (unstripped) snapshot at the end — `qelect report` totals
-    agree either way — followed by the batch's [pool.batch] per-domain
-    span lanes when [obs] is streaming. [live] (domain-safe callback,
-    as in {!sweep}) receives one snapshot per run: the run's private
-    sink reading at [jobs > 1], the shared [obs] interval diff at
-    [jobs:1] (a private per-run sink if no [obs] is attached). A
-    [Timeout] in one task is an ordinary outcome and never
-    disturbs the other domains. *)
+    Both entry points share every contract below.
 
-(** {1 Hardened campaigns}
+    {b Supervision.} The matrix runs on {!Qe_par.Supervisor}: [jobs]
+    (default 1) worker domains, [jobs:0] resolving to
+    {!Qe_par.Pool.default_jobs} (the CLI's [-j 0]); [jobs:1] without a
+    deadline runs inline in the caller, spawning nothing. [supervise]
+    defaults to {!Qe_par.Supervisor.policy}[ ()]: 3 attempts, no
+    deadline. A task that exhausts its attempts is {e quarantined}: it
+    contributes nothing to the result and is listed in
+    [h_quarantined] (callers should exit non-zero — see [qelect]'s exit
+    code 8). [harness_chaos] injects faults into the {e runner} (tests
+    and the resilience bench only).
 
-    The self-healing variants behind [qelect sweep/chaos
-    --checkpoint/--resume]: the task matrix runs on
-    {!Qe_par.Supervisor} instead of the bare pool (per-task outcomes,
-    deadline/retry/backoff, quarantine, worker replacement), every
-    completed task is journaled to a crash-safe {!Checkpoint}, and a
-    resumed run replays the journal and executes only the missing
-    indices. Because each task is deterministic per index, the final
-    output is identical whether the sweep ran once or was [kill -9]ed
-    and resumed arbitrarily often, at any job count (modulo [wall_ns],
-    which is wall clock by definition). *)
+    {b Checkpoint.} [checkpoint] names a journal: every settled task is
+    appended to it as it completes. [resume] (default false) replays it
+    first and runs only the missing indices; the journal's header must
+    describe this exact matrix or the load fails loudly. A journal line
+    whose payload does not decode is treated as not journaled, so its
+    task re-runs.
+
+    {b Determinism.} Results are {e bit-identical} at any [jobs], and
+    whether the sweep ran once or was [kill -9]ed and resumed
+    arbitrarily often (modulo [wall_ns], which is wall clock by
+    definition): tasks are laid out in canonical order, every run
+    derives its RNG from its own seed (never from scheduling), and
+    results are collected by task index.
+
+    {b Observation.} When [live] (or, for {!chaos_sweep}, [obs]) is
+    given, every task runs under a private {!Qe_obs.Sink.t}, installed
+    both as [Engine.run ~obs] and as the (domain-local) ambient sink,
+    so engine counters {e and} any kernel/cache work triggered inside
+    the run are captured together. [live] is the scrape hook: it is
+    called with each task's snapshot — {e including} wall-clock
+    [*_latency] histograms and [cache.*] counters — as soon as the task
+    completes, from worker domains, concurrently: the callback must be
+    domain-safe (fold into an accumulator under a mutex, as
+    [qelect --metrics-port] does). Observation never changes a record.
+
+    When the {!Qe_symmetry.Artifact_cache} is enabled (the default),
+    every sweep first prewarms the per-instance oracle artifacts once,
+    so the per-(strategy, seed) runs hit the cache instead of
+    recomputing the symmetry stack — observably transparent: records
+    and metric snapshots are identical with the cache disabled, modulo
+    the [cache.*] counters. *)
 
 type sweep_row = {
   s_idx : int;  (** position in the canonical task matrix *)
   s_csv : string;  (** {!csv_row} of the record *)
   s_conforms : bool;
-  s_replayed : bool;  (** [true]: restored from the checkpoint *)
+  s_record : record option;
+      (** the run's full record; [None] iff the row was replayed from
+          the checkpoint *)
 }
 
 type hardened_summary = {
@@ -271,16 +212,18 @@ type hardened_summary = {
   h_replayed : int;  (** tasks skipped thanks to the checkpoint *)
   h_ran : int;  (** tasks executed (and settled) this run *)
   h_quarantined : (int * string) list;
-      (** tasks that exhausted their attempts: (index, "inst/strat/seed"
-          label). Quarantined tasks yield no row and are never
-          journaled, so a later [--resume] retries them. *)
+      (** tasks that exhausted their attempts: (index, label) — the
+          label is "inst/strat/seedN" for {!sweep} and
+          "inst/strat/plan" for {!chaos_sweep}. Quarantined tasks yield
+          no result and are never journaled, so a later [resume]
+          retries them. *)
   h_retries : int;
   h_timeouts : int;
   h_replaced : int;  (** worker domains written off and replaced *)
   h_degraded : bool;  (** the batch fell back to inline execution *)
 }
 
-val sweep_hardened :
+val sweep :
   ?seeds:int list ->
   ?strategies:(string * Qe_runtime.Engine.strategy) list ->
   ?jobs:int ->
@@ -293,20 +236,16 @@ val sweep_hardened :
   Qe_runtime.Protocol.t ->
   instance list ->
   sweep_row list * hardened_summary
-(** {!sweep} under supervision. Rows come back in canonical matrix
-    order, replayed and fresh interleaved; a quarantined task
-    contributes no row (callers should exit non-zero — see
-    [qelect]'s exit code 8). [checkpoint] names the journal;
-    [resume] (default false) replays it first — the journal's header
-    must describe this exact matrix or the load fails loudly.
-    [harness_chaos] injects faults into the {e runner} (tests and the
-    resilience bench only). [supervise] defaults to
-    {!Qe_par.Supervisor.policy}[ ()]: 3 attempts, no deadline. *)
+(** The conformance matrix: instances x strategies x seeds (default
+    seeds [[0; 1]], default strategies {!strategies}). Rows come back
+    in canonical matrix order, replayed and fresh interleaved; a
+    quarantined task contributes no row. *)
 
-val chaos_sweep_hardened :
+val chaos_sweep :
   ?seeds:int ->
   ?strategies:(string * Qe_runtime.Engine.strategy) list ->
   ?watchdog:Qe_fault.Watchdog.t ->
+  ?obs:Qe_obs.Sink.t ->
   ?jobs:int ->
   ?live:(Qe_obs.Metrics.snapshot -> unit) ->
   ?supervise:Qe_par.Supervisor.policy ->
@@ -317,12 +256,32 @@ val chaos_sweep_hardened :
   Qe_runtime.Protocol.t ->
   instance list ->
   chaos_report * hardened_summary
-(** {!chaos_sweep} under supervision with a checkpoint. The report's
-    aggregate fields ([c_runs], [c_by_kind], [c_outcomes], ...) are
-    computed over the {e merged} view — journal replays plus fresh
+(** The chaos matrix: for each seed in [0..seeds-1] (default 8), each
+    instance, each strategy, run both {!Qe_fault.Plan.chaos} and
+    {!Qe_fault.Plan.crash_only} with that seed under [watchdog], and
+    check every safety invariant on every run. Fault decisions come
+    from the plan's private seeded streams and the stock watchdogs are
+    turn-based, so outcomes never depend on wall time or [jobs]; a
+    [Timeout] in one task is an ordinary outcome and never disturbs
+    the others.
+
+    The report's aggregates ([c_runs], [c_by_kind], [c_outcomes], ...)
+    are computed over the {e merged} view — journal replays plus fresh
     runs, in canonical order — so a resumed sweep prints the same
-    summary as an uninterrupted one. [c_records] holds only the fresh
-    records; runs with violations are never journaled (they re-run, and
-    re-report, on resume) so [c_violating] is complete either way.
-    [c_metrics] is [[]] (no trace sink on the hardened path — the CLI
-    refuses [--trace-out] together with [--checkpoint]). *)
+    summary as an uninterrupted one. [c_records] holds the fresh
+    records only; runs with violations are never journaled (they
+    re-run, and re-report, on resume), so [c_violating] is complete
+    either way.
+
+    [c_metrics] is the {!Qe_obs.Metrics.merge} of the fresh runs'
+    snapshots in canonical order, with [*_latency] histograms and
+    [cache.*] counters stripped (both depend on the clock or on task
+    placement), so it is bit-identical at any [jobs]. When [obs]
+    streams, each run's trace lines are replayed to it in canonical
+    order — minus the per-run metric snapshots — followed by the
+    batch's [pool.retry] spans and per-worker [pool.batch] lanes and
+    one merged snapshot (latency kept, [cache.*] dropped), so the
+    trace's non-span lines and its final snapshot modulo latency are
+    identical at any [jobs]. A resumed sweep's trace would miss the
+    replayed runs, which is why [qelect chaos] refuses [--trace-out]
+    with [--resume]. *)

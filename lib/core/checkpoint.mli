@@ -5,7 +5,9 @@
     line keyed by its index in the canonical task matrix. Because sweep
     records are deterministic per index, replaying the journal and
     running only the missing indices reproduces the uninterrupted run's
-    output byte-for-byte — see {!Campaign.sweep_hardened}.
+    output byte-for-byte — see {!Campaign.sweep} and
+    {!Campaign.chaos_sweep}, whose shared pipeline decodes each payload
+    and re-runs any task whose line does not decode.
 
     {b Crash model.} The file is created via temp-file + [rename], so a
     checkpoint either exists with a valid header or not at all. Each

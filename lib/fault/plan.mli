@@ -44,7 +44,8 @@ val make :
 
 val chaos : seed:int -> t
 (** The default chaotic mix used by [qelect chaos] and
-    {!Qe_elect.Campaign.chaos_sweep}: every kind enabled at a low rate
+    {!Qe_elect.Campaign.chaos_sweep} (both run the same supervised
+    pipeline, at any [-j]): every kind enabled at a low rate
     (crash-restart 0.2%, sign-loss and sign-dup 0.5%, delayed-wake 5%,
     turn-stutter 1%), wake delay 8, budget 16. Tuned so the sweep
     exercises every injection point while the fault count per run stays

@@ -40,7 +40,7 @@ let default_jobs () = max 1 (min (Domain.recommended_domain_count ()) 16)
 
 (* ---------- process-wide scheduler totals ----------
 
-   Campaign entry points run on transient pools, so per-pool counters
+   [run] batches use transient pools, so per-pool counters
    would be gone before a bench could read them. These accumulate across
    every pool of the process (like [Artifact_cache.stats]); the same
    numbers are also added to the ambient sink as [pool.*] counters at

@@ -135,6 +135,10 @@ type retry_ev = {
   r_backoff : int;
 }
 
+(* the attempt that settled a task, for the per-worker trace lanes;
+   worker 0 is the monitor (the caller's domain) *)
+type lane = { l_worker : int; l_start : int; l_end : int }
+
 type wrec = {
   w_id : int;
   mutable w_dom : unit Domain.t option;
@@ -152,6 +156,8 @@ type ('a, 'b) batch = {
   lat : Harness_chaos.latch;
   status : status array;
   reports : 'b report option array;
+  lanes : lane option array;
+  t_start : int;
   mutable settled : int;
   mutable n_pending : int;
   mutable claim_ctr : int;
@@ -187,9 +193,10 @@ let find_ready b now =
   in
   if b.n_pending = 0 then None else go 0
 
-let settle b i rep =
+let settle b i rep ~worker ~t0 ~t1 =
   b.status.(i) <- Settled;
   b.reports.(i) <- Some rep;
+  b.lanes.(i) <- Some { l_worker = worker; l_start = t0; l_end = t1 };
   b.settled <- b.settled + 1;
   Condition.broadcast b.changed
 
@@ -216,10 +223,11 @@ let execute b i attempt =
 let dispose b i ~claim ~attempt act res t0 t1 =
   if act <> Harness_chaos.Pass then b.b_chaos <- b.b_chaos + 1;
   match b.status.(i) with
-  | Running { claim = c; _ } when c = claim -> (
+  | Running { claim = c; worker; _ } when c = claim -> (
       match res with
       | Ok v ->
-          settle b i { outcome = Done v; attempts = attempt; quarantined = false }
+          settle b i ~worker ~t0 ~t1
+            { outcome = Done v; attempts = attempt; quarantined = false }
       | Error e ->
           let why = why_of_exn e in
           if attempt >= b.pol.max_attempts then begin
@@ -230,7 +238,7 @@ let dispose b i ~claim ~attempt act res t0 t1 =
                 r_dur = t1 - t0; r_backoff = 0;
               }
               :: b.retry_log;
-            settle b i
+            settle b i ~worker ~t0 ~t1
               { outcome = Failed e; attempts = attempt; quarantined = true }
           end
           else begin
@@ -327,7 +335,8 @@ let scan_deadlines b d now =
             :: b.retry_log;
           if attempt >= b.pol.max_attempts then begin
             b.b_quarantined <- b.b_quarantined + 1;
-            settle b i { outcome = Timed_out; attempts = attempt; quarantined = true }
+            settle b i ~worker ~t0:started ~t1:now
+              { outcome = Timed_out; attempts = attempt; quarantined = true }
           end
           else begin
             let bo = backoff_ns b.pol ~task:i ~attempt:(attempt + 1) in
@@ -361,7 +370,7 @@ let monitor b ~jobs =
           if b.b_degraded then begin
             match find_ready b (Clock.now_ns ()) with
             | Some (i, attempt) ->
-                let c = claim b i attempt ~worker:(-1) (Clock.now_ns ()) in
+                let c = claim b i attempt ~worker:0 (Clock.now_ns ()) in
                 Mutex.unlock b.m;
                 let act, res, t0, t1 = execute b i attempt in
                 Mutex.lock b.m;
@@ -476,7 +485,53 @@ let flush_telemetry b =
           in
           Span.add_root s.Sink.spans root;
           Sink.emit s (Export.Span_tree root))
-        (List.rev b.retry_log)
+        (List.rev b.retry_log);
+      (* one [pool.batch] tree per worker that settled a task, its
+         settling attempts as [pool.task] children in start order — the
+         per-domain lanes of the Chrome-trace export. An inline batch
+         settles nothing through the table, so it draws no lanes. *)
+      let t_end = Clock.now_ns () in
+      List.iter
+        (fun w ->
+          let tasks =
+            List.filter_map
+              (fun i ->
+                match b.lanes.(i) with
+                | Some l when l.l_worker = w -> Some (i, l)
+                | _ -> None)
+              (List.init len Fun.id)
+            |> List.sort (fun (_, a) (_, c) -> compare a.l_start c.l_start)
+          in
+          if tasks <> [] then begin
+            let root =
+              {
+                Span.name = "pool.batch";
+                start_ns = b.t_start;
+                dur_ns = t_end - b.t_start;
+                attrs =
+                  [ ("domain", J.Int w); ("tasks", J.Int (List.length tasks)) ];
+                children =
+                  List.map
+                    (fun (i, l) ->
+                      {
+                        Span.name = "pool.task";
+                        start_ns = l.l_start;
+                        dur_ns = l.l_end - l.l_start;
+                        attrs =
+                          [
+                            ("idx", J.Int i);
+                            ( "attempt",
+                              J.Int (Option.get b.reports.(i)).attempts );
+                          ];
+                        children = [];
+                      })
+                    tasks;
+              }
+            in
+            Span.add_root s.Sink.spans root;
+            Sink.emit s (Export.Span_tree root)
+          end)
+        (0 :: List.rev_map (fun w -> w.w_id) b.workers)
 
 let map ?(policy = policy ()) ?chaos ?(jobs = 1) ~f arr =
   let len = Array.length arr in
@@ -498,6 +553,8 @@ let map ?(policy = policy ()) ?chaos ?(jobs = 1) ~f arr =
         lat = Harness_chaos.latch ();
         status = Array.init len (fun _ -> Pending { not_before = 0; attempt = 1 });
         reports = Array.make len None;
+        lanes = Array.make len None;
+        t_start = Clock.now_ns ();
         settled = 0;
         n_pending = len;
         claim_ctr = 0;

@@ -37,9 +37,14 @@
     [pool.chaos.*] counters to the ambient {!Qe_obs.Sink} and to the
     process-wide {!totals}; each retried or timed-out attempt also
     leaves a [pool.retry] span (attrs: [task], [attempt], [backoff_ns],
-    [why]) so traces show the supervision tree. All recording happens on
-    the monitor after the batch — nothing is added to a healthy task's
-    path beyond two clock reads. *)
+    [why]) so traces show the supervision tree, and every worker that
+    settled a task leaves one [pool.batch] span tree (attrs: [domain] —
+    the worker id, [0] for the monitor — and [tasks]) whose [pool.task]
+    children (attrs: [idx], [attempt]) are the attempts it settled, in
+    start order: the per-domain lanes of the Chrome-trace export. A
+    batch run inline draws no lanes. All recording happens on the
+    monitor after the batch — nothing is added to a healthy task's path
+    beyond two clock reads. *)
 
 type 'a outcome =
   | Done of 'a

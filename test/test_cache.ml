@@ -403,21 +403,51 @@ let prop_sweep_differential =
       let go () =
         Campaign.sweep ~seeds ~strategies:two_strategies ~jobs
           ~expected:Campaign.elect_expected elect (small_zoo ())
-        |> List.map norm
+        |> fst
+        |> List.filter_map (fun r -> Option.map norm r.Campaign.s_record)
       in
       let cached = with_cache_enabled true go in
       let uncached = with_cache_enabled false go in
       cached = uncached)
 
-let test_observed_sweep_differential () =
-  let go jobs =
-    Campaign.observed_sweep ~seeds:[ 0; 1 ] ~strategies:two_strategies ~jobs
-      ~expected:Campaign.elect_expected elect (small_zoo ())
+(* [sweep ~live] into the CLI's mutex-guarded merge accumulator, one
+   sweep per instance: records, per-instance snapshots (latency
+   stripped — wall clock) and their merged total *)
+let observed_per_instance jobs =
+  let per =
+    List.map
+      (fun inst ->
+        let acc = ref [] and m = Mutex.create () in
+        let push snap =
+          Mutex.lock m;
+          acc := Qe_obs.Metrics.merge !acc snap;
+          Mutex.unlock m
+        in
+        let rows, _ =
+          Campaign.sweep ~seeds:[ 0; 1 ] ~strategies:two_strategies ~jobs
+            ~live:push ~expected:Campaign.elect_expected elect [ inst ]
+        in
+        ( List.filter_map (fun r -> r.Campaign.s_record) rows,
+          ( inst.Campaign.name,
+            List.filter
+              (fun (name, _) -> not (Qe_obs.Metrics.is_latency name))
+              !acc ) ))
+      (small_zoo ())
   in
+  ( List.concat_map fst per,
+    List.map snd per,
+    List.fold_left
+      (fun acc (_, (_, s)) -> Qe_obs.Metrics.merge acc s)
+      [] per )
+
+let test_observed_sweep_differential () =
   List.iter
     (fun jobs ->
-      let rc, oc = with_cache_enabled true (fun () -> go jobs) in
-      let ru, ou = with_cache_enabled false (fun () -> go jobs) in
+      let observe cache =
+        with_cache_enabled cache (fun () -> observed_per_instance jobs)
+      in
+      let rc, pc, tc = observe true in
+      let ru, pu, tu = observe false in
       Alcotest.(check bool)
         (Printf.sprintf "same records at -j %d" jobs)
         true
@@ -425,26 +455,23 @@ let test_observed_sweep_differential () =
       Alcotest.(check bool)
         (Printf.sprintf "uncached snapshots carry no cache.* (-j %d)" jobs)
         true
-        (List.for_all
-           (fun (_, s) -> strip_cache s = s)
-           ou.Campaign.per_instance);
+        (List.for_all (fun (_, s) -> strip_cache s = s) pu);
       (* the cached run's snapshots must be the uncached ones plus only
          cache.* counters: metric-delta replay hides the memoization *)
       Alcotest.(check bool)
         (Printf.sprintf "same per-instance snapshots modulo cache.* (-j %d)"
            jobs)
         true
-        (List.map (fun (k, s) -> (k, strip_cache s)) oc.Campaign.per_instance
-        = ou.Campaign.per_instance);
+        (List.map (fun (k, s) -> (k, strip_cache s)) pc = pu);
       Alcotest.(check bool)
         (Printf.sprintf "same merged total modulo cache.* (-j %d)" jobs)
         true
-        (strip_cache oc.Campaign.total = ou.Campaign.total))
+        (strip_cache tc = tu))
     [ 1; 4 ]
 
 let test_chaos_differential () =
   let go () =
-    let r =
+    let r, _ =
       Campaign.chaos_sweep ~seeds:1 ~strategies:two_strategies ~jobs:2
         ~expected:Campaign.elect_expected elect (small_zoo ())
     in

@@ -145,9 +145,19 @@ let strategies3 =
     ("synchronous", Engine.Synchronous);
   ]
 
+(* a fresh sweep's full records; a quarantined task would silently
+   shrink the matrix, so it fails the test instead *)
+let sweep_records ?seeds ?strategies ~expected proto instances =
+  let rows, summary =
+    Campaign.sweep ?seeds ?strategies ~expected proto instances
+  in
+  Alcotest.(check (list (pair int string)))
+    "nothing quarantined" [] summary.Campaign.h_quarantined;
+  List.filter_map (fun r -> r.Campaign.s_record) rows
+
 let test_elect_conformance () =
   let records =
-    Campaign.sweep ~seeds:[ 0; 1 ] ~strategies:strategies3
+    sweep_records ~seeds:[ 0; 1 ] ~strategies:strategies3
       ~expected:Campaign.elect_expected Elect.protocol (Campaign.zoo ())
   in
   let ok, total = Campaign.conformance_rate records in
@@ -162,7 +172,7 @@ let test_elect_conformance () =
 
 let test_elect_cayley_conformance () =
   let records =
-    Campaign.sweep ~seeds:[ 0 ] ~strategies:strategies3
+    sweep_records ~seeds:[ 0 ] ~strategies:strategies3
       ~expected:Campaign.elect_expected Elect_cayley.protocol
       (Campaign.cayley_zoo ())
   in
@@ -171,7 +181,7 @@ let test_elect_cayley_conformance () =
 
 let test_quantitative_universal () =
   let records =
-    Campaign.sweep ~seeds:[ 0 ] ~strategies:strategies3
+    sweep_records ~seeds:[ 0 ] ~strategies:strategies3
       ~expected:(fun _ -> true)
       Quantitative.protocol (Campaign.zoo ())
   in
@@ -228,7 +238,7 @@ let test_elect_move_complexity_bound () =
   (* Theorem 3.1: O(r |E|) moves. Check a generous concrete constant on
      the suite: moves <= 40 * r * |E|. *)
   let records =
-    Campaign.sweep ~seeds:[ 0 ]
+    sweep_records ~seeds:[ 0 ]
       ~strategies:[ ("random", Engine.Random_fair 0) ]
       ~expected:Campaign.elect_expected Elect.protocol (Campaign.zoo ())
   in

@@ -252,7 +252,7 @@ let test_chaos_sweep_small () =
           [ "C5/adjacent"; "path4/asym"; "star3/leaves"; "K4/pair" ])
       (Campaign.zoo ())
   in
-  let report =
+  let report, _ =
     Campaign.chaos_sweep ~seeds:3
       ~strategies:
         [ ("random", Engine.Random_fair 0); ("round-robin", Engine.Round_robin) ]

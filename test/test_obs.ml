@@ -517,6 +517,9 @@ let test_canon_telemetry_matches_result () =
   Alcotest.(check bool) "nodes >= leaves" true
     (counter_of snap "canon.nodes" >= counter_of snap "canon.leaves")
 
+(* [sweep ~live] with the CLI's --metrics-port accumulator: a
+   mutex-guarded merge of every task's snapshot. One sweep per instance
+   gives the per-instance snapshots; their merge is the total. *)
 let test_campaign_observed_sweep () =
   let module Campaign = Qe_elect.Campaign in
   let instances =
@@ -524,15 +527,30 @@ let test_campaign_observed_sweep () =
       (fun i -> i.Campaign.name = "C5/adjacent" || i.Campaign.name = "C6/antipodal")
       (Campaign.zoo ())
   in
-  let records, report =
-    Campaign.observed_sweep ~seeds:[ 0 ]
-      ~strategies:[ ("round-robin", Engine.Round_robin) ]
-      ~expected:Campaign.elect_expected Qe_elect.Elect.protocol instances
+  let observe inst =
+    let acc = ref [] and m = Mutex.create () in
+    let push snap =
+      Mutex.lock m;
+      acc := Metrics.merge !acc snap;
+      Mutex.unlock m
+    in
+    let rows, _ =
+      Campaign.sweep ~seeds:[ 0 ]
+        ~strategies:[ ("round-robin", Engine.Round_robin) ]
+        ~live:push ~expected:Campaign.elect_expected Qe_elect.Elect.protocol
+        [ inst ]
+    in
+    (List.filter_map (fun r -> r.Campaign.s_record) rows, !acc)
+  in
+  let per_instance = List.map observe instances in
+  let records = List.concat_map fst per_instance in
+  let total =
+    List.fold_left (fun acc (_, s) -> Metrics.merge acc s) [] per_instance
   in
   Alcotest.(check int) "2 records" 2 (List.length records);
   Alcotest.(check int) "2 per-instance snapshots" 2
-    (List.length report.Campaign.per_instance);
-  let total_moves = counter_of report.Campaign.total "engine.moves" in
+    (List.length (List.filter (fun (_, s) -> s <> []) per_instance));
+  let total_moves = counter_of total "engine.moves" in
   let sum_records =
     List.fold_left (fun acc r -> acc + r.Campaign.moves) 0 records
   in

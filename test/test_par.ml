@@ -1,11 +1,13 @@
-(* The domain pool and the deterministic-merge contract of the parallel
-   campaign runner.
+(* The domain pool, the supervisor and the deterministic-merge contract
+   of the sweep pipeline.
 
    The contract under test: [Qe_par.Pool] is index-deterministic (results
    land by input slot, errors surface by smallest failing index, the pool
-   survives failed batches); and [Campaign.sweep]/[observed_sweep]/
-   [chaos_sweep] return the same records and the same metric totals at
-   any [jobs] — including under fault plans and a livelock watchdog.
+   survives failed batches); [Qe_par.Supervisor] settles every task to
+   its own outcome and draws one trace lane per worker; and
+   [Campaign.sweep]/[chaos_sweep] return the same records, the same
+   metric totals and the same trace at any [jobs] — including under fault
+   plans, a livelock watchdog, harness chaos and a checkpoint resume.
 
    Records embed [Color.t] values whose mint ids are fresh per
    [World.make], and [wall_ns] is a clock reading, so cross-sweep
@@ -217,10 +219,50 @@ let norm (r : Campaign.record) =
       r.Campaign.accesses,
       r.Campaign.turns ) )
 
+(* a fresh sweep's full records; a quarantined task would silently
+   shrink the matrix, so it fails the test instead *)
+let records_of (rows, summary) =
+  Alcotest.(check (list (pair int string)))
+    "nothing quarantined" [] summary.Campaign.h_quarantined;
+  List.filter_map (fun r -> r.Campaign.s_record) rows
+
+(* the CLI's --metrics-port wiring: [sweep ~live] folding every task's
+   snapshot into a mutex-guarded merge. Latency histograms are wall
+   clock, so the returned total drops them. *)
+let live_sweep ?seeds ?jobs instances =
+  let acc = ref [] and m = Mutex.create () in
+  let push snap =
+    Mutex.lock m;
+    acc := Qe_obs.Metrics.merge !acc snap;
+    Mutex.unlock m
+  in
+  let records =
+    records_of
+      (Campaign.sweep ?seeds ~strategies:two_strategies ?jobs ~live:push
+         ~expected:Campaign.elect_expected elect instances)
+  in
+  ( records,
+    List.filter (fun (name, _) -> not (Qe_obs.Metrics.is_latency name)) !acc )
+
+(* one live sweep per instance: per-instance snapshots and their merge *)
+let live_per_instance ?seeds ?jobs instances =
+  let per =
+    List.map
+      (fun i ->
+        let records, snap = live_sweep ?seeds ?jobs [ i ] in
+        (records, (i.Campaign.name, snap)))
+      instances
+  in
+  ( List.concat_map fst per,
+    List.map snd per,
+    List.fold_left
+      (fun acc (_, (_, s)) -> Qe_obs.Metrics.merge acc s)
+      [] per )
+
 let sweep_at ~seeds jobs =
   Campaign.sweep ~seeds ~strategies:two_strategies ~jobs
     ~expected:Campaign.elect_expected elect (small_zoo ())
-  |> List.map norm
+  |> records_of |> List.map norm
 
 let prop_sweep_jobs_invariant =
   QCheck.Test.make ~name:"sweep is bit-identical at -j 1/2/4/8" ~count:6
@@ -229,14 +271,12 @@ let prop_sweep_jobs_invariant =
       let seeds = [ seed; seed + 1 ] in
       sweep_at ~seeds 1 = sweep_at ~seeds jobs)
 
-(* The hammer of the scaling PR: records AND observed snapshots across
-   j1/j2/j8 in one go, on the stealing scheduler with honest instance
-   weights (small_zoo sizes differ, so the LPT deal is non-uniform). *)
+(* The hammer: records AND observed snapshots across j1/j2/j8 in one
+   go, on instances of different sizes. *)
 let test_determinism_hammer () =
   let go jobs =
-    let records, obs =
-      Campaign.observed_sweep ~seeds:[ 0; 1; 2 ] ~strategies:two_strategies
-        ~jobs ~expected:Campaign.elect_expected elect (small_zoo ())
+    let records, per_instance, total =
+      live_per_instance ~seeds:[ 0; 1; 2 ] ~jobs (small_zoo ())
     in
     let strip snap =
       List.filter
@@ -247,8 +287,8 @@ let test_determinism_hammer () =
         snap
     in
     ( List.map norm records,
-      List.map (fun (k, s) -> (k, strip s)) obs.Campaign.per_instance,
-      strip obs.Campaign.total )
+      List.map (fun (k, s) -> (k, strip s)) per_instance,
+      strip total )
   in
   let r1 = go 1 in
   List.iter
@@ -260,12 +300,9 @@ let test_determinism_hammer () =
     [ 2; 8 ]
 
 let test_observed_sweep_jobs_invariant () =
-  let go jobs =
-    Campaign.observed_sweep ~seeds:[ 0; 1 ] ~strategies:two_strategies ~jobs
-      ~expected:Campaign.elect_expected elect (small_zoo ())
-  in
-  let r1, o1 = go 1 in
-  let r4, o4 = go 4 in
+  let go jobs = live_per_instance ~seeds:[ 0; 1 ] ~jobs (small_zoo ()) in
+  let r1, p1, t1 = go 1 in
+  let r4, p4, t4 = go 4 in
   Alcotest.(check bool) "same records" true (List.map norm r1 = List.map norm r4);
   (* snapshots are pure names-and-numbers data: (=) is exact — except the
      cache.* counters, which depend on what the process-wide artifact
@@ -279,10 +316,13 @@ let test_observed_sweep_jobs_invariant () =
   let strip_all l = List.map (fun (k, s) -> (k, strip s)) l in
   Alcotest.(check bool)
     "same per-instance snapshots" true
-    (strip_all o1.Campaign.per_instance = strip_all o4.Campaign.per_instance);
-  Alcotest.(check bool) "same merged total" true
-    (strip o1.Campaign.total = strip o4.Campaign.total);
-  Alcotest.(check bool) "total is non-trivial" true (o1.Campaign.total <> [])
+    (strip_all p1 = strip_all p4);
+  Alcotest.(check bool) "same merged total" true (strip t1 = strip t4);
+  Alcotest.(check bool) "total is non-trivial" true (t1 <> []);
+  (* a single sweep over the whole matrix merges to the same total *)
+  let _, whole = live_sweep ~seeds:[ 0; 1 ] ~jobs:4 (small_zoo ()) in
+  Alcotest.(check bool) "one sweep = per-instance merge" true
+    (strip whole = strip t1)
 
 (* ---------- differential determinism: chaos (fault plans) ---------- *)
 
@@ -299,11 +339,12 @@ let cnorm (r : Campaign.chaos_record) =
 
 let chaos_at ?watchdog ?(proto = elect) ?(instances = small_zoo ()) ~seeds jobs
     =
-  (* a fresh sink per sweep: c_metrics comes from diff at -j 1 and from
-     merge at -j > 1 — the equality below is the whole point *)
+  (* a fresh sink per sweep: c_metrics is the merge of the per-task
+     sinks at every -j — the equality below is the whole point *)
   let obs = Qe_obs.Sink.create () in
-  Campaign.chaos_sweep ~seeds ~strategies:two_strategies ?watchdog ~obs ~jobs
-    ~expected:Campaign.elect_expected proto instances
+  fst
+    (Campaign.chaos_sweep ~seeds ~strategies:two_strategies ?watchdog ~obs
+       ~jobs ~expected:Campaign.elect_expected proto instances)
 
 let test_chaos_sweep_jobs_invariant () =
   let r1 = chaos_at ~seeds:2 1 in
@@ -364,6 +405,53 @@ let test_chaos_livelock_watchdog_jobs_invariant () =
             (Engine.outcome_to_string o))
     r4.Campaign.c_records
 
+(* A streamed chaos trace is the same at -j 1 and -j 4: every non-span
+   line in the same order (span trees carry wall-clock times and the
+   batch's per-worker lanes), and the closing merged snapshot equal
+   modulo wall-clock latency. Lines go through the JSONL codec, as a
+   trace file would. *)
+let test_chaos_trace_jobs_invariant () =
+  let trace jobs =
+    let lines = ref [] in
+    let obs =
+      Qe_obs.Sink.create
+        ~on_line:(fun l ->
+          lines := Qe_obs.Jsonl.to_string (Qe_obs.Export.to_json l) :: !lines)
+        ()
+    in
+    ignore
+      (Campaign.chaos_sweep ~seeds:2 ~strategies:two_strategies ~obs ~jobs
+         ~expected:Campaign.elect_expected elect (small_zoo ()));
+    List.rev_map
+      (fun l ->
+        match Qe_obs.Export.of_line l with
+        | Ok line -> line
+        | Error e -> Alcotest.failf "undecodable trace line: %s" e)
+      !lines
+    |> List.filter (function Qe_obs.Export.Span_tree _ -> false | _ -> true)
+  in
+  let split t =
+    match List.rev t with
+    | Qe_obs.Export.Metric_snapshot snap :: rest -> (List.rev rest, snap)
+    | _ -> Alcotest.fail "trace does not end in a merged snapshot"
+  in
+  let lines1, snap1 = split (trace 1) in
+  let lines4, snap4 = split (trace 4) in
+  Alcotest.(check int) "same line count" (List.length lines1)
+    (List.length lines4);
+  Alcotest.(check bool) "same non-span lines, same order" true
+    (lines1 = lines4);
+  Alcotest.(check bool) "no per-run snapshots in the stream" true
+    (List.for_all
+       (function Qe_obs.Export.Metric_snapshot _ -> false | _ -> true)
+       lines1);
+  let strip =
+    List.filter (fun (name, _) -> not (Qe_obs.Metrics.is_latency name))
+  in
+  Alcotest.(check bool) "merged snapshot equal modulo latency" true
+    (strip snap1 = strip snap4);
+  Alcotest.(check bool) "merged snapshot non-trivial" true (strip snap1 <> [])
+
 (* ---------- campaign CSV + conformance rate (golden) ---------- *)
 
 let csv_golden_header =
@@ -407,8 +495,9 @@ let test_csv_golden () =
 
 let test_conformance_rate () =
   let records =
-    Campaign.sweep ~seeds:[ 0 ] ~strategies:two_strategies
-      ~expected:Campaign.elect_expected elect (small_zoo ())
+    records_of
+      (Campaign.sweep ~seeds:[ 0 ] ~strategies:two_strategies
+         ~expected:Campaign.elect_expected elect (small_zoo ()))
   in
   let ok, total = Campaign.conformance_rate records in
   Alcotest.(check int) "total counts every record" (List.length records) total;
@@ -437,7 +526,7 @@ let test_soak () =
           (Campaign.zoo ())
       in
       let obs = Qe_obs.Sink.create () in
-      let report =
+      let report, _ =
         Campaign.chaos_sweep ~seeds:500 ~strategies:two_strategies ~obs
           ~jobs:4 ~expected:Campaign.elect_expected elect instances
       in
@@ -674,6 +763,67 @@ let test_supervisor_retry_and_quarantine () =
       Alcotest.(check int) "metrics_snapshot quarantine" 1 n
   | _ -> Alcotest.fail "pool.quarantine missing from metrics_snapshot"
 
+(* The supervisor's trace lanes: one [pool.batch] root per worker that
+   settled a task, with [pool.task] children covering every index once;
+   an inline (-j 1) batch draws none. *)
+let test_supervisor_lanes () =
+  let lanes jobs =
+    let sink = Qe_obs.Sink.create () in
+    let reports =
+      Qe_obs.Sink.with_ambient sink (fun () ->
+          Supervisor.map ~policy:(fast_policy ()) ~jobs
+            ~f:(fun i x ->
+              Unix.sleepf 0.001;
+              i + x)
+            (Array.init 24 Fun.id))
+    in
+    Array.iteri
+      (fun i rep ->
+        Alcotest.(check (option int)) "results unaffected" (Some (2 * i))
+          (Supervisor.value rep))
+      reports;
+    List.filter
+      (fun c -> c.Qe_obs.Span.name = "pool.batch")
+      (Qe_obs.Span.roots sink.Qe_obs.Sink.spans)
+  in
+  let int_attr k (c : Qe_obs.Span.closed) =
+    match List.assoc_opt k c.Qe_obs.Span.attrs with
+    | Some (Qe_obs.Jsonl.Int d) -> d
+    | _ -> Alcotest.failf "span %s lacks int attr %s" c.Qe_obs.Span.name k
+  in
+  let batches = lanes 3 in
+  Alcotest.(check bool) "one to three worker lanes" true
+    (batches <> [] && List.length batches <= 3);
+  let domains = List.sort compare (List.map (int_attr "domain") batches) in
+  Alcotest.(check (list int)) "lanes carry distinct domain ids"
+    (List.sort_uniq compare domains)
+    domains;
+  List.iter
+    (fun d ->
+      Alcotest.(check bool) "domain is a worker id" true (d >= 1 && d <= 3))
+    domains;
+  let tasks =
+    List.concat_map
+      (fun c ->
+        let children =
+          List.filter
+            (fun ch -> ch.Qe_obs.Span.name = "pool.task")
+            c.Qe_obs.Span.children
+        in
+        Alcotest.(check int) "tasks attr = children" (int_attr "tasks" c)
+          (List.length children);
+        children)
+      batches
+  in
+  Alcotest.(check (list int)) "every index exactly once"
+    (List.init 24 Fun.id)
+    (List.sort compare (List.map (int_attr "idx") tasks));
+  List.iter
+    (fun t ->
+      Alcotest.(check int) "settled on attempt 1" 1 (int_attr "attempt" t))
+    tasks;
+  Alcotest.(check int) "no lanes inline at -j 1" 0 (List.length (lanes 1))
+
 let test_harness_chaos_decide () =
   let c = HChaos.make ~kill_rate:0.1 ~delay_rate:0.1 ~seed:5 () in
   (* pure: any domain, any order, same verdicts *)
@@ -857,10 +1007,13 @@ let rows_minus_wall rows =
       | None -> r.Campaign.s_csv)
     rows
 
+(* the calm baseline is a -j 1 sweep with no harness chaos; supervised
+   -j 4 runs, with and without injected task kills, must match it *)
 let test_sweep_hardened_matches_sweep () =
   let records =
-    Campaign.sweep ~seeds:[ 0; 1 ] ~strategies:two_strategies
-      ~expected:Campaign.elect_expected elect (small_zoo ())
+    records_of
+      (Campaign.sweep ~seeds:[ 0; 1 ] ~strategies:two_strategies ~jobs:1
+         ~expected:Campaign.elect_expected elect (small_zoo ()))
   in
   let plain =
     List.map
@@ -872,7 +1025,7 @@ let test_sweep_hardened_matches_sweep () =
   List.iter
     (fun (jobs, chaos) ->
       let rows, summary =
-        Campaign.sweep_hardened ~seeds:[ 0; 1 ] ~strategies:two_strategies
+        Campaign.sweep ~seeds:[ 0; 1 ] ~strategies:two_strategies
           ~jobs ?harness_chaos:chaos
           ~supervise:(fast_policy ~max_attempts:5 ())
           ~expected:Campaign.elect_expected elect (small_zoo ())
@@ -895,7 +1048,7 @@ let test_sweep_checkpoint_resume () =
     ~finally:(fun () -> try Sys.remove ckpt with Sys_error _ -> ())
     (fun () ->
       let run ?(resume = false) ?(jobs = 2) () =
-        Campaign.sweep_hardened ~seeds:[ 0; 1 ] ~strategies:two_strategies
+        Campaign.sweep ~seeds:[ 0; 1 ] ~strategies:two_strategies
           ~jobs ~checkpoint:ckpt ~resume ~expected:Campaign.elect_expected
           elect (small_zoo ())
       in
@@ -909,7 +1062,7 @@ let test_sweep_checkpoint_resume () =
       Alcotest.(check int) "everything replayed"
         (List.length rows1) summary2.Campaign.h_replayed;
       Alcotest.(check bool) "rows flagged as replayed" true
-        (List.for_all (fun r -> r.Campaign.s_replayed) rows2);
+        (List.for_all (fun r -> r.Campaign.s_record = None) rows2);
       (* simulate a kill -9: keep the header and the first 7 records,
          leave a torn line at the tail — the loader must use the 7 and
          rerun the rest, reproducing the same records *)
@@ -932,18 +1085,78 @@ let test_sweep_checkpoint_resume () =
         (fun () ->
           try
             ignore
-              (Campaign.sweep_hardened ~seeds:[ 0; 1; 2 ]
+              (Campaign.sweep ~seeds:[ 0; 1; 2 ]
                  ~strategies:two_strategies ~checkpoint:ckpt ~resume:true
                  ~expected:Campaign.elect_expected elect (small_zoo ()))
           with Failure _ -> raise (Failure "meta")))
 
+(* A journal line that parses but does not decode — a sweep entry with
+   no payload, a chaos entry naming an unknown fault kind — is treated
+   as not journaled: its task re-runs, and the resumed output equals an
+   uninterrupted run. Journals written at -j 1 list tasks in index
+   order, so line k + 1 is task k. *)
+let test_journal_undecodable_lines () =
+  let ckpt = Filename.temp_file "qelect_test" ".ckpt" in
+  let rewrite ~keep ~extra =
+    let lines = In_channel.with_open_text ckpt In_channel.input_lines in
+    Out_channel.with_open_text ckpt (fun oc ->
+        List.iteri
+          (fun n l -> if keep n then Out_channel.output_string oc (l ^ "\n"))
+          lines;
+        Out_channel.output_string oc (extra ^ "\n"))
+  in
+  (* keep the header and tasks 1..6; task 0 only has the bad line *)
+  let keep n = n = 0 || (n >= 2 && n <= 7) in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove ckpt with Sys_error _ -> ())
+    (fun () ->
+      let sweep ?(resume = false) () =
+        Campaign.sweep ~seeds:[ 0; 1 ] ~strategies:two_strategies ~jobs:1
+          ~checkpoint:ckpt ~resume ~expected:Campaign.elect_expected elect
+          (small_zoo ())
+      in
+      let rows1, _ = sweep () in
+      rewrite ~keep ~extra:{|{"i":0}|};
+      let rows2, summary2 = sweep ~resume:true () in
+      Alcotest.(check int) "payload-less entry not replayed" 6
+        summary2.Campaign.h_replayed;
+      Alcotest.(check (list string)) "sweep equals the uninterrupted run"
+        (rows_minus_wall rows1) (rows_minus_wall rows2);
+      Alcotest.(check bool) "task 0 re-ran" true
+        ((List.hd rows2).Campaign.s_record <> None);
+      let chaos ?(resume = false) () =
+        Campaign.chaos_sweep ~seeds:2 ~strategies:two_strategies ~jobs:1
+          ~checkpoint:ckpt ~resume ~expected:Campaign.elect_expected elect
+          (small_zoo ())
+      in
+      let full, _ = chaos () in
+      rewrite ~keep
+        ~extra:
+          ({|{"i":0,"outcome":"elected","faults":[["bogus",1]],|}
+          ^ {|"leaders":1,"turns":9}|});
+      let resumed, summary = chaos ~resume:true () in
+      Alcotest.(check int) "unknown fault kind not replayed" 6
+        summary.Campaign.h_replayed;
+      Alcotest.(check int) "same runs" full.Campaign.c_runs
+        resumed.Campaign.c_runs;
+      Alcotest.(check (list (pair string int))) "same outcomes"
+        full.Campaign.c_outcomes resumed.Campaign.c_outcomes;
+      Alcotest.(check int) "same faults" full.Campaign.c_faults_fired
+        resumed.Campaign.c_faults_fired;
+      Alcotest.(check bool) "same by-kind" true
+        (full.Campaign.c_by_kind = resumed.Campaign.c_by_kind);
+      Alcotest.(check int) "same zero-fault count"
+        full.Campaign.c_zero_fault_runs resumed.Campaign.c_zero_fault_runs)
+
 let test_chaos_hardened_matches_chaos () =
-  let plain =
-    Campaign.chaos_sweep ~seeds:2 ~strategies:two_strategies
+  let plain, _ =
+    Campaign.chaos_sweep ~seeds:2 ~strategies:two_strategies ~jobs:1
       ~expected:Campaign.elect_expected elect (small_zoo ())
   in
   let hardened, summary =
-    Campaign.chaos_sweep_hardened ~seeds:2 ~strategies:two_strategies ~jobs:4
+    Campaign.chaos_sweep ~seeds:2 ~strategies:two_strategies ~jobs:4
+      ~harness_chaos:(HChaos.make ~kill_rate:0.2 ~seed:11 ())
+      ~supervise:(fast_policy ~max_attempts:5 ())
       ~expected:Campaign.elect_expected elect (small_zoo ())
   in
   Alcotest.(check int) "same run count" plain.Campaign.c_runs
@@ -964,7 +1177,7 @@ let test_chaos_hardened_matches_chaos () =
     ~finally:(fun () -> try Sys.remove ckpt with Sys_error _ -> ())
     (fun () ->
       let full, _ =
-        Campaign.chaos_sweep_hardened ~seeds:2 ~strategies:two_strategies
+        Campaign.chaos_sweep ~seeds:2 ~strategies:two_strategies
           ~jobs:2 ~checkpoint:ckpt ~expected:Campaign.elect_expected elect
           (small_zoo ())
       in
@@ -974,7 +1187,7 @@ let test_chaos_hardened_matches_chaos () =
             (fun n l -> if n < 11 then Out_channel.output_string oc (l ^ "\n"))
             lines);
       let resumed, summary =
-        Campaign.chaos_sweep_hardened ~seeds:2 ~strategies:two_strategies
+        Campaign.chaos_sweep ~seeds:2 ~strategies:two_strategies
           ~jobs:4 ~checkpoint:ckpt ~resume:true
           ~expected:Campaign.elect_expected elect (small_zoo ())
       in
@@ -1019,6 +1232,8 @@ let () =
             test_chaos_sweep_jobs_invariant;
           Alcotest.test_case "chaos_sweep (livelock watchdog)" `Quick
             test_chaos_livelock_watchdog_jobs_invariant;
+          Alcotest.test_case "chaos trace at -j 1 = -j 4" `Quick
+            test_chaos_trace_jobs_invariant;
         ] );
       ( "supervisor",
         [
@@ -1027,6 +1242,7 @@ let () =
             test_backoff_deterministic;
           Alcotest.test_case "retry, quarantine + telemetry" `Quick
             test_supervisor_retry_and_quarantine;
+          Alcotest.test_case "batch lanes" `Quick test_supervisor_lanes;
           Alcotest.test_case "harness chaos decide" `Quick
             test_harness_chaos_decide;
           Alcotest.test_case "survives harness chaos" `Quick
@@ -1044,6 +1260,8 @@ let () =
             test_sweep_hardened_matches_sweep;
           Alcotest.test_case "checkpoint resume" `Quick
             test_sweep_checkpoint_resume;
+          Alcotest.test_case "undecodable journal lines re-run" `Quick
+            test_journal_undecodable_lines;
           Alcotest.test_case "chaos hardened + resume" `Quick
             test_chaos_hardened_matches_chaos;
         ] );
