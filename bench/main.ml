@@ -1227,7 +1227,7 @@ let fault_overhead () =
       exit 1
   | _ -> print_endline "\nzero-rate plan within noise of off: OK"
 
-(* ---------- par scaling: cold/warm sweeps across the pool ---------- *)
+(* ---------- par scaling: cold/warm sweeps across worker domains ---------- *)
 
 (* The nontrivially-symmetric suite shared by the scaling and cache
    sections: real symmetry work per instance, sizes spread out enough
@@ -1257,9 +1257,8 @@ let par_scaling () =
      single-flight waits from Cache.stats. Records are cross-checked\n\
      bit-identical (CSV minus wall_ns) against -j 1.\n";
   let module Cache = Qe_symmetry.Artifact_cache in
-  let module Pool = Qe_par.Pool in
   let cores = Domain.recommended_domain_count () in
-  let auto = Pool.default_jobs () in
+  let auto = Qe_par.Supervisor.resolve_jobs 0 in
   Printf.printf "cores (recommended_domain_count): %d, -j 0 resolves to %d\n\n"
     cores auto;
   recorded_scaling :=
@@ -1616,8 +1615,9 @@ let exposition () =
       "worst" ]
     rows;
   (* 3. scrape under load: the CLI's exact wiring — mutex-guarded
-     accumulator fed by ~live, plus the process-wide cache and pool
-     registries — scraped every 10 ms while a -j 4 sweep runs *)
+     accumulator fed by ~live, plus the process-wide cache and
+     supervisor registries — scraped every 10 ms while a -j 4 sweep
+     runs *)
   let acc = ref [] and acc_m = Mutex.create () in
   let push snap =
     Mutex.lock acc_m;
@@ -1634,7 +1634,7 @@ let exposition () =
             Mutex.unlock acc_m;
             s);
           Qe_symmetry.Artifact_cache.metrics_snapshot;
-          Qe_par.Pool.metrics_snapshot;
+          Qe_par.Supervisor.metrics_snapshot;
         ]
       ()
   in
@@ -1672,6 +1672,18 @@ let exposition () =
           Printf.sprintf "final scrape is missing the %s family" family
           :: !fails)
     [ "cache_"; "pool_"; "_latency"; "# EOF" ];
+  (* the supervisor registry must report the supervised tasks, not just
+     export zeroed families *)
+  let supervised =
+    List.find_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ "pool_supervised_total"; v ] -> int_of_string_opt v
+        | _ -> None)
+      (String.split_on_char '\n' final)
+  in
+  if not (match supervised with Some n -> n > 0 | None -> false) then
+    fails := "final scrape has no non-zero pool_supervised_total" :: !fails;
   if !bad > 0 then
     fails :=
       Printf.sprintf "%d of %d mid-sweep scrapes malformed" !bad !scrapes
@@ -1703,7 +1715,8 @@ let resilience () =
      chaos";
   print_endline
     "the same -j 4 sweep matrix three ways. 'plain' is a bare\n\
-     Qe_par.Pool.run of Campaign.run_one over it; 'supervised' is\n\
+     unsupervised fan-out of Campaign.run_one over it (an atomic index\n\
+     counter, 3 spawned domains plus the caller); 'supervised' is\n\
      Campaign.sweep with the self-healing harness armed (deadline +\n\
      retry + quarantine) and no faults, so its cost is one claim/settle\n\
      handshake per task and a 2 ms monitor poll — it must sit within\n\
@@ -1741,13 +1754,24 @@ let resilience () =
          suite)
   in
   let plain () =
-    Array.to_list
-      (Qe_par.Pool.run ~jobs:4
-         ~f:(fun _ (inst, strategy, seed) ->
-           Campaign.run_one ~strategy ~seed
-             ~expected_elected:(Campaign.elect_expected inst)
-             inst Elect.protocol)
-         matrix)
+    let out = Array.make (Array.length matrix) None in
+    let next = Atomic.make 0 in
+    let rec drain () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < Array.length matrix then begin
+        let inst, strategy, seed = matrix.(i) in
+        out.(i) <-
+          Some
+            (Campaign.run_one ~strategy ~seed
+               ~expected_elected:(Campaign.elect_expected inst)
+               inst Elect.protocol);
+        drain ()
+      end
+    in
+    let doms = List.init 3 (fun _ -> Domain.spawn drain) in
+    drain ();
+    List.iter Domain.join doms;
+    Array.to_list (Array.map Option.get out)
   in
   let policy =
     Supervisor.policy ~deadline_ns:30_000_000_000 ~max_attempts:3 ()
@@ -1757,7 +1781,7 @@ let resilience () =
       ~expected:Campaign.elect_expected Elect.protocol suite
   in
   (* warm the artifact cache once so every timed rep runs warm (the bare
-     pool has no prewarm of its own) *)
+     fan-out has no prewarm of its own) *)
   let baseline = plain () in
   let reps = 5 in
   let t_plain =

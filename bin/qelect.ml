@@ -482,10 +482,6 @@ let save_cmd instance graph agents out =
 
 (* ---------- sweep (CSV) ---------- *)
 
-(* -j 0 means "auto": size the pool for the machine *)
-let resolve_jobs jobs =
-  if jobs = 0 then Qe_par.Pool.default_jobs () else max 1 jobs
-
 module Cache = Qe_symmetry.Artifact_cache
 
 (* print to [out] so sweep (CSV on stdout) can route stats to stderr *)
@@ -525,11 +521,11 @@ let print_cache_stats out =
 (* ---------- live exposition (--metrics-port) ---------- *)
 
 (* Serve GET /metrics for the duration of [f]: completed-run snapshots
-   accumulate (pushed from pool domains via the campaign's [live] hook)
-   and every scrape merges the accumulator with the process-wide cache
-   and pool registries. Sink-level [cache.*] counters are dropped from
-   the accumulator — the cache registry is the authority for those and
-   merging both would double-count — except the sink-only
+   accumulate (pushed from worker domains via the campaign's [live]
+   hook) and every scrape merges the accumulator with the process-wide
+   cache and supervisor registries. Sink-level [cache.*] counters are
+   dropped from the accumulator — the cache registry is the authority
+   for those and merging both would double-count — except the sink-only
    [cache.wait_latency] histogram. *)
 let with_metrics_server port f =
   match port with
@@ -558,7 +554,6 @@ let with_metrics_server port f =
             [
               campaign_source;
               Cache.metrics_snapshot;
-              Qe_par.Pool.metrics_snapshot;
               Qe_par.Supervisor.metrics_snapshot;
             ]
           ()
@@ -628,7 +623,7 @@ let sweep_cmd protocol seeds jobs no_cache stats metrics_port
       | other -> failwith (other ^ ": sweep supports elect, elect-cayley, quantitative")
     in
     let seeds = List.init (max 1 seeds) Fun.id in
-    let jobs = resolve_jobs jobs in
+    let jobs = Qe_par.Supervisor.resolve_jobs jobs in
     (* the resolved value goes to stderr, never into the CSV: the CSV
        byte stream is the determinism contract and must not depend on
        which -j produced it *)
@@ -675,7 +670,7 @@ let chaos_cmd protocol seeds trace_out jobs no_cache stats
       | other -> failwith (other ^ ": chaos supports elect, elect-cayley")
     in
     let seeds = max 1 seeds in
-    let jobs = resolve_jobs jobs in
+    let jobs = Qe_par.Supervisor.resolve_jobs jobs in
     Printf.printf
       "chaos: %d seeds x %d instances x %d strategies x 2 plans (-j %d, %d \
        cores)\n\
@@ -911,7 +906,7 @@ let selftest_cmd random_count jobs brute_cap write_golden dump_path =
   try
     let items = Array.of_list (selftest_corpus ~random_count) in
     let zoo_count = Array.length items - random_count in
-    let jobs = resolve_jobs jobs in
+    let jobs = Qe_par.Supervisor.resolve_jobs jobs in
     Printf.printf "selftest: %d instances (%d zoo + %d random), -j %d\n%!"
       (Array.length items) zoo_count random_count jobs;
     let take k l = List.filteri (fun i _ -> i < k) l in
@@ -957,13 +952,8 @@ let selftest_cmd random_count jobs brute_cap write_golden dump_path =
       (fp, defect, Metrics.snapshot sink.Qe_obs.Sink.metrics)
     in
     let rows =
-      let pool = Qe_par.Pool.create ~jobs () in
-      Fun.protect
-        ~finally:(fun () -> Qe_par.Pool.shutdown pool)
-        (fun () ->
-          Qe_par.Pool.map pool
-            ~weight:(fun _ it -> Graph.n it.st_graph + Graph.m it.st_graph)
-            ~f:check items)
+      Qe_par.Supervisor.(
+        values (map ~policy:(policy ~max_attempts:1 ()) ~jobs ~f:check items))
     in
     let kernel_metrics =
       Array.fold_left (fun acc (_, _, snap) -> Metrics.merge acc snap) [] rows
@@ -1166,19 +1156,13 @@ let frontier_measure slow_check spec =
 let frontier_cmd specs jobs budget_mb slow_check =
   try
     if specs = [] then failwith "need at least one --spec (e.g. --spec circulant:100000:1+3+9)";
-    let jobs = resolve_jobs jobs in
+    let jobs = Qe_par.Supervisor.resolve_jobs jobs in
     let rows =
-      if jobs = 1 || List.length specs = 1 then
-        Array.of_list (List.map (frontier_measure slow_check) specs)
-      else begin
-        let pool = Qe_par.Pool.create ~jobs () in
-        Fun.protect
-          ~finally:(fun () -> Qe_par.Pool.shutdown pool)
-          (fun () ->
-            Qe_par.Pool.map pool
-              ~f:(fun _ spec -> frontier_measure slow_check spec)
-              (Array.of_list specs))
-      end
+      Qe_par.Supervisor.(
+        values
+          (map ~policy:(policy ~max_attempts:1 ()) ~jobs
+             ~f:(fun _ spec -> frontier_measure slow_check spec)
+             (Array.of_list specs)))
     in
     let per_node ns n = float_of_int ns /. float_of_int (max 1 n) in
     Array.iter
@@ -1381,8 +1365,8 @@ let metrics_port_arg =
           "Serve live OpenMetrics on http://127.0.0.1:$(docv)/metrics for \
            the duration of the campaign (0 = kernel-assigned; the bound \
            port is printed to stderr). Scrapes merge completed-run \
-           snapshots with the process-wide cache and pool registries, \
-           including latency histograms with quantile summaries."
+           snapshots with the process-wide cache and supervisor \
+           registries, including latency histograms with quantile summaries."
         ~docv:"PORT")
 
 let checkpoint_arg =

@@ -232,10 +232,7 @@ let elect_expected inst = Oracle.gcd_classes (bicolored inst) = 1
    a task-private sink), so no observable value depends on which domain
    ran a task or when. [jobs:1] (the default) runs the matrix inline
    with no domains at all; [jobs:0] means "ask the machine"
-   ([Qe_par.Pool.default_jobs]). *)
-
-let resolve_jobs jobs =
-  if jobs = 0 then Qe_par.Pool.default_jobs () else max 1 jobs
+   ([Qe_par.Supervisor.resolve_jobs]). *)
 
 (* Hoist the per-instance symmetry artifacts out of the per-seed loop:
    resolve the oracle verdicts (and, through them, the classes) once per
@@ -633,7 +630,7 @@ let sweep ?(seeds = [ 0; 1 ]) ?(strategies = strategies) ?(jobs = 1) ?live
       ~strategies ~len:(Array.length tasks) instances
   in
   let settled, _, summary =
-    run_matrix ~jobs:(resolve_jobs jobs) ~supervise ~harness_chaos
+    run_matrix ~jobs:(Supervisor.resolve_jobs jobs) ~supervise ~harness_chaos
       ~checkpoint ~resume ~meta ~obs:None ~live
       ~label:(fun (inst, (sname, _), seed, _) ->
         Printf.sprintf "%s/%s/seed%d" inst.name sname seed)
@@ -686,7 +683,7 @@ let chaos_sweep ?(seeds = 8) ?(strategies = strategies)
     ?(watchdog = default_chaos_watchdog) ?obs ?(jobs = 1) ?live
     ?(supervise = Supervisor.policy ()) ?harness_chaos ?checkpoint
     ?(resume = false) ~expected proto instances =
-  let jobs = resolve_jobs jobs in
+  let jobs = Supervisor.resolve_jobs jobs in
   prewarm instances;
   let tasks =
     List.concat_map

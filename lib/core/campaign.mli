@@ -157,7 +157,7 @@ val default_chaos_watchdog : Qe_fault.Watchdog.t
 
     {b Supervision.} The matrix runs on {!Qe_par.Supervisor}: [jobs]
     (default 1) worker domains, [jobs:0] resolving to
-    {!Qe_par.Pool.default_jobs} (the CLI's [-j 0]); [jobs:1] without a
+    {!Qe_par.Supervisor.resolve_jobs} (the CLI's [-j 0]); [jobs:1] without a
     deadline runs inline in the caller, spawning nothing. [supervise]
     defaults to {!Qe_par.Supervisor.policy}[ ()]: 3 attempts, no
     deadline. A task that exhausts its attempts is {e quarantined}: it

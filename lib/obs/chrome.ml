@@ -1,9 +1,9 @@
 (* Catapult / Chrome Trace Event Format ("traceEvents") exporter.
 
    Lane model: pid 1 is the qelect process; tid 0 is the main domain,
-   tid d+1 is pool participant d (span trees rooted at a span carrying a
-   "domain" attribute land in that participant's lane, which is how the
-   per-domain pool.batch trees render side by side). Span trees become
+   tid d+1 is supervisor worker d (span trees rooted at a span carrying
+   a "domain" attribute land in that worker's lane, which is how the
+   per-worker pool.batch trees render side by side). Span trees become
    nested B/E pairs; trace events carrying a "t_ns" attribute (the
    cache's L1/L2 hit markers) become instant events. Timestamps are the
    monotonic span clock, nanoseconds scaled to the microseconds the

@@ -44,9 +44,9 @@ val roots : tracer -> closed list
 val add_root : tracer -> closed -> unit
 (** Append an externally-built tree to {!roots}. [closed] is a plain
     record, so span trees can be synthesized from raw timing data
-    gathered where no tracer can live (e.g. the per-domain lanes of a
-    {!Qe_par.Pool} batch, reconstructed on the caller's domain after the
-    barrier) and still flow through the one export path. *)
+    gathered where no tracer can live (e.g. the per-worker lanes of a
+    {!Qe_par.Supervisor} batch, reconstructed on the caller's domain
+    after the batch) and still flow through the one export path. *)
 
 val flame : closed -> string
 (** An indented text rendering of one tree: name, duration, percentage

@@ -1,7 +1,6 @@
-(* Supervised batch execution.
+(* Supervised batch execution: the one parallel executor.
 
-   The pool's contract ("a task never misbehaves") is inverted here:
-   every task settles to its own outcome, failures are retried on a
+   Every task settles to its own outcome, failures are retried on a
    seeded deterministic backoff schedule and finally quarantined, and a
    deadline overrun writes the worker domain off as wedged — it is
    abandoned (domains cannot be killed), a replacement is spawned, and
@@ -19,6 +18,20 @@ type 'a outcome = Done of 'a | Failed of exn | Timed_out
 type 'a report = { outcome : 'a outcome; attempts : int; quarantined : bool }
 
 let value r = match r.outcome with Done v -> Some v | _ -> None
+
+(* [Array.mapi] runs in index order, so the first raise is the smallest
+   failing index *)
+let values reports =
+  Array.mapi
+    (fun i r ->
+      match r.outcome with
+      | Done v -> v
+      | Failed e -> raise e
+      | Timed_out -> failwith (Printf.sprintf "task %d timed out" i))
+    reports
+
+let resolve_jobs j =
+  if j = 0 then min (Domain.recommended_domain_count ()) 16 else max 1 j
 
 type policy = {
   deadline_ns : int option;
@@ -219,6 +232,31 @@ let execute b i attempt =
   in
   (act, res, t0, Clock.now_ns ())
 
+(* One failed attempt: count it, log its [pool.retry] event with the
+   backoff the retry will wait, and return that backoff, or [None] when
+   [max_attempts] is spent and the task is quarantined. The caller
+   parks the retry or settles the task. *)
+let fail_attempt b i ~attempt ~why ~t0 ~t1 =
+  let retry = attempt < b.pol.max_attempts in
+  let bo =
+    if retry then backoff_ns b.pol ~task:i ~attempt:(attempt + 1) else 0
+  in
+  if retry then b.b_retries <- b.b_retries + 1
+  else b.b_quarantined <- b.b_quarantined + 1;
+  b.retry_log <-
+    {
+      r_task = i; r_attempt = attempt; r_why = why; r_start = t0;
+      r_dur = t1 - t0; r_backoff = bo;
+    }
+    :: b.retry_log;
+  if retry then Some bo else None
+
+(* with the lock held: park task [i]'s next attempt until [not_before] *)
+let requeue b i ~attempt ~not_before =
+  b.status.(i) <- Pending { not_before; attempt = attempt + 1 };
+  b.n_pending <- b.n_pending + 1;
+  Condition.broadcast b.changed
+
 (* with the lock held: settle, retry or discard (stale claim) *)
 let dispose b i ~claim ~attempt act res t0 t1 =
   if act <> Harness_chaos.Pass then b.b_chaos <- b.b_chaos + 1;
@@ -228,33 +266,12 @@ let dispose b i ~claim ~attempt act res t0 t1 =
       | Ok v ->
           settle b i ~worker ~t0 ~t1
             { outcome = Done v; attempts = attempt; quarantined = false }
-      | Error e ->
-          let why = why_of_exn e in
-          if attempt >= b.pol.max_attempts then begin
-            b.b_quarantined <- b.b_quarantined + 1;
-            b.retry_log <-
-              {
-                r_task = i; r_attempt = attempt; r_why = why; r_start = t0;
-                r_dur = t1 - t0; r_backoff = 0;
-              }
-              :: b.retry_log;
-            settle b i ~worker ~t0 ~t1
-              { outcome = Failed e; attempts = attempt; quarantined = true }
-          end
-          else begin
-            let bo = backoff_ns b.pol ~task:i ~attempt:(attempt + 1) in
-            b.status.(i) <-
-              Pending { not_before = t1 + bo; attempt = attempt + 1 };
-            b.n_pending <- b.n_pending + 1;
-            b.b_retries <- b.b_retries + 1;
-            b.retry_log <-
-              {
-                r_task = i; r_attempt = attempt; r_why = why; r_start = t0;
-                r_dur = t1 - t0; r_backoff = bo;
-              }
-              :: b.retry_log;
-            Condition.broadcast b.changed
-          end)
+      | Error e -> (
+          match fail_attempt b i ~attempt ~why:(why_of_exn e) ~t0 ~t1 with
+          | Some bo -> requeue b i ~attempt ~not_before:(t1 + bo)
+          | None ->
+              settle b i ~worker ~t0 ~t1
+                { outcome = Failed e; attempts = attempt; quarantined = true }))
   | _ -> ()  (* the monitor timed this attempt out; result discarded *)
 
 let claim b i attempt ~worker now =
@@ -300,14 +317,19 @@ let worker_loop b w =
   w.w_exited <- true;
   Mutex.unlock b.m
 
-let spawn_worker b =
+(* with the lock held: the next worker id, registered for joining and
+   for its trace lane *)
+let add_worker b =
   b.worker_ctr <- b.worker_ctr + 1;
   let w =
     { w_id = b.worker_ctr; w_dom = None; w_abandoned = false; w_exited = false }
   in
   b.workers <- w :: b.workers;
-  w.w_dom <- Some (Domain.spawn (fun () -> worker_loop b w));
   w
+
+let spawn_worker b =
+  let w = add_worker b in
+  w.w_dom <- Some (Domain.spawn (fun () -> worker_loop b w))
 
 (* deadline scan: time out overrun attempts, write their workers off,
    replace or degrade. Called with the lock held. *)
@@ -316,52 +338,47 @@ let scan_deadlines b d now =
     (fun i st ->
       match st with
       | Running { claim = _; started; attempt; worker }
-        when now - started > d ->
+        when now - started > d -> (
           b.b_timeouts <- b.b_timeouts + 1;
           (match List.find_opt (fun w -> w.w_id = worker) b.workers with
           | Some w when not w.w_abandoned ->
               w.w_abandoned <- true;
               if b.b_replaced < b.pol.max_replacements then begin
                 b.b_replaced <- b.b_replaced + 1;
-                ignore (spawn_worker b)
+                spawn_worker b
               end
               else b.b_degraded <- true
           | _ -> ());
-          b.retry_log <-
-            {
-              r_task = i; r_attempt = attempt; r_why = "timeout";
-              r_start = started; r_dur = now - started; r_backoff = 0;
-            }
-            :: b.retry_log;
-          if attempt >= b.pol.max_attempts then begin
-            b.b_quarantined <- b.b_quarantined + 1;
-            settle b i ~worker ~t0:started ~t1:now
-              { outcome = Timed_out; attempts = attempt; quarantined = true }
-          end
-          else begin
-            let bo = backoff_ns b.pol ~task:i ~attempt:(attempt + 1) in
-            b.status.(i) <- Pending { not_before = now + bo; attempt = attempt + 1 };
-            b.n_pending <- b.n_pending + 1;
-            b.b_retries <- b.b_retries + 1
-          end;
-          Condition.broadcast b.changed
+          match
+            fail_attempt b i ~attempt ~why:"timeout" ~t0:started ~t1:now
+          with
+          | Some bo -> requeue b i ~attempt ~not_before:(now + bo)
+          | None ->
+              settle b i ~worker ~t0:started ~t1:now
+                { outcome = Timed_out; attempts = attempt; quarantined = true })
       | _ -> ())
     b.status
 
+(* Without a deadline there is nothing to watch, so the caller is a
+   worker: it takes the next worker id (and a trace lane) beside
+   [jobs - 1] spawned domains. With one, it monitors [jobs] workers. *)
 let monitor b ~jobs =
   Mutex.lock b.m;
-  for _ = 1 to jobs do
-    ignore (spawn_worker b)
-  done;
-  let len = Array.length b.arr in
-  let rec watch () =
-    if b.settled < len then begin
-      match b.pol.deadline_ns with
-      | None ->
-          (* nothing to poll for: wake on settles only *)
-          Condition.wait b.changed b.m;
-          watch ()
-      | Some d ->
+  (match b.pol.deadline_ns with
+  | None ->
+      let me = add_worker b in
+      for _ = 2 to jobs do
+        spawn_worker b
+      done;
+      Mutex.unlock b.m;
+      worker_loop b me
+  | Some d ->
+      for _ = 1 to jobs do
+        spawn_worker b
+      done;
+      let len = Array.length b.arr in
+      let rec watch () =
+        if b.settled < len then begin
           scan_deadlines b d (Clock.now_ns ());
           (* limp-home mode: no more replacements, so the monitor itself
              chews through the remaining work, single-file (deadlines
@@ -383,10 +400,10 @@ let monitor b ~jobs =
             Mutex.lock b.m
           end;
           watch ()
-    end
-  in
-  watch ();
-  Mutex.unlock b.m;
+        end
+      in
+      watch ();
+      Mutex.unlock b.m);
   (* free any wedged chaos attempts so abandoned domains can unwind *)
   Harness_chaos.release b.lat;
   List.iter
@@ -415,31 +432,15 @@ let run_inline b =
       | Ok v ->
           b.reports.(i) <-
             Some { outcome = Done v; attempts = attempt; quarantined = false }
-      | Error e ->
-          let why = why_of_exn e in
-          if attempt >= b.pol.max_attempts then begin
-            b.b_quarantined <- b.b_quarantined + 1;
-            b.retry_log <-
-              {
-                r_task = i; r_attempt = attempt; r_why = why; r_start = t0;
-                r_dur = t1 - t0; r_backoff = 0;
-              }
-              :: b.retry_log;
-            b.reports.(i) <-
-              Some { outcome = Failed e; attempts = attempt; quarantined = true }
-          end
-          else begin
-            let bo = backoff_ns b.pol ~task:i ~attempt:(attempt + 1) in
-            b.b_retries <- b.b_retries + 1;
-            b.retry_log <-
-              {
-                r_task = i; r_attempt = attempt; r_why = why; r_start = t0;
-                r_dur = t1 - t0; r_backoff = bo;
-              }
-              :: b.retry_log;
-            if bo > 0 then Unix.sleepf (float_of_int bo /. 1e9);
-            attempt_from (attempt + 1)
-          end
+      | Error e -> (
+          match fail_attempt b i ~attempt ~why:(why_of_exn e) ~t0 ~t1 with
+          | Some bo ->
+              if bo > 0 then Unix.sleepf (float_of_int bo /. 1e9);
+              attempt_from (attempt + 1)
+          | None ->
+              b.reports.(i) <-
+                Some
+                  { outcome = Failed e; attempts = attempt; quarantined = true })
     in
     attempt_from 1
   done;

@@ -1,23 +1,22 @@
 (** Supervised batch execution: per-task outcomes, deadlines, seeded
     retry/backoff, quarantine, and worker replacement.
 
-    {!Pool} is the fast path: it assumes tasks are well behaved (an
-    exception aborts the batch by re-raising at the smallest failing
-    index, and nothing bounds a task's run time). The supervisor is the
-    robust path for campaign-scale sweeps: every task settles to its own
+    This is the one parallel executor: sweeps, [selftest] and
+    [frontier] all fan out here. Every task settles to its own
     {!outcome}, a misbehaving task is retried on a deterministic
     backoff schedule and finally {e quarantined} — one poisoned instance
     no longer takes down a 3600-run sweep — and a task that overruns its
     wall-clock deadline is timed out, its worker domain written off as
-    wedged and replaced.
+    wedged and replaced. Callers that want a failure to abort instead
+    read the batch through {!values}.
 
-    {b Execution model.} [jobs] worker domains claim ready tasks in
-    index order off a shared, mutex-protected table; the caller's domain
-    is the {e monitor}: it watches running attempts against the
-    deadline, schedules retries, replaces wedged workers and collects
-    the batch. (Without a deadline and without harness chaos the monitor
-    never polls — it sleeps on a condition variable until the last task
-    settles.) OCaml domains cannot be killed, so "replacing" a wedged
+    {b Execution model.} Workers claim ready tasks in index order off a
+    shared, mutex-protected table. Without a deadline the caller's
+    domain is one of the [jobs] workers, beside [jobs - 1] spawned
+    domains. With a deadline the caller is the {e monitor} instead: it
+    watches the [jobs] running workers against the deadline, schedules
+    retries, replaces wedged workers and collects the batch. OCaml
+    domains cannot be killed, so "replacing" a wedged
     worker means abandoning it — the supervisor stops waiting for it,
     spawns a fresh worker, and the wedged domain is left to finish or
     rot (its late result is discarded by attempt claim tokens). After
@@ -35,16 +34,17 @@
     {b Telemetry.} Settling a batch adds [pool.retry], [pool.timeout],
     [pool.quarantine], [pool.worker.replaced], [pool.degraded] and
     [pool.chaos.*] counters to the ambient {!Qe_obs.Sink} and to the
-    process-wide {!totals}; each retried or timed-out attempt also
-    leaves a [pool.retry] span (attrs: [task], [attempt], [backoff_ns],
-    [why]) so traces show the supervision tree, and every worker that
-    settled a task leaves one [pool.batch] span tree (attrs: [domain] —
-    the worker id, [0] for the monitor — and [tasks]) whose [pool.task]
-    children (attrs: [idx], [attempt]) are the attempts it settled, in
-    start order: the per-domain lanes of the Chrome-trace export. A
-    batch run inline draws no lanes. All recording happens on the
-    monitor after the batch — nothing is added to a healthy task's path
-    beyond two clock reads. *)
+    process-wide {!totals}; each failed or timed-out attempt also
+    leaves a [pool.retry] span (attrs: [task], [attempt], [why], and
+    [backoff_ns] — the wait scheduled before the retry, [0] when the
+    task is quarantined) so traces show the supervision tree, and every
+    worker that settled a task leaves one [pool.batch] span tree
+    (attrs: [domain] — the worker id, [0] for a degraded monitor — and
+    [tasks]) whose [pool.task] children (attrs: [idx], [attempt]) are
+    the attempts it settled, in start order: the per-domain lanes of
+    the Chrome-trace export. A batch run inline draws no lanes. All
+    recording happens on the caller after the batch — nothing is added
+    to a healthy task's path beyond two clock reads. *)
 
 type 'a outcome =
   | Done of 'a
@@ -61,6 +61,18 @@ type 'a report = {
 
 val value : 'a report -> 'a option
 (** [Some v] iff the outcome is [Done v]. *)
+
+val values : 'a report array -> 'a array
+(** Every [Done] value, in slot order, or the failure of the smallest
+    index that did not finish: its exception is re-raised ([Failure]
+    for a timeout). With [max_attempts:1] this is a plain parallel map
+    whose error reporting is as deterministic as its results. *)
+
+val resolve_jobs : int -> int
+(** The CLI's [-j]: [0] means the machine's
+    [Domain.recommended_domain_count ()] capped at 16 (instance-level
+    parallelism, not oversubscription); anything else is clamped to
+    [>= 1]. *)
 
 type policy = {
   deadline_ns : int option;  (** per-attempt wall-clock cap *)
@@ -105,11 +117,11 @@ val map :
   'b report array
 (** Run [f i arr.(i)] for every [i] under supervision; slot [i] of the
     result is task [i]'s report, whatever domain ran it and however
-    many attempts it took. [jobs] (default 1) is the number of worker
-    domains; unlike {!Pool.map} the caller is the monitor, not a
-    worker, except at [jobs:1] with no deadline and no chaos, where
-    everything runs inline in the caller. A batch never raises on task
-    failure — failures are data here. *)
+    many attempts it took. [jobs] (default 1) is the number of workers,
+    clamped to the batch length; see the execution model for whether
+    the caller is one of them. At [jobs:1] with no deadline everything
+    runs inline in the caller and draws no lanes. A batch never raises
+    on task failure — failures are data here. *)
 
 (** {1 Process-wide supervision totals} *)
 
@@ -128,4 +140,4 @@ val reset_totals : unit -> unit
 
 val metrics_snapshot : unit -> Qe_obs.Metrics.snapshot
 (** {!totals} as sorted [pool.*] counters — a ready-made source for
-    {!Qe_obs.Expose}, alongside {!Pool.metrics_snapshot}. *)
+    {!Qe_obs.Expose}. *)

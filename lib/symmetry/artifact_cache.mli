@@ -156,7 +156,7 @@ val metrics_snapshot : unit -> Qe_obs.Metrics.snapshot
     ready-made source for {!Qe_obs.Expose}. *)
 
 val hit_rate : stat list -> float
-(** Pooled [hits / (hits + misses)] over the rows; [0.] when idle. *)
+(** Combined [hits / (hits + misses)] over the rows; [0.] when idle. *)
 
 (** {1 Cached artifacts} *)
 

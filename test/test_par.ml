@@ -1,10 +1,11 @@
 (* The domain pool, the supervisor and the deterministic-merge contract
    of the sweep pipeline.
 
-   The contract under test: [Qe_par.Pool] is index-deterministic (results
-   land by input slot, errors surface by smallest failing index, the pool
-   survives failed batches); [Qe_par.Supervisor] settles every task to
-   its own outcome and draws one trace lane per worker; and
+   The contract under test: [Qe_par.Supervisor] is index-deterministic
+   (results land by input slot; read through [values], errors surface
+   by smallest failing index), settles every task to its own outcome,
+   puts the caller to work when there is no deadline and draws one
+   trace lane per worker; and
    [Campaign.sweep]/[chaos_sweep] return the same records, the same
    metric totals and the same trace at any [jobs] — including under fault
    plans, a livelock watchdog, harness chaos and a checkpoint resume.
@@ -21,172 +22,51 @@ module Protocol = Qe_runtime.Protocol
 module Script = Qe_runtime.Script
 module Watchdog = Qe_fault.Watchdog
 module Campaign = Qe_elect.Campaign
-module Pool = Qe_par.Pool
+module Supervisor = Qe_par.Supervisor
 
 let elect = Qe_elect.Elect.protocol
 
-(* ---------- pool unit tests ---------- *)
-
-let test_pool_map_basic () =
-  Pool.with_pool ~jobs:4 (fun t ->
-      Alcotest.(check int) "jobs" 4 (Pool.jobs t);
-      let input = Array.init 100 Fun.id in
-      let out =
-        Pool.map t
-          ~f:(fun i x ->
-            (* plain assert: Alcotest's checks print through Format,
-               which is not safe to share across domains *)
-            assert (i = x);
-            x * x)
-          input
-      in
-      Alcotest.(check (array int))
-        "squares in slot order"
-        (Array.init 100 (fun i -> i * i))
-        out)
-
-let test_pool_reuse () =
-  (* batches of varying size through one pool, including empty *)
-  Pool.with_pool ~jobs:3 (fun t ->
-      for n = 0 to 5 do
-        let out = Pool.map t ~f:(fun i _ -> i + n) (Array.make (n * 17) ()) in
-        Alcotest.(check (array int))
-          (Printf.sprintf "batch %d" n)
-          (Array.init (n * 17) (fun i -> i + n))
-          out
-      done)
+(* ---------- the plain-map contract: values, resolve_jobs ---------- *)
 
 exception Boom of int
 
-let test_pool_error_smallest_index () =
-  Pool.with_pool ~jobs:4 (fun t ->
-      (try
-         ignore
-           (Pool.map t
-              ~f:(fun i () -> if i mod 3 = 1 then raise (Boom i) else i)
-              (Array.make 50 ()));
-         Alcotest.fail "expected Boom"
-       with Boom i -> Alcotest.(check int) "smallest failing index" 1 i);
-      (* a failed batch must not wedge the pool *)
-      let out = Pool.map t ~f:(fun i () -> i) (Array.make 10 ()) in
-      Alcotest.(check int) "pool alive after error" 10 (Array.length out))
+(* one attempt per task: what selftest and frontier run under *)
+let one_attempt = Supervisor.policy ~max_attempts:1 ()
 
-let test_pool_not_reentrant () =
-  Pool.with_pool ~jobs:2 (fun t ->
-      try
-        ignore
-          (Pool.map t
-             ~f:(fun _ () -> Pool.map t ~f:(fun i () -> i) (Array.make 4 ()))
-             (Array.make 4 ()));
-        Alcotest.fail "expected Invalid_argument"
-      with Invalid_argument _ -> ())
-
-let test_pool_shutdown () =
-  let t = Pool.create ~jobs:3 () in
-  Pool.shutdown t;
-  Pool.shutdown t (* idempotent *);
-  try
-    ignore (Pool.map t ~f:(fun i () -> i) (Array.make 4 ()));
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
-
-let test_pool_clamp_and_run () =
-  Pool.with_pool ~jobs:0 (fun t ->
-      Alcotest.(check int) "jobs clamped to 1" 1 (Pool.jobs t));
-  Alcotest.(check bool) "default_jobs positive" true (Pool.default_jobs () >= 1);
-  (* run: the jobs:1 path is plain Array.mapi, no domains *)
+let test_values_error_smallest_index () =
+  (try
+     ignore
+       (Supervisor.values
+          (Supervisor.map ~policy:one_attempt ~jobs:4
+             ~f:(fun i () -> if i mod 3 = 1 then raise (Boom i) else i)
+             (Array.make 50 ())));
+     Alcotest.fail "expected Boom"
+   with Boom i -> Alcotest.(check int) "smallest failing index" 1 i);
   Alcotest.(check (array int))
-    "run jobs:1"
-    [| 0; 2; 4 |]
-    (Pool.run ~f:(fun i x -> i + x) [| 0; 1; 2 |]);
+    "next batch succeeds" (Array.init 10 Fun.id)
+    (Supervisor.values
+       (Supervisor.map ~policy:one_attempt ~jobs:4
+          ~f:(fun i () -> i)
+          (Array.make 10 ())))
+
+let test_resolve_jobs_and_empty () =
+  Alcotest.(check bool) "-j 0 resolves to >= 1" true
+    (Supervisor.resolve_jobs 0 >= 1);
+  Alcotest.(check int) "negative clamps to 1" 1 (Supervisor.resolve_jobs (-3));
+  Alcotest.(check int) "empty map" 0
+    (Array.length (Supervisor.map ~jobs:4 ~f:(fun i _ -> i) [||]))
+
+let test_edge_cases () =
+  let before = Supervisor.totals () in
+  ignore (Supervisor.map ~jobs:8 ~f:(fun i _ -> i) ([||] : unit array));
+  Alcotest.(check bool) "empty input supervises nothing" true
+    (before = Supervisor.totals ());
   Alcotest.(check (array int))
-    "run jobs:4"
-    [| 0; 2; 4 |]
-    (Pool.run ~jobs:4 ~f:(fun i x -> i + x) [| 0; 1; 2 |]);
-  Alcotest.(check int) "run on empty" 0
-    (Array.length (Pool.run ~jobs:4 ~f:(fun i _ -> i) [||]))
-
-(* ---------- scheduler: weights, stealing, edge cases ---------- *)
-
-let test_pool_weighted_map () =
-  (* weights are advisory: whatever cost estimate the caller supplies
-     (including adversarially wrong ones), the output is slot-addressed
-     and identical to Array.mapi *)
-  let input = Array.init 64 Fun.id in
-  let expect = Array.mapi (fun i x -> i * x) input in
-  List.iter
-    (fun weight ->
-      Alcotest.(check (array int))
-        "weighted map = Array.mapi" expect
-        (Pool.run ~jobs:4 ~weight ~f:(fun i x -> i * x) input))
-    [
-      (fun _ x -> x) (* ascending *);
-      (fun _ x -> 64 - x) (* descending *);
-      (fun i _ -> if i = 7 then 1_000_000 else 1) (* one huge *);
-      (fun _ _ -> 0) (* degenerate: clamped to 1 *);
-    ]
-
-let test_pool_steal () =
-  (* a skewed batch: one item sleeps while the rest are free. With equal
-     weights the deal is round-robin, so the sleeper's queue still holds
-     free items — the other participant must drain its own queue and
-     then steal them. Works even on 1 physical core: a sleeping domain
-     yields the CPU. *)
-  let before = Pool.totals () in
-  let sink = Qe_obs.Sink.create () in
-  let out =
-    Qe_obs.Sink.with_ambient sink (fun () ->
-        Pool.run ~jobs:2
-          ~f:(fun i () ->
-            if i = 0 then Unix.sleepf 0.05;
-            i)
-          (Array.make 16 ()))
-  in
-  let after = Pool.totals () in
-  Alcotest.(check (array int))
-    "results in slot order"
-    (Array.init 16 Fun.id)
-    out;
-  Alcotest.(check bool) "totals count steals" true
-    (after.Pool.steals - before.Pool.steals >= 1);
-  let counter name =
-    match
-      Qe_obs.Metrics.find
-        (Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics)
-        name
-    with
-    | Some (Qe_obs.Metrics.Counter n) -> n
-    | _ -> 0
-  in
-  Alcotest.(check int) "pool.tasks counter" 16 (counter "pool.tasks");
-  Alcotest.(check int) "pool.batches counter" 1 (counter "pool.batches");
-  Alcotest.(check bool) "pool.steal counter" true (counter "pool.steal" >= 1);
-  Alcotest.(check bool) "pool.idle_ns counter" true
-    (counter "pool.idle_ns" >= 0)
-
-let test_pool_edge_cases () =
-  (* empty input: no pool, no batch, no domains *)
-  let before = Pool.totals () in
-  Alcotest.(check int) "empty run" 0
-    (Array.length (Pool.run ~jobs:8 ~f:(fun i _ -> i) ([||] : unit array)));
-  let after = Pool.totals () in
-  Alcotest.(check int) "empty run engages no batch" before.Pool.batches
-    after.Pool.batches;
-  (* len < jobs: run clamps the transient pool to len, so no spawned
-     domain ever spins on an empty queue set *)
-  Alcotest.(check (array int))
-    "3 items at jobs:8"
-    [| 0; 10; 20 |]
-    (Pool.run ~jobs:8 ~f:(fun i _ -> i * 10) (Array.make 3 ()));
-  (* single item: runs inline in the caller, even on a wide pool *)
-  Pool.with_pool ~jobs:4 (fun t ->
-      let before = Pool.totals () in
-      Alcotest.(check (array int))
-        "1 item inline" [| 7 |]
-        (Pool.map t ~f:(fun _ x -> x + 1) [| 6 |]);
-      let after = Pool.totals () in
-      Alcotest.(check int) "no batch for a single item" before.Pool.batches
-        after.Pool.batches)
+    "3 items at jobs:8" [| 0; 10; 20 |]
+    (Supervisor.values
+       (Supervisor.map ~policy:one_attempt ~jobs:8
+          ~f:(fun i _ -> i * 10)
+          (Array.make 3 ())))
 
 (* ---------- differential determinism: sweep ---------- *)
 
@@ -556,84 +436,8 @@ let test_soak () =
       Alcotest.(check bool) "faults actually fired" true
         (report.Campaign.c_faults_fired > 0)
 
-(* ---------- pool batch telemetry ---------- *)
-
-let test_pool_batch_spans () =
-  Pool.reset_totals ();
-  let sink = Qe_obs.Sink.create () in
-  let out =
-    Qe_obs.Sink.with_ambient sink (fun () ->
-        Pool.run ~jobs:2 ~f:(fun i x -> i + x) (Array.init 8 Fun.id))
-  in
-  Alcotest.(check (array int)) "results unaffected"
-    (Array.init 8 (fun i -> 2 * i))
-    out;
-  let roots = Qe_obs.Span.roots sink.Qe_obs.Sink.spans in
-  let batches =
-    List.filter (fun c -> c.Qe_obs.Span.name = "pool.batch") roots
-  in
-  Alcotest.(check int) "one lane per participant" 2 (List.length batches);
-  let domains =
-    List.filter_map
-      (fun c ->
-        match List.assoc_opt "domain" c.Qe_obs.Span.attrs with
-        | Some (Qe_obs.Jsonl.Int d) -> Some d
-        | _ -> None)
-      batches
-    |> List.sort compare
-  in
-  Alcotest.(check (list int)) "lanes carry distinct domain ids" [ 0; 1 ]
-    domains;
-  let tasks =
-    List.concat_map
-      (fun c ->
-        List.filter
-          (fun ch -> ch.Qe_obs.Span.name = "pool.task")
-          c.Qe_obs.Span.children)
-      batches
-  in
-  Alcotest.(check int) "every task has a span" 8 (List.length tasks);
-  let idxs =
-    List.filter_map
-      (fun t ->
-        match List.assoc_opt "idx" t.Qe_obs.Span.attrs with
-        | Some (Qe_obs.Jsonl.Int i) -> Some i
-        | _ -> None)
-      tasks
-    |> List.sort compare
-  in
-  Alcotest.(check (list int)) "task spans carry the input index"
-    (List.init 8 Fun.id) idxs;
-  List.iter
-    (fun t ->
-      Alcotest.(check bool) "stolen flag present" true
-        (match List.assoc_opt "stolen" t.Qe_obs.Span.attrs with
-        | Some (Qe_obs.Jsonl.Bool _) -> true
-        | _ -> false))
-    tasks;
-  (* latency histograms land in the ambient sink and the process totals *)
-  (match
-     Qe_obs.Metrics.find
-       (Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics)
-       "pool.task_latency"
-   with
-  | Some (Qe_obs.Metrics.Hist { count; lo; hi; _ }) ->
-      Alcotest.(check int) "ambient task latency count" 8 count;
-      Alcotest.(check bool) "envelope sane" true (lo >= 0 && hi >= lo)
-  | _ -> Alcotest.fail "pool.task_latency missing from ambient sink");
-  let g = Pool.metrics_snapshot () in
-  (match Qe_obs.Metrics.find g "pool.tasks" with
-  | Some (Qe_obs.Metrics.Counter n) ->
-      Alcotest.(check int) "global pool.tasks" 8 n
-  | _ -> Alcotest.fail "pool.tasks missing from metrics_snapshot");
-  match Qe_obs.Metrics.find g "pool.task_latency" with
-  | Some (Qe_obs.Metrics.Hist { count; _ }) ->
-      Alcotest.(check int) "global task latency count" 8 count
-  | _ -> Alcotest.fail "pool.task_latency missing from metrics_snapshot"
-
 (* ---------- supervisor ---------- *)
 
-module Supervisor = Qe_par.Supervisor
 module HChaos = Qe_par.Harness_chaos
 
 let fast_policy ?deadline_ns ?(max_attempts = 3) () =
@@ -824,6 +628,23 @@ let test_supervisor_lanes () =
     tasks;
   Alcotest.(check int) "no lanes inline at -j 1" 0 (List.length (lanes 1))
 
+(* Without a deadline the caller is one of the [jobs] workers; under a
+   deadline it only monitors. *)
+let test_supervisor_caller_works () =
+  let caller = (Domain.self () :> int) in
+  let ran_on policy =
+    Supervisor.values
+      (Supervisor.map ~policy ~jobs:2
+         ~f:(fun _ () ->
+           Unix.sleepf 0.01;
+           (Domain.self () :> int))
+         (Array.make 4 ()))
+  in
+  Alcotest.(check bool) "the caller ran a task" true
+    (Array.mem caller (ran_on (fast_policy ())));
+  Alcotest.(check bool) "a monitoring caller runs none" false
+    (Array.mem caller (ran_on (fast_policy ~deadline_ns:10_000_000_000 ())))
+
 let test_harness_chaos_decide () =
   let c = HChaos.make ~kill_rate:0.1 ~delay_rate:0.1 ~seed:5 () in
   (* pure: any domain, any order, same verdicts *)
@@ -917,16 +738,18 @@ let test_supervisor_deadline_and_replacement () =
      (fresh per-attempt budget) must succeed even though the task's
      cumulative wall time exceeds the deadline *)
   let tries = Atomic.make 0 in
+  let policy = fast_policy ~deadline_ns:80_000_000 () in
+  let sink = Qe_obs.Sink.create () in
   let reports =
-    Supervisor.map
-      ~policy:(fast_policy ~deadline_ns:80_000_000 ())
-      ~jobs:2
-      ~f:(fun i x ->
-        if i = 0 && 1 + Atomic.fetch_and_add tries 1 = 1 then
-          Unix.sleepf 0.5 (* wedged: > deadline, < test patience *);
-        if i = 0 then Unix.sleepf 0.05 (* attempt 2: most of a fresh budget *);
-        x + 1)
-      (Array.init 6 Fun.id)
+    Qe_obs.Sink.with_ambient sink (fun () ->
+        Supervisor.map ~policy ~jobs:2
+          ~f:(fun i x ->
+            if i = 0 && 1 + Atomic.fetch_and_add tries 1 = 1 then
+              Unix.sleepf 0.5 (* wedged: > deadline, < test patience *);
+            if i = 0 then
+              Unix.sleepf 0.05 (* attempt 2: most of a fresh budget *);
+            x + 1)
+          (Array.init 6 Fun.id))
   in
   Array.iteri
     (fun i rep ->
@@ -938,7 +761,25 @@ let test_supervisor_deadline_and_replacement () =
   let t = Supervisor.totals () in
   Alcotest.(check int) "one timeout" 1 t.Supervisor.timeouts;
   Alcotest.(check int) "one worker replaced" 1 t.Supervisor.replaced;
-  Alcotest.(check int) "no quarantine" 0 t.Supervisor.quarantined
+  Alcotest.(check int) "no quarantine" 0 t.Supervisor.quarantined;
+  (* the timeout's span carries the backoff its retry was scheduled at *)
+  match
+    List.filter
+      (fun c -> c.Qe_obs.Span.name = "pool.retry")
+      (Qe_obs.Span.roots sink.Qe_obs.Sink.spans)
+  with
+  | [ span ] ->
+      Alcotest.(check (option string)) "why" (Some "timeout")
+        (match List.assoc_opt "why" span.Qe_obs.Span.attrs with
+        | Some (Qe_obs.Jsonl.String w) -> Some w
+        | _ -> None);
+      Alcotest.(check (option int)) "backoff_ns of the scheduled retry"
+        (Some (Supervisor.backoff_ns policy ~task:0 ~attempt:2))
+        (match List.assoc_opt "backoff_ns" span.Qe_obs.Span.attrs with
+        | Some (Qe_obs.Jsonl.Int b) -> Some b
+        | _ -> None)
+  | spans ->
+      Alcotest.failf "expected one pool.retry span, got %d" (List.length spans)
 
 let test_supervisor_timeout_quarantine () =
   Supervisor.reset_totals ();
@@ -1206,20 +1047,11 @@ let () =
     [
       ( "pool",
         [
-          Alcotest.test_case "map basic" `Quick test_pool_map_basic;
-          Alcotest.test_case "reuse" `Quick test_pool_reuse;
           Alcotest.test_case "error by smallest index" `Quick
-            test_pool_error_smallest_index;
-          Alcotest.test_case "not reentrant" `Quick test_pool_not_reentrant;
-          Alcotest.test_case "shutdown" `Quick test_pool_shutdown;
-          Alcotest.test_case "clamp + run" `Quick test_pool_clamp_and_run;
-          Alcotest.test_case "weighted map" `Quick test_pool_weighted_map;
-          Alcotest.test_case "work stealing (skewed batch)" `Quick
-            test_pool_steal;
+            test_values_error_smallest_index;
+          Alcotest.test_case "clamp + run" `Quick test_resolve_jobs_and_empty;
           Alcotest.test_case "edge cases (empty, len < jobs)" `Quick
-            test_pool_edge_cases;
-          Alcotest.test_case "batch spans + latency" `Quick
-            test_pool_batch_spans;
+            test_edge_cases;
         ] );
       ( "determinism",
         [
@@ -1243,6 +1075,8 @@ let () =
           Alcotest.test_case "retry, quarantine + telemetry" `Quick
             test_supervisor_retry_and_quarantine;
           Alcotest.test_case "batch lanes" `Quick test_supervisor_lanes;
+          Alcotest.test_case "caller works without a deadline" `Quick
+            test_supervisor_caller_works;
           Alcotest.test_case "harness chaos decide" `Quick
             test_harness_chaos_decide;
           Alcotest.test_case "survives harness chaos" `Quick
