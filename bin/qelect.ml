@@ -26,7 +26,20 @@ open Cmdliner
 
 (* ---------- graph spec parsing ---------- *)
 
-let parse_ints s = List.map int_of_string (String.split_on_char ',' s)
+(* The one integer-list reader, for agent lists and jump sets alike:
+   ',' or '+' separators ('+' survives shells and CI YAML unquoted). *)
+let parse_ints s =
+  String.split_on_char ','
+    (String.map (fun c -> if c = '+' then ',' else c) s)
+  |> List.map int_of_string
+
+(* Malformed instance input (a size a family rejects, a bad agent list,
+   an unreadable file) surfaces from the builders as [Invalid_argument]
+   or [Sys_error]. This handler, shared by every command that builds an
+   instance, re-raises it as [Failure], which each command reports as a
+   one-line message and exit 124, the code a bad spec gets. *)
+let instance_input f =
+  try f () with Invalid_argument msg | Sys_error msg -> failwith msg
 
 let parse_graph spec =
   match String.split_on_char ':' spec with
@@ -59,35 +72,40 @@ let parse_graph spec =
           circulant:10:1,3, petersen, star:5, wheel:6, grid:2x3, tree:3, \
           ccc:3, random:7:12:5)")
 
+(* Returns the validated placement, the agents as given, and a name. *)
 let resolve_instance ?file ~instance ~graph ~agents () =
-  match (file, instance, graph) with
-  | Some path, _, _ ->
-      let inst = Qe_graph.Serial.load ~path in
-      let black =
-        match (agents, inst.Qe_graph.Serial.black) with
-        | Some l, _ -> parse_ints l
-        | None, (_ :: _ as b) -> b
-        | None, [] -> failwith (path ^ ": file declares no agents; pass --agents")
-      in
-      (inst.Qe_graph.Serial.graph, black, path)
-  | None, Some name, _ -> (
-      match
-        List.find_opt
-          (fun i -> i.Campaign.name = name)
-          (Campaign.zoo () @ Campaign.cayley_zoo ())
-      with
-      | Some i -> (i.Campaign.graph, i.Campaign.black, i.Campaign.name)
-      | None -> failwith (name ^ ": not in the zoo (see `qelect zoo`)"))
-  | None, None, Some spec ->
-      let g = parse_graph spec in
-      let black =
-        match agents with
-        | Some l -> parse_ints l
-        | None -> failwith "--agents required with --graph"
-      in
-      (g, black, spec)
-  | None, None, None ->
-      failwith "need --instance NAME, --graph SPEC --agents LIST, or --file PATH"
+  instance_input @@ fun () ->
+  let g, black, name =
+    match (file, instance, graph) with
+    | Some path, _, _ ->
+        let inst = Qe_graph.Serial.load ~path in
+        let black =
+          match (agents, inst.Qe_graph.Serial.black) with
+          | Some l, _ -> parse_ints l
+          | None, (_ :: _ as b) -> b
+          | None, [] -> failwith (path ^ ": file declares no agents; pass --agents")
+        in
+        (inst.Qe_graph.Serial.graph, black, path)
+    | None, Some name, _ -> (
+        match
+          List.find_opt
+            (fun i -> i.Campaign.name = name)
+            (Campaign.zoo () @ Campaign.cayley_zoo ())
+        with
+        | Some i -> (i.Campaign.graph, i.Campaign.black, i.Campaign.name)
+        | None -> failwith (name ^ ": not in the zoo (see `qelect zoo`)"))
+    | None, None, Some spec ->
+        let g = parse_graph spec in
+        let black =
+          match agents with
+          | Some l -> parse_ints l
+          | None -> failwith "--agents required with --graph"
+        in
+        (g, black, spec)
+    | None, None, None ->
+        failwith "need --instance NAME, --graph SPEC --agents LIST, or --file PATH"
+  in
+  (Bicolored.make g ~black, black, name)
 
 let protocols =
   [
@@ -141,7 +159,8 @@ let fault_plans =
 let run_cmd file instance graph agents protocol strategy seed verbose
     trace trace_out stats faults fault_seed =
   try
-    let g, black, name = resolve_instance ?file ~instance ~graph ~agents () in
+    let b, black, name = resolve_instance ?file ~instance ~graph ~agents () in
+    let g = Bicolored.graph b in
     let proto =
       match List.assoc_opt protocol protocols with
       | Some p -> p
@@ -412,12 +431,13 @@ let report_cmd path strict chrome =
 
 let analyze_cmd file instance graph agents =
   try
-    let g, black, name = resolve_instance ?file ~instance ~graph ~agents () in
-    let b = Bicolored.make g ~black in
+    let b, black, name = resolve_instance ?file ~instance ~graph ~agents () in
+    let g = Bicolored.graph b in
     Printf.printf "instance %s: n=%d, m=%d, agents at {%s}\n" name (Graph.n g)
       (Graph.m g)
       (String.concat "," (List.map string_of_int black));
-    let t = Qe_symmetry.Classes.compute b in
+    (* the cached entry Oracle's predictions below read too *)
+    let t = Qe_symmetry.Artifact_cache.classes b in
     print_string (Format.asprintf "%a" Qe_symmetry.Classes.pp t);
     Printf.printf "gcd of class sizes: %d\n"
       (Qe_symmetry.Classes.gcd_sizes t);
@@ -464,8 +484,7 @@ let zoo_cmd () =
 
 let dot_cmd file instance graph agents =
   try
-    let g, black, _ = resolve_instance ?file ~instance ~graph ~agents () in
-    let b = Bicolored.make g ~black in
+    let b, _, _ = resolve_instance ?file ~instance ~graph ~agents () in
     print_string (Qe_graph.Dot.bicolored b);
     `Ok ()
   with Failure msg -> `Error (false, msg)
@@ -474,8 +493,8 @@ let dot_cmd file instance graph agents =
 
 let save_cmd instance graph agents out =
   try
-    let g, black, name = resolve_instance ~instance ~graph ~agents () in
-    Qe_graph.Serial.save ~path:out ~black g;
+    let b, black, name = resolve_instance ~instance ~graph ~agents () in
+    Qe_graph.Serial.save ~path:out ~black (Bicolored.graph b);
     Printf.printf "saved %s to %s\n" name out;
     `Ok ()
   with Failure msg -> `Error (false, msg)
@@ -1031,17 +1050,12 @@ module Presentation = Qe_group.Presentation
 (* Large-instance specs: Presentation-backed Cayley families streamed
    straight into CSR. Deliberately separate from [parse_graph] — these
    are the generators that scale to 10^5-10^6 nodes without building a
-   multiplication table or an edge list. Jump lists accept ',' or '+'
-   separators ('+' survives shells and CI YAML unquoted). *)
+   multiplication table or an edge list. *)
 let parse_frontier_spec spec =
-  let ints s =
-    String.split_on_char ','
-      (String.map (fun c -> if c = '+' then ',' else c) s)
-    |> List.map int_of_string
-  in
+  instance_input @@ fun () ->
   match String.split_on_char ':' spec with
   | [ "circulant"; n; jumps ] ->
-      Presentation.circulant (int_of_string n) (ints jumps)
+      Presentation.circulant (int_of_string n) (parse_ints jumps)
   | [ "ccc"; d ] -> Presentation.cube_connected_cycles (int_of_string d)
   | [ "hypercube"; d ] ->
       let d = int_of_string d in

@@ -14,7 +14,6 @@ let code ~equal xs =
   in
   go [] 0 [] xs
 
-let code_colors cs = code ~equal:Color.equal cs
 let code_symbols ss = code ~equal:Symbol.equal ss
 
 let same_coding ~equal xs ys =

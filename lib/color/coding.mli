@@ -11,9 +11,6 @@ val code : equal:('a -> 'a -> bool) -> 'a list -> int list
     the second, etc., and replays the assignment over the sequence.
     E.g. [code [a; b; c; a] = [1; 2; 3; 1]]. *)
 
-val code_colors : Color.t list -> int list
-(** {!code} specialised to agent colors. *)
-
 val code_symbols : Symbol.t list -> int list
 (** {!code} specialised to port-label symbols. *)
 

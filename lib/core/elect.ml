@@ -47,8 +47,6 @@ let make_plan b =
 
 let generic_plan map = make_plan (Mapping.bicolored map)
 
-let predicted_gcd b = Classes.gcd_sizes (Classes.compute b)
-
 (* ---- the protocol body ---- *)
 
 let run_on_map plan_of (ctx : Protocol.ctx) map =

@@ -22,11 +22,6 @@
 val protocol : Qe_runtime.Protocol.t
 (** The qualitative-world ELECT. *)
 
-val predicted_gcd : Qe_graph.Bicolored.t -> int
-(** What Theorem 3.1 predicts for an instance:
-    [gcd(|C_1|, ..., |C_k|)]; ELECT elects iff this is 1. Pure
-    (oracle-side) computation. *)
-
 (** {1 Pieces exposed for the Cayley variant and for tests} *)
 
 type plan = {
@@ -36,10 +31,6 @@ type plan = {
       (** node -> index into [classes]: O(1) class lookup during the
           run, precomputed when the plan is built *)
 }
-
-val plan_of_classes : Qe_symmetry.Classes.t -> n:int -> plan
-(** Package computed classes (over an [n]-node map) as a plan, filling
-    [node_class]. *)
 
 val make_plan : Qe_graph.Bicolored.t -> plan
 (** COMPUTE & ORDER for a bicolored map, memoized in

@@ -22,7 +22,3 @@
     ordering of translation classes is ever needed. *)
 
 val protocol : Qe_runtime.Protocol.t
-
-val locally_impossible : Qe_graph.Graph.t -> black:int list -> bool
-(** The agreement-safe impossibility test (oracle-side view): some regular
-    subgroup contains a non-identity placement-preserving translation. *)

@@ -210,16 +210,12 @@ let graph m = m.graph
 let size m = Graph.n m.graph
 let my_home m = m.my_home
 let identity m u = m.identities.(u)
-let node_of_identity m id = Identity.Tbl.find_opt m.index_of id
 let home_color m u = m.home_colors.(u)
 
 let home_bases m =
   List.filter
     (fun u -> m.home_colors.(u) <> None)
     (List.init (size m) Fun.id)
-
-let agent_colors m =
-  List.filter_map (fun u -> m.home_colors.(u)) (home_bases m)
 
 let home_of_color m c =
   let rec go = function

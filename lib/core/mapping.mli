@@ -27,9 +27,6 @@ end
 type t
 (** A completed map, owned by one agent. *)
 
-val node_id_tag : string
-(** The whiteboard tag used for node identities ("node-id"). *)
-
 val explore : Qe_runtime.Protocol.ctx -> t
 (** Runs MAP-DRAWING from the current (home) node. Must be the agent's
     first action. Uses only {!Qe_runtime.Script} operations. *)
@@ -44,16 +41,12 @@ val my_home : t -> int
 (** The agent's home-base, as a map node. *)
 
 val identity : t -> int -> Identity.t
-val node_of_identity : t -> Identity.t -> int option
 
 val home_color : t -> int -> Qe_color.Color.t option
 (** The color of the agent based at a map node, if it is a home-base. *)
 
 val home_bases : t -> int list
 (** Map nodes carrying home-base marks, ascending. *)
-
-val agent_colors : t -> Qe_color.Color.t list
-(** Colors of all home-bases, in {!home_bases} order. *)
 
 val home_of_color : t -> Qe_color.Color.t -> int option
 

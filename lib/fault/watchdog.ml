@@ -20,5 +20,3 @@ let reason_name = function
   | Wall_clock -> "wall-clock"
   | Turn_budget -> "turn-budget"
   | Livelock -> "livelock"
-
-let pp_reason ppf r = Format.pp_print_string ppf (reason_name r)

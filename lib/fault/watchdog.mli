@@ -33,5 +33,3 @@ type reason = Wall_clock | Turn_budget | Livelock
 
 val reason_name : reason -> string
 (** "wall-clock" | "turn-budget" | "livelock". *)
-
-val pp_reason : Format.formatter -> reason -> unit

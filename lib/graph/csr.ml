@@ -53,16 +53,6 @@ let of_endpoints ~n edge_u edge_v =
   done;
   { n; m; off; dst; dst_port; edge; edge_u; edge_v }
 
-let of_edge_fn ~n ~m f =
-  if m < 0 then invalid_arg "Csr.of_edge_fn: negative edge count";
-  let edge_u = Array.make m 0 and edge_v = Array.make m 0 in
-  for e = 0 to m - 1 do
-    let u, v = f e in
-    edge_u.(e) <- u;
-    edge_v.(e) <- v
-  done;
-  of_endpoints ~n edge_u edge_v
-
 let n t = t.n
 let m t = t.m
 let degree t u = t.off.(u + 1) - t.off.(u)

@@ -34,11 +34,6 @@ val of_endpoints : n:int -> int array -> int array -> t
     @raise Invalid_argument on out-of-range endpoints, [n <= 0], or
     mismatched array lengths. *)
 
-val of_edge_fn : n:int -> m:int -> (int -> int * int) -> t
-(** [of_edge_fn ~n ~m f] streams [m] edges [f 0 .. f (m-1)] straight into
-    flat arrays — the generator path for large instances, with no
-    intermediate edge list. *)
-
 val n : t -> int
 val m : t -> int
 val degree : t -> int -> int

@@ -68,14 +68,6 @@ let edges g =
 
 let edge_endpoints g e = (g.csr.Csr.edge_u.(e), g.csr.Csr.edge_v.(e))
 
-let fold_darts g ~init ~f =
-  let acc = ref init in
-  for u = 0 to n g - 1 do
-    iter_darts g u (fun i dst dst_port edge ->
-        acc := f !acc u i { dst; dst_port; edge })
-  done;
-  !acc
-
 let is_simple g =
   let ok = ref true in
   let eu = g.csr.Csr.edge_u and ev = g.csr.Csr.edge_v in

@@ -68,10 +68,6 @@ val edges : t -> (int * int) list
 val edge_endpoints : t -> int -> int * int
 (** Endpoints of an edge id. *)
 
-val fold_darts : t -> init:'a -> f:('a -> int -> int -> dart -> 'a) -> 'a
-(** [fold_darts g ~init ~f] folds [f acc u i d] over every dart (node [u],
-    port [i]). Allocates one record per dart — compat shim. *)
-
 val is_simple : t -> bool
 (** No loops and no parallel edges. *)
 

@@ -32,7 +32,6 @@ let make g f =
   validate g table;
   { graph = g; table }
 
-let of_function = make
 let standard g = make g (fun _ i -> i)
 
 let shuffled ~seed g =
@@ -60,8 +59,6 @@ let shuffled ~seed g =
 
 let symbol l u i = l.table.(u).(i)
 
-let symbol_of_dart l ~src:_ (d : Graph.dart) = l.table.(d.dst).(d.dst_port)
-
 let port_of_symbol l u s =
   let syms = l.table.(u) in
   let rec go i =
@@ -72,11 +69,6 @@ let port_of_symbol l u s =
   go 0
 
 let graph l = l.graph
-
-let num_symbols l =
-  let seen = Hashtbl.create 16 in
-  Array.iter (Array.iter (fun s -> Hashtbl.replace seen s ())) l.table;
-  Hashtbl.length seen
 
 let symbols_at l u = Array.copy l.table.(u)
 

@@ -22,22 +22,13 @@ val shuffled : seed:int -> Graph.t -> t
 (** A pseudo-random labeling: per node, a random injection into a global
     symbol pool. Models an adversarially chosen qualitative labeling. *)
 
-val of_function : Graph.t -> (int -> int -> int) -> t
-(** Alias of {!make}. *)
-
 val symbol : t -> int -> int -> int
 (** [symbol l u i] is the symbol of port [i] at node [u]. *)
-
-val symbol_of_dart : t -> src:int -> Graph.dart -> int
-(** Symbol at the {e far} end of a dart: the label the edge carries at
-    [d.dst]. *)
 
 val port_of_symbol : t -> int -> int -> int option
 (** [port_of_symbol l u s] finds the port of [u] labeled [s], if any. *)
 
 val graph : t -> Graph.t
-val num_symbols : t -> int
-(** Number of distinct symbols used over the whole graph. *)
 
 val symbols_at : t -> int -> int array
 (** Symbols at a node, indexed by port. Fresh array. *)

@@ -7,46 +7,16 @@ type t = {
   labeling : Labeling.t;
 }
 
-let build_edges group gens =
-  let n = Group.order group in
-  let edges = ref [] in
-  (* Each unordered edge {a, a*s} is listed exactly once: involutions from
-     their smaller endpoint, non-involutions via the smaller of {s, s⁻¹}. *)
-  List.iter
-    (fun s ->
-      if Group.is_involution group s then
-        for a = 0 to n - 1 do
-          let b = Group.mul group a s in
-          if a < b then edges := (a, b) :: !edges
-        done
-      else if s < Group.inv group s then
-        for a = 0 to n - 1 do
-          edges := (a, Group.mul group a s) :: !edges
-        done)
-    gens;
-  List.rev !edges
-
+(* The one builder: [Presentation.cayley] over the table-backed group,
+   which also attaches the natural labeling and the left-translation
+   witness. *)
 let make genset =
-  let group = Genset.group genset in
-  let n = Group.order group in
-  let graph = Graph.of_edges ~n (build_edges group (Genset.elements genset)) in
-  (* The symbol of the port of [u] toward [v] is the generator u⁻¹v. *)
-  let labeling =
-    Labeling.make graph (fun u i ->
-        let d = Graph.dart graph u i in
-        Group.mul group (Group.inv group u) d.dst)
+  let inst =
+    Presentation.cayley
+      (Presentation.of_group (Genset.group genset))
+      (Genset.elements genset)
   in
-  (* Left translations witness vertex-transitivity; the symmetry layer
-     verifies before trusting ([Qe_symmetry.Transitive]). *)
-  Graph.set_transitivity_witness graph
-    {
-      Graph.w_gens =
-        Array.of_list
-          (List.map
-             (fun s -> Array.init n (fun a -> Group.mul group s a))
-             (Genset.elements genset));
-    };
-  { genset; graph; labeling }
+  { genset; graph = inst.graph; labeling = inst.labeling }
 
 let graph t = t.graph
 let labeling t = t.labeling

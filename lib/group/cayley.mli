@@ -3,11 +3,17 @@
     Nodes are the group elements; [{a, a·s}] is an edge for each [s ∈ S].
     The natural labeling puts symbol [s = u⁻¹v] on the port of [u] toward
     [v] — the labeling used in the proof of Theorem 4.1, preserved by every
-    translation [a ↦ γa]. *)
+    translation [a ↦ γa].
+
+    There is one builder: {!make} is {!Presentation.cayley} over
+    {!Presentation.of_group}, so the table-backed networks below and the
+    large presentation instances share edge order, ports, labels and the
+    left-translation transitivity witness. *)
 
 type t
 
 val make : Genset.t -> t
+(** Builds [Cay(Γ, S)] through {!Presentation.cayley}. *)
 
 val graph : t -> Qe_graph.Graph.t
 val labeling : t -> Qe_graph.Labeling.t

@@ -1,6 +1,7 @@
 module Graph = Qe_graph.Graph
 module Csr = Qe_graph.Csr
 module Labeling = Qe_graph.Labeling
+module Traverse = Qe_graph.Traverse
 
 (* Implicit groups: order + multiplication/inverse closures instead of
    the O(n^2) table {!Group.t} stores. Element encodings agree with the
@@ -129,32 +130,6 @@ let wreath_shift ~base d =
 
 let semidirect_shift d = wreath_shift ~base:2 d
 
-(* BFS closure over the generators (and their inverses) from the
-   identity — bool array + int queue, O(n * |gens|). *)
-let generates p gens =
-  let n = p.order in
-  let seen = Array.make n false in
-  let queue = Array.make n 0 in
-  seen.(0) <- true;
-  let head = ref 0 and tail = ref 1 in
-  let push b =
-    if not seen.(b) then begin
-      seen.(b) <- true;
-      queue.(!tail) <- b;
-      incr tail
-    end
-  in
-  while !head < !tail do
-    let a = queue.(!head) in
-    incr head;
-    List.iter
-      (fun s ->
-        push (p.mul a s);
-        push (p.mul a (p.inv s)))
-      gens
-  done;
-  !tail = n
-
 (* ------------------------------------------------------------------ *)
 (* The large-instance generator: a Cayley graph streamed straight into
    CSR — no edge lists, no per-node tables — with the natural labeling
@@ -179,12 +154,10 @@ let cayley p gens =
     List.sort_uniq compare
       (List.concat_map (fun s -> [ s; p.inv s ]) gens)
   in
-  if not (generates p connection) then
-    invalid_arg "Presentation.cayley: set does not generate the group";
   let n = p.order in
-  (* Edge conventions identical to [Cayley.build_edges]: per generator in
-     sorted connection order — involutions once from their smaller
-     endpoint, non-involutions via the smaller of {s, s⁻¹}. *)
+  (* Each unordered edge {a, a*s} is listed exactly once, per generator in
+     sorted connection order: involutions from their smaller endpoint,
+     non-involutions via the smaller of {s, s⁻¹}. *)
   let invol = List.filter (is_involution p) connection in
   let canon =
     List.filter (fun s -> (not (is_involution p s)) && s < p.inv s) connection
@@ -214,6 +187,10 @@ let cayley p gens =
   assert (!k = m);
   let csr = Csr.of_endpoints ~n edge_u edge_v in
   let graph = Graph.of_csr csr in
+  (* A Cayley graph is connected iff its connection set generates the
+     group: one BFS over the built CSR checks generation. *)
+  if not (Traverse.is_connected graph) then
+    invalid_arg "Presentation.cayley: set does not generate the group";
   (* port symbol = the generator this dart follows: u⁻¹ v *)
   let labeling =
     Labeling.make graph (fun u i ->

@@ -9,11 +9,14 @@
     {!Group} construction where both exist, so differential tests can
     compare them directly.
 
-    {!cayley} streams a Cayley graph straight into {!Qe_graph.Csr} flat
-    arrays (edge conventions identical to [Cayley.build_edges]), attaches
+    {!cayley} is the one Cayley-graph builder: {!Cayley.make} calls it
+    through {!of_group}. It streams the graph straight into
+    {!Qe_graph.Csr} flat arrays, checks that the result is connected
+    (which holds iff the connection set generates the group), attaches
     the natural edge labeling (the port toward [v] at [u] carries the
     generator [u⁻¹v]) and registers a transitivity witness — the left
-    translations — on the graph for {!Qe_symmetry.Transitive} to verify. *)
+    translations — on the graph for {!Qe_symmetry.Transitive} to
+    verify. *)
 
 type t
 
@@ -26,7 +29,8 @@ val is_involution : t -> int -> bool
 val elt_order : t -> int -> int
 
 val of_group : Group.t -> t
-(** Wrap a table-based group (for differential tests and reuse). *)
+(** Wrap a table-based group — how {!Cayley.make} builds through
+    {!cayley}. *)
 
 val cyclic : int -> t
 (** Z_n; same encoding as {!Group.cyclic}. *)
@@ -51,10 +55,6 @@ val semidirect_shift : int -> t
 (** [wreath_shift ~base:2] — bit-identical to {!Group.semidirect_shift};
     its Cayley graph on generators [{shift, flip_0}] is CCC_d. *)
 
-val generates : t -> int list -> bool
-(** BFS closure from the identity under the given elements and their
-    inverses — O(order × generators), allocation-bounded. *)
-
 (** {1 Large Cayley instances} *)
 
 type instance = {
@@ -68,11 +68,14 @@ type instance = {
 val cayley : t -> int list -> instance
 (** [cayley p gens] builds the Cayley graph of [p] on [gens] (closed
     under inverses), streamed into CSR with no intermediate edge list.
-    Edge ids and ports follow exactly the [Cayley.make] conventions, so
-    small instances are structurally identical to their table-based
-    counterparts.
+    Each edge [{a, a·s}] is listed once, per generator in sorted
+    connection order: an involution from its smaller endpoint, a
+    non-involution via the smaller of [{s, s⁻¹}]. Generation is checked
+    on the built graph: one BFS over the CSR, since a Cayley graph is
+    connected iff its connection set generates the group.
     @raise Invalid_argument if a generator is the identity or out of
-    range, or the set does not generate the group. *)
+    range, or the graph is disconnected (the set does not generate the
+    group). *)
 
 val circulant : int -> int list -> instance
 (** [circulant n jumps] — Z_n with the given jump set. *)

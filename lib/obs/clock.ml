@@ -1,7 +1,5 @@
 external now_ns : unit -> int = "qe_obs_monotonic_ns" [@@noalloc]
 
-let ns_to_ms ns = float_of_int ns /. 1_000_000.
-
 let pp_ns ppf ns =
   let f = float_of_int ns in
   if ns < 10_000 then Format.fprintf ppf "%d ns" ns

@@ -8,9 +8,6 @@ val now_ns : unit -> int
 (** Nanoseconds since an arbitrary fixed epoch. Only differences are
     meaningful. *)
 
-val ns_to_ms : int -> float
-(** Convenience: nanoseconds as fractional milliseconds. *)
-
 val pp_ns : Format.formatter -> int -> unit
 (** Render a duration with an adaptive unit ("742 ns", "1.24 ms",
     "3.1 s"). *)

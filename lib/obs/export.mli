@@ -51,17 +51,13 @@ val write : out_channel -> line -> unit
 
 val of_line : string -> (line, string) result
 
-val read_channel : in_channel -> (line list, string) result
+val read_file : string -> (line list, string) result
 (** All lines until EOF; blank lines are skipped; the first error aborts
     with its line number. *)
 
-val read_file : string -> (line list, string) result
-
-val read_channel_lenient : in_channel -> line list * (int * string) option
-(** Like {!read_channel}, but tolerant of truncated or damaged tails: a
+val read_file_lenient : string -> line list * (int * string) option
+(** Like {!read_file}, but tolerant of truncated or damaged tails: a
     run killed mid-write (crash, [SIGKILL], full disk) leaves a valid
     prefix followed by a cut line. Returns every line that decodes up to
     the first failure, plus [Some (lineno, error)] describing the cut
     ([None] for a clean read). Never raises on malformed input. *)
-
-val read_file_lenient : string -> line list * (int * string) option

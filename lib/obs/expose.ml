@@ -237,13 +237,3 @@ let stop t =
     Domain.join t.dom;
     close_quiet t.fd
   end
-
-let stop_on_sigterm t =
-  Sys.set_signal Sys.sigterm
-    (Sys.Signal_handle
-       (fun _ ->
-         (* no Domain.join here: flag the loop down, run at_exit, leave.
-            143 = 128 + SIGTERM, the conventional clean-kill status *)
-         Atomic.set t.stopping true;
-         (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-         exit 143))

@@ -20,7 +20,7 @@
       behind the stalled ones;
     - request headers are capped at 8 KiB;
     - [EINTR] never kills the loop (accept, read, write and select all
-      retry), and {!stop} / {!stop_on_sigterm} shut it down cleanly
+      retry), and {!stop} shuts it down cleanly
       mid-connection.
 
     This is the exposition layer `qelect serve` mounts unchanged; today
@@ -50,10 +50,3 @@ val port : t -> int
 val stop : t -> unit
 (** Shut the listener down, close every in-flight connection and join
     the serving domain. Idempotent. *)
-
-val stop_on_sigterm : t -> unit
-(** Install a [SIGTERM] handler that shuts this server down and exits
-    the process with status 143 (the conventional [128+SIGTERM]) — the
-    clean-shutdown hookup for a containerised `qelect serve`. The
-    handler runs [at_exit] teardown; it does not join the serving
-    domain (joining inside a signal handler could deadlock). *)

@@ -20,14 +20,6 @@ let moves_of t c =
          | _ -> false)
        t.rev_events)
 
-let posts_of t c =
-  List.length
-    (List.filter
-       (function
-         | Engine.Posted { agent; _ } -> Color.equal agent c
-         | _ -> false)
-       t.rev_events)
-
 let tag_prefix tag =
   match String.index_opt tag ':' with
   | Some i -> String.sub tag 0 i

@@ -15,7 +15,6 @@ val events : t -> Engine.event list
 
 val length : t -> int
 val moves_of : t -> Qe_color.Color.t -> int
-val posts_of : t -> Qe_color.Color.t -> int
 
 val tag_prefix : string -> string
 (** The phase prefix of a whiteboard tag: the part up to (excluding) the

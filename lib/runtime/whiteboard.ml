@@ -22,8 +22,5 @@ let erase t ~color ~tag =
 
 let find t ~tag = List.filter (Sign.has_tag tag) (signs t)
 
-let find_by t ~color ~tag =
-  List.filter (fun s -> Sign.by color s && Sign.has_tag tag s) (signs t)
-
 let revision t = t.revision
 let size t = List.length t.signs

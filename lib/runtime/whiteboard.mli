@@ -17,7 +17,6 @@ val erase : t -> color:Qe_color.Color.t -> tag:string -> int
     erased. *)
 
 val find : t -> tag:string -> Sign.t list
-val find_by : t -> color:Qe_color.Color.t -> tag:string -> Sign.t list
 val revision : t -> int
 (** Bumped by every successful {!post} and non-empty {!erase}. *)
 

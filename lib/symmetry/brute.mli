@@ -6,9 +6,6 @@
 val min_certificate : Cdigraph.t -> string
 (** Minimum identity-certificate over all node numberings. *)
 
-val all_automorphisms : Cdigraph.t -> int array list
-(** Every color- and arc-preserving permutation (identity included). *)
-
 val orbits : Cdigraph.t -> int array
 (** [orbits.(u)] = smallest node in [u]'s true automorphism orbit. *)
 

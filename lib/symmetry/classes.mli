@@ -58,9 +58,6 @@ val certificate_of_class : t -> int -> string
 val equivalent : ?max_leaves:int -> Qe_graph.Bicolored.t -> int -> int -> bool
 (** [S(u) ≅ S(v)]? *)
 
-val surrounding_certificate :
-  ?max_leaves:int -> Qe_graph.Bicolored.t -> int -> string
-
 val gcd_all : int list -> int
 (** Gcd of a list; [gcd_all [] = 0]. *)
 

@@ -11,12 +11,6 @@ val classes :
   int list list
 (** Orbits, ordered by smallest member. *)
 
-val class_sizes :
-  ?placement:Qe_graph.Bicolored.t ->
-  ?max_leaves:int ->
-  Qe_graph.Labeling.t ->
-  int list
-
 val all_same_size : int list list -> bool
 (** Lemma 2.1 says label-equivalence classes always have equal size; this
     checks it (used by property tests). *)

@@ -476,8 +476,6 @@ let split p u =
         else if p.(v) < c then p.(v)
         else p.(v) + 1)
 
-let singleton_start g u = fixpoint g (split (initial g) u)
-
 let cell_members p =
   let k = num_cells p in
   let cells = Array.make k [] in

@@ -23,10 +23,6 @@ type partition = int array
 val initial : Cdigraph.t -> partition
 (** Cells by node color (colors ranked increasingly). *)
 
-val singleton_start : Cdigraph.t -> int -> partition
-(** Like {!initial} but with one chosen node split off into its own cell —
-    used to individualize a vertex. *)
-
 val step : Cdigraph.t -> partition -> partition
 (** One global refinement round (the reference 1-WL round: new cells
     ordered by (old cell, out-signature, in-signature)). One {!step}

@@ -49,16 +49,16 @@ let run ?max_leaves c ~black =
       tc
   in
   let pseudo_classes () =
-    let arcs =
-      Graph.fold_darts g ~init:[] ~f:(fun acc u i _ ->
+    let arcs = ref [] in
+    for u = 0 to n - 1 do
+      Graph.iter_darts g u (fun i dst _ _ ->
           let s = Cayley.port_generator c u i in
           let color = if is_marked u s then 1 + s else 0 in
-          let dart = Graph.dart g u i in
-          { Cdigraph.src = u; dst = dart.dst; color } :: acc)
-    in
+          arcs := { Cdigraph.src = u; dst; color } :: !arcs)
+    done;
     let dg =
       Cdigraph.make ~n ~node_color:(fun u -> if is_black.(u) then 1 else 0)
-        arcs
+        !arcs
     in
     Aut.orbit_partition ?max_leaves dg
   in

@@ -61,9 +61,6 @@ let equal_views ?placement l x y =
   let n = Graph.n (Labeling.graph l) in
   equal_views_to_depth ?placement l ~depth:(n - 1) x y
 
-let rec tree_size t =
-  1 + List.fold_left (fun acc (_, c) -> acc + tree_size c) 0 t.children
-
 let max_sigma_sampled ?placement ?(attempts = 30) g =
   let candidates =
     (None, Labeling.standard g)
@@ -74,11 +71,3 @@ let max_sigma_sampled ?placement ?(attempts = 30) g =
       let s = sigma ?placement l in
       if s > best then (s, seed) else (best, witness))
     (1, None) candidates
-
-let rec pp_tree ppf t =
-  Format.fprintf ppf "@[<v 2>(c%d" t.color;
-  List.iter
-    (fun ((near, far), child) ->
-      Format.fprintf ppf "@,%d/%d: %a" near far pp_tree child)
-    t.children;
-  Format.fprintf ppf ")@]"

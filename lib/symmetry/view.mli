@@ -48,9 +48,6 @@ val equal_views_to_depth :
   bool
 (** Same, truncated at a chosen depth. *)
 
-val tree_size : tree -> int
-val pp_tree : Format.formatter -> tree -> unit
-
 val max_sigma_sampled :
   ?placement:Qe_graph.Bicolored.t ->
   ?attempts:int ->

@@ -469,9 +469,6 @@ let test_presentation_validation () =
   Alcotest.check_raises "non-generating set" (Invalid_argument
     "Presentation.cayley: set does not generate the group")
     (fun () -> ignore (P.cayley (P.cyclic 6) [ 2 ]));
-  Alcotest.(check bool) "generates accepts" true (P.generates (P.cyclic 6) [ 5 ]);
-  Alcotest.(check bool) "generates rejects" false
-    (P.generates (P.cyclic 6) [ 2; 4 ]);
   Alcotest.(check int) "elt_order" 3 (P.elt_order (P.cyclic 6) 2);
   Alcotest.(check bool) "involution" true (P.is_involution (P.cyclic 6) 3)
 

@@ -180,6 +180,29 @@ let test_cayley_labeling_natural () =
   done;
   Alcotest.(check bool) "labeling valid" true (Labeling.check l)
 
+(* S_4 and Q_8 have no arithmetic [Presentation] constructor: their
+   Cayley graphs reach the one builder through [Presentation.of_group]. *)
+let test_cayley_table_only_groups () =
+  List.iter
+    (fun (name, c) ->
+      let g = Cayley.graph c and grp = Cayley.group c in
+      for u = 0 to Graph.n g - 1 do
+        Graph.iter_darts g u (fun i v _ _ ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s: symbol at %d.%d is u^-1 v" name u i)
+              (Group.mul grp (Group.inv grp u) v)
+              (Labeling.symbol (Cayley.labeling c) u i))
+      done;
+      Alcotest.(check bool) (name ^ ": witness certified") true
+        (Qe_symmetry.Transitive.certified g <> None);
+      Alcotest.(check bool) (name ^ ": connected") true
+        (Traverse.is_connected g))
+    [
+      ("star 4", Cayley.star_graph 4);
+      (* i = 2 and j = 4 in the quaternion encoding *)
+      ("quaternion", Cayley.make (Genset.make (Group.quaternion ()) [ 2; 4 ]));
+    ]
+
 let test_translations_are_automorphisms () =
   List.iter
     (fun c ->
@@ -302,6 +325,8 @@ let () =
             test_cayley_labeling_natural;
           Alcotest.test_case "matches direct families" `Quick
             test_cayley_structure_matches_families;
+          Alcotest.test_case "table-only groups" `Quick
+            test_cayley_table_only_groups;
         ] );
       ( "translations",
         [
