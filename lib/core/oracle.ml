@@ -75,11 +75,26 @@ let witnessed_unsolvable b =
   Bicolored.num_blacks b = Graph.n g
   && Option.is_some (Qe_symmetry.Transitive.certified_regular g)
 
+(* Cheapest decisive test first. gcd = 1 means ELECT elects (Theorem
+   3.1), so no placement-preserving translation can exist (Theorem 4.1)
+   and the search could only agree: it runs only when gcd > 1. The
+   counter names the test that decided; it is recorded inside the memo
+   thunk, so a cache hit replays it. *)
 let predict b =
   Cache.memo predict_tbl ~key:(Cache.key_of_bicolored b) (fun () ->
-      if witnessed_unsolvable b || translation_impossible b then Unsolvable
-      else if gcd_classes b = 1 then Solvable
-      else Frontier)
+      let decided by verdict =
+        (match Qe_obs.Sink.ambient () with
+        | None -> ()
+        | Some s ->
+            Qe_obs.Metrics.incr
+              (Qe_obs.Metrics.counter s.Qe_obs.Sink.metrics
+                 ("oracle.predict." ^ by)));
+        verdict
+      in
+      if witnessed_unsolvable b then decided "witness" Unsolvable
+      else if gcd_classes b = 1 then decided "gcd" Solvable
+      else if translation_impossible b then decided "search" Unsolvable
+      else decided "search" Frontier)
 
 let is_cayley g =
   match Cayley_detect.recognize g with

@@ -39,11 +39,25 @@ val symmetric_labeling_exists : Qe_graph.Bicolored.t -> bool
     a cross-check. *)
 
 val predict : Qe_graph.Bicolored.t -> prediction
-(** Combined prediction: [Unsolvable] if the placement is uniform and
-    the graph's certified witness has a generator with all cycles of one
-    length > 1 ({!Qe_symmetry.Transitive.certified_regular}, a deductive
-    Theorem 2.1 exhibit checked in O(n)), or if {!translation_impossible};
-    [Solvable] if [gcd_classes = 1]; [Frontier] otherwise. *)
+(** Combined prediction, cheapest decisive test first:
+    + [Unsolvable] if the placement is uniform and the graph's certified
+      witness has a generator with all cycles of one length > 1
+      ({!Qe_symmetry.Transitive.certified_regular}, a deductive Theorem
+      2.1 exhibit checked in O(n));
+    + [Solvable] if [gcd_classes = 1];
+    + [Unsolvable] if {!translation_impossible};
+    + [Frontier] otherwise.
+
+    Reading the gcd before the search is sound: gcd = 1 means ELECT
+    elects (Theorem 3.1), so no placement-preserving translation exists
+    (Theorem 4.1) and the search could only agree. A gcd = 1 placement
+    therefore never pays for, nor hits the caps of, the regular-subgroup
+    search.
+
+    Telemetry: each computed verdict increments one ambient counter
+    naming the test that decided it, [oracle.predict.witness],
+    [oracle.predict.gcd] or [oracle.predict.search]; a cache hit replays
+    it. *)
 
 val is_cayley : Qe_graph.Graph.t -> bool
 

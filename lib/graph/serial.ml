@@ -36,9 +36,9 @@ let to_string ?labeling ?(black = []) g =
   Buffer.contents buf
 
 (* Decoding is total: every malformed input — wrong header, junk lines,
-   out-of-range edge endpoints or agent ids, truncated sections,
-   labeling rows that violate the port-symbol invariants — comes back
-   as [Error], never as an escaping exception. The internal [Parse]
+   out-of-range edge endpoints or agent ids, a disconnected graph,
+   truncated sections, labeling rows that violate the port-symbol
+   invariants — comes back as [Error], never as an escaping exception. The internal [Parse]
    exception keeps the happy path readable; the outermost handler also
    converts anything a constructor might still raise (a totality
    backstop, not a routine path). *)
@@ -130,6 +130,11 @@ let of_string_result text =
           Graph.of_edges ~n:!n
             (List.rev_map (fun (_, u, v) -> (u, v)) !edges)
         in
+        (* [Graph]'s contract is a connected network; a disconnected
+           file would reach the symmetry stack with nonsense verdicts
+           and the engine with an exception *)
+        if not (Traverse.is_connected graph) then
+          fail 0 "graph is disconnected";
         let labeling =
           if !label_rows = [] then None
           else begin

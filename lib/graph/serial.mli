@@ -33,9 +33,10 @@ val to_string : ?labeling:Labeling.t -> ?black:int list -> Graph.t -> string
 
 val of_string_result : string -> (instance, error) result
 (** Total decoder: any malformed input — including out-of-range edge
-    endpoints or agent ids, duplicate agents, and labeling rows that
-    violate the per-node port/symbol invariants — yields [Error], never
-    an escaping exception. *)
+    endpoints or agent ids, duplicate agents, a disconnected graph
+    ([{line = 0; reason = "graph is disconnected"}]), and labeling rows
+    that violate the per-node port/symbol invariants — yields [Error],
+    never an escaping exception. *)
 
 val of_string : string -> instance
 (** @raise Failure with a line-numbered message on malformed input

@@ -283,7 +283,7 @@ let run ?(max_leaves = 200_000) g =
             if orbit_meets_tried prefix !tried v then incr prune_orbit
             else begin
               tried := v :: !tried;
-              let p' = Refine.fixpoint g (Refine.split p v) in
+              let p' = Refine.individualize g p v in
               search p' (v :: prefix) off'
             end)
           target

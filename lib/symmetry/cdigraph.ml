@@ -14,6 +14,7 @@ type csr = {
   in_off : int array;
   in_src : int array;
   in_col : int array;
+  symmetric : bool;
 }
 
 type t = {
@@ -109,7 +110,8 @@ let build_csr ~n asrc adst acol =
     sort2 out_dst out_col out_off.(u) out_off.(u + 1);
     sort2 in_src in_col in_off.(u) in_off.(u + 1)
   done;
-  { n; out_off; out_dst; out_col; in_off; in_src; in_col }
+  let symmetric = out_off = in_off && out_dst = in_src && out_col = in_col in
+  { n; out_off; out_dst; out_col; in_off; in_src; in_col; symmetric }
 
 (* Primary constructor: takes ownership of the arrays (no copies). *)
 let make_arrays ~n ~node_colors asrc adst acol =

@@ -19,6 +19,9 @@ type csr = private {
   in_off : int array;
   in_src : int array;  (** in-neighbors, sorted by (src, color) per node *)
   in_col : int array;
+  symmetric : bool;
+      (** every node's out-arcs equal its in-arcs: each arc has an
+          opposite twin of the same color, as in an undirected graph *)
 }
 (** The sorted flat adjacency every digraph carries from construction —
     refinement and traversal iterate these arrays directly; there is no

@@ -83,19 +83,29 @@ let rec sort_sub_by (a : int array) (key : int array) lo hi =
     sort_sub_by a key !i hi
   end
 
+let uniform_by (a : int array) (key : int array) lo hi =
+  (* do a.(lo..hi-1) all have the same key? *)
+  let k0 = key.(a.(lo)) in
+  let j = ref (lo + 1) in
+  while !j < hi && key.(a.(!j)) = k0 do incr j done;
+  !j >= hi
+
 (* ------------------------------------------------------------------ *)
 (* Scratch workspace, grown on demand and reused across calls. *)
 
 type ws = {
   mutable elements : int array;   (* nodes in partition order *)
   mutable cell_of : int array;    (* node -> start index of its cell *)
+  mutable pos : int array;        (* node -> its index in [elements] *)
   mutable cell_len : int array;   (* start index -> cell length *)
   mutable on_stack : bool array;  (* start index -> queued as splitter? *)
+  mutable clean : bool array;     (* start index -> intact equitable cell? *)
   mutable stack : int array;      (* worklist of cell start indices *)
   mutable cnt : int array;        (* node -> count w.r.t. current group *)
   mutable touched : int array;    (* nodes with nonzero cnt *)
   mutable tcells : int array;     (* starts of cells containing touched *)
-  mutable tmark : bool array;     (* start index -> already in tcells? *)
+  mutable tcount : int array;     (* start index -> touched members *)
+  mutable tnext : int array;      (* start index -> next tail slot to fill *)
   mutable arcbuf : int array;     (* packed (color, node) incident arcs *)
 }
 
@@ -106,13 +116,16 @@ let ws_key : ws Domain.DLS.key =
       {
         elements = [||];
         cell_of = [||];
+        pos = [||];
         cell_len = [||];
         on_stack = [||];
+        clean = [||];
         stack = [||];
         cnt = [||];
         touched = [||];
         tcells = [||];
-        tmark = [||];
+        tcount = [||];
+        tnext = [||];
         arcbuf = [||];
       })
 
@@ -120,13 +133,16 @@ let ensure_ws ws n marcs =
   if Array.length ws.elements < n then begin
     ws.elements <- Array.make n 0;
     ws.cell_of <- Array.make n 0;
+    ws.pos <- Array.make n 0;
     ws.cell_len <- Array.make n 0;
     ws.on_stack <- Array.make n false;
+    ws.clean <- Array.make n false;
     ws.stack <- Array.make n 0;
     ws.cnt <- Array.make n 0;
     ws.touched <- Array.make n 0;
     ws.tcells <- Array.make n 0;
-    ws.tmark <- Array.make n false
+    ws.tcount <- Array.make n 0;
+    ws.tnext <- Array.make n 0
   end;
   if Array.length ws.arcbuf < marcs then ws.arcbuf <- Array.make (max 1 marcs) 0
 
@@ -147,8 +163,31 @@ let num_cells p =
    Hopcroft's: a split cell that is still queued is replaced by all its
    fragments; otherwise all fragments but the largest are queued
    (counts against the parent are the sum of counts against the
-   fragments, so the last fragment's splits are implied). *)
-let refine_worklist (csr : Cdigraph.csr) (p0 : partition) : partition =
+   fragments, so the last fragment's splits are implied).
+
+   Splitting pays only for the touched members of a cell. Once a color
+   group's counts are in, [tcount] holds each touched cell's number of
+   touched members; in a partly touched cell every touched member still
+   in front is swapped ([pos] finds it, [tnext] walks the tail) into an
+   untouched slot of the tail, and [split_cell] sorts only that tail.
+   The untouched members stay in front as the count-0 fragment, which
+   ascending-count order puts first anyway, so the fragments, the
+   largest-fragment choice, the pushes and therefore the numbering are
+   those of a whole-cell sort; only the order of members inside a
+   fragment differs, and nothing reads it. A cell is scanned for uniform
+   counts only when every member is touched. The work per splitter is
+   thus bounded by its incident arcs (times a log for the sorts), and
+   Hopcroft's rule makes the whole refinement O(m log² n) instead of
+   quadratic on graphs peeled into distance spheres. For the same
+   reason a one-color arc buffer is not sorted at all, and a symmetric
+   digraph skips the out-arc pass of a splitter: it would repeat the
+   in-arc counts its cells were just split by.
+
+   [fresh] is -1, or, when [p0] is [split p u] of an equitable [p], the
+   id [p.(u)] of the new cell {u} (the rest of u's old cell follows it):
+   every other cell starts clean (see [individualize]). *)
+let refine_worklist ~fresh (csr : Cdigraph.csr) (p0 : partition) :
+    partition =
   let {
     Cdigraph.n;
     out_off;
@@ -157,6 +196,7 @@ let refine_worklist (csr : Cdigraph.csr) (p0 : partition) : partition =
     in_off;
     in_src;
     in_col;
+    symmetric;
   } =
     csr
   in
@@ -164,13 +204,16 @@ let refine_worklist (csr : Cdigraph.csr) (p0 : partition) : partition =
   ensure_ws ws n (Array.length out_dst + Array.length in_src);
   let elements = ws.elements
   and cell_of = ws.cell_of
+  and pos = ws.pos
   and cell_len = ws.cell_len
   and on_stack = ws.on_stack
+  and clean = ws.clean
   and stack = ws.stack
   and cnt = ws.cnt
   and touched = ws.touched
   and tcells = ws.tcells
-  and tmark = ws.tmark in
+  and tcount = ws.tcount
+  and tnext = ws.tnext in
   let sp = ref 0 in
   (* telemetry tallies — two plain int cells, recorded into the ambient
      sink (if any) only on exit *)
@@ -213,65 +256,78 @@ let refine_worklist (csr : Cdigraph.csr) (p0 : partition) : partition =
     let j = ref s in
     while !j < n && p0.(elements.(!j)) = c do
       cell_of.(elements.(!j)) <- s;
+      pos.(elements.(!j)) <- !j;
       incr j
     done;
     cell_len.(s) <- !j - s;
     on_stack.(s) <- false;
+    clean.(s) <- fresh >= 0 && c <> fresh && c <> fresh + 1;
     push s;
     i := !j
   done;
-  (* --- split one cell by the counts currently in [cnt] --- *)
+  (* --- split one cell by the counts currently in [cnt]; its touched
+     members are the [tcount] last ones --- *)
   let split_cell s =
     let len = cell_len.(s) in
-    if len > 1 then begin
-      (* uniform counts => no split *)
-      let c0 = cnt.(elements.(s)) in
-      let uniform = ref true in
-      for j = s + 1 to s + len - 1 do
-        if cnt.(elements.(j)) <> c0 then uniform := false
-      done;
-      if not !uniform then begin
-        sort_sub_by elements cnt s (s + len);
-        (* fragment boundaries; fragments ordered by ascending count *)
-        let was_queued = on_stack.(s) in
-        let largest = ref s and largest_len = ref 0 in
-        let f = ref s in
-        while !f < s + len do
-          let kv = cnt.(elements.(!f)) in
-          let e = ref !f in
-          while !e < s + len && cnt.(elements.(!e)) = kv do
-            cell_of.(elements.(!e)) <- !f;
-            incr e
-          done;
-          cell_len.(!f) <- !e - !f;
-          on_stack.(!f) <- !f = s && was_queued;
-          if !e - !f > !largest_len then begin
-            largest := !f;
-            largest_len := !e - !f
-          end;
-          f := !e
+    let lo = s + len - tcount.(s) in
+    tcount.(s) <- 0;
+    let hi = s + len in
+    (* no split when every member is touched with one count *)
+    if len > 1 && (lo > s || not (uniform_by elements cnt s hi)) then begin
+      sort_sub_by elements cnt lo hi;
+      (* fragment boundaries; fragments ordered by ascending count, the
+         untouched (count-0) members [s, lo) first *)
+      let was_queued = on_stack.(s) in
+      clean.(s) <- false;
+      let largest = ref s and largest_len = ref (lo - s) in
+      if lo > s then cell_len.(s) <- lo - s;
+      let f = ref lo in
+      while !f < hi do
+        let kv = cnt.(elements.(!f)) in
+        let e = ref !f in
+        while !e < hi && cnt.(elements.(!e)) = kv do
+          let u = elements.(!e) in
+          cell_of.(u) <- !f;
+          pos.(u) <- !e;
+          incr e
         done;
-        let f = ref s in
-        while !f < s + len do
-          if was_queued || !f <> !largest then push !f;
-          f := !f + cell_len.(!f)
-        done
-      end
+        cell_len.(!f) <- !e - !f;
+        on_stack.(!f) <- !f = s && was_queued;
+        clean.(!f) <- false;
+        if !e - !f > !largest_len then begin
+          largest := !f;
+          largest_len := !e - !f
+        end;
+        f := !e
+      done;
+      let f = ref s in
+      while !f < hi do
+        if was_queued || !f <> !largest then push !f;
+        f := !f + cell_len.(!f)
+      done
     end
   in
   (* --- process one direction of arcs incident to the splitter ---
      [nb] packed (color * n + node) entries are in arcbuf. *)
   let process_buffer nb =
     if nb > 0 then begin
-      sort_sub ws.arcbuf 0 nb;
       let arcbuf = ws.arcbuf in
+      (* color groups must come in ascending color order; the order
+         inside a group only reorders members within fragments, so a
+         one-color buffer needs no sort *)
+      let kmin = ref arcbuf.(0) and kmax = ref arcbuf.(0) in
+      for j = 1 to nb - 1 do
+        let x = arcbuf.(j) in
+        if x < !kmin then kmin := x else if x > !kmax then kmax := x
+      done;
+      if !kmin / n <> !kmax / n then sort_sub arcbuf 0 nb;
       let i = ref 0 in
       while !i < nb do
-        let col = arcbuf.(!i) / n in
+        let base = arcbuf.(!i) / n * n in
         (* accumulate counts for this color group *)
         let nt = ref 0 in
-        while !i < nb && arcbuf.(!i) / n = col do
-          let u = arcbuf.(!i) mod n in
+        while !i < nb && arcbuf.(!i) < base + n do
+          let u = arcbuf.(!i) - base in
           if cnt.(u) = 0 then begin
             touched.(!nt) <- u;
             incr nt
@@ -279,19 +335,45 @@ let refine_worklist (csr : Cdigraph.csr) (p0 : partition) : partition =
           cnt.(u) <- cnt.(u) + 1;
           incr i
         done;
-        (* collect and sort affected cells (sorted for invariance) *)
+        (* collect affected cells and count their touched members *)
         let ntc = ref 0 in
         for j = 0 to !nt - 1 do
           let s = cell_of.(touched.(j)) in
-          if not tmark.(s) then begin
-            tmark.(s) <- true;
+          if tcount.(s) = 0 then begin
             tcells.(!ntc) <- s;
             incr ntc
-          end
+          end;
+          tcount.(s) <- tcount.(s) + 1
         done;
+        (* in a partly touched cell, swap each touched member still in
+           front into an untouched slot of the tail (on an equitable
+           partition every touched cell is wholly touched: no swaps) *)
+        let partial = ref false in
+        for j = 0 to !ntc - 1 do
+          let s = tcells.(j) in
+          let lo = s + cell_len.(s) - tcount.(s) in
+          tnext.(s) <- lo;
+          if lo > s then partial := true
+        done;
+        if !partial then
+          for j = 0 to !nt - 1 do
+            let u = touched.(j) in
+            let s = cell_of.(u) in
+            let pu = pos.(u) in
+            if pu < s + cell_len.(s) - tcount.(s) then begin
+              let k = ref tnext.(s) in
+              while cnt.(elements.(!k)) <> 0 do incr k done;
+              let w = elements.(!k) in
+              elements.(pu) <- w;
+              pos.(w) <- pu;
+              elements.(!k) <- u;
+              pos.(u) <- !k;
+              tnext.(s) <- !k + 1
+            end
+          done;
+        (* split in start order (for invariance) *)
         sort_sub tcells 0 !ntc;
         for j = 0 to !ntc - 1 do
-          tmark.(tcells.(j)) <- false;
           split_cell tcells.(j)
         done;
         for j = 0 to !nt - 1 do
@@ -307,27 +389,34 @@ let refine_worklist (csr : Cdigraph.csr) (p0 : partition) : partition =
     incr splitters;
     let s = stack.(!sp) in
     on_stack.(s) <- false;
-    let len = cell_len.(s) in
-    (* nodes with out-arcs INTO the splitter (walk its in-arcs) *)
-    let nb = ref 0 in
-    for j = s to s + len - 1 do
-      let v = elements.(j) in
-      for a = in_off.(v) to in_off.(v + 1) - 1 do
-        arcbuf.(!nb) <- (in_col.(a) * n) + in_src.(a);
-        incr nb
-      done
-    done;
-    process_buffer !nb;
-    (* nodes with in-arcs FROM the splitter (walk its out-arcs) *)
-    nb := 0;
-    for j = s to s + len - 1 do
-      let v = elements.(j) in
-      for a = out_off.(v) to out_off.(v + 1) - 1 do
-        arcbuf.(!nb) <- (out_col.(a) * n) + out_dst.(a);
-        incr nb
-      done
-    done;
-    process_buffer !nb
+    (* a clean splitter is an intact cell of an equitable input *)
+    if not clean.(s) then begin
+      let len = cell_len.(s) in
+      (* nodes with out-arcs INTO the splitter (walk its in-arcs) *)
+      let nb = ref 0 in
+      for j = s to s + len - 1 do
+        let v = elements.(j) in
+        for a = in_off.(v) to in_off.(v + 1) - 1 do
+          arcbuf.(!nb) <- (in_col.(a) * n) + in_src.(a);
+          incr nb
+        done
+      done;
+      process_buffer !nb;
+      (* nodes with in-arcs FROM the splitter (walk its out-arcs); on a
+         symmetric digraph these are the counts just split by, so no cell
+         can split again *)
+      if not symmetric then begin
+        nb := 0;
+        for j = s to s + len - 1 do
+          let v = elements.(j) in
+          for a = out_off.(v) to out_off.(v + 1) - 1 do
+            arcbuf.(!nb) <- (out_col.(a) * n) + out_dst.(a);
+            incr nb
+          done
+        done;
+        process_buffer !nb
+      end
+    end
   done;
   (* --- emit dense invariant cell ids, left to right --- *)
   let p = Array.make n 0 in
@@ -402,6 +491,7 @@ let step g p =
     in_off;
     in_src;
     in_col;
+    symmetric = _;
   } =
     csr_of g
   in
@@ -448,16 +538,18 @@ let step g p =
   done;
   p'
 
-let fixpoint g p0 =
+let refine ~fresh g p0 =
   match Qe_obs.Sink.ambient () with
-  | None -> refine_worklist (csr_of g) p0
+  | None -> refine_worklist ~fresh (csr_of g) p0
   | Some s ->
       let t0 = Qe_obs.Clock.now_ns () in
-      let p = refine_worklist (csr_of g) p0 in
+      let p = refine_worklist ~fresh (csr_of g) p0 in
       Qe_obs.Metrics.observe
         (Qe_obs.Metrics.latency s.Qe_obs.Sink.metrics "refine.fixpoint_latency")
         (Qe_obs.Clock.now_ns () - t0);
       p
+
+let fixpoint g p0 = refine ~fresh:(-1) g p0
 let equitable g = fixpoint g (initial g)
 
 let split p u =
@@ -475,6 +567,14 @@ let split p u =
         if v = u then c
         else if p.(v) < c then p.(v)
         else p.(v) + 1)
+
+(* [fixpoint g (split p u)] for an equitable [p]. Every cell of [p]
+   other than [u]'s old one stays marked clean while it is intact: all
+   members of any cell see it equally (that is [p]'s equitability, and
+   finer cells inherit it), so popping it could split nothing and is
+   skipped. The pops, the pushes and the numbering are those of
+   [fixpoint]. *)
+let individualize g p u = refine ~fresh:p.(u) g (split p u)
 
 let cell_members p =
   let k = num_cells p in

@@ -4,11 +4,11 @@
     Splits cells by the multiset of (arc color, neighbor cell) seen on
     out- and in-arcs until stable. {!fixpoint} runs a worklist-based
     incremental refiner in the Hopcroft/McKay style: only cells adjacent
-    to a queued splitter cell are re-examined, (arc color, target cell)
-    signatures are packed integers, and scratch arrays are reused across
-    rounds and calls — far cheaper than the historical
-    re-signature-everything round, while producing the same equitable
-    partition. Cell numbering is isomorphism-invariant: every ordering
+    to a queued splitter cell are re-examined, only their touched
+    members are sorted, (arc color, target cell) signatures are packed
+    integers, and scratch arrays are reused across rounds and calls —
+    far cheaper than the historical re-signature-everything round, while
+    producing the same equitable partition. Cell numbering is isomorphism-invariant: every ordering
     decision (fragment order by ascending splitter count, worklist
     seeding, splitter processing) depends only on invariant data, so two
     isomorphic digraphs get corresponding partitions. This is both the
@@ -43,6 +43,12 @@ val fixpoint : Cdigraph.t -> partition -> partition
 
 val equitable : Cdigraph.t -> partition
 (** [fixpoint g (initial g)]. *)
+
+val individualize : Cdigraph.t -> partition -> int -> partition
+(** [individualize g p u] is [fixpoint g (split p u)], exactly, for a
+    [p] that is equitable on [g] (a {!fixpoint} result): the intact
+    cells of [p] cannot split anything, so they are not re-processed as
+    splitters. The individualization step of the canonical search. *)
 
 val num_cells : partition -> int
 val cell_members : partition -> int list array

@@ -11,8 +11,9 @@
      records, and observed sweeps the same metric snapshots modulo the
      cache.* counters, at -j 1 and -j 4;
    - satellite regressions: Oracle.predict computes the classes exactly
-     once (the classes.compute call-count metric), and Elect plans carry
-     a node_class index consistent with the class lists. *)
+     once (the classes.compute call-count metric) and counts the test
+     that decided its verdict, and Elect plans carry a node_class index
+     consistent with the class lists. *)
 
 module Graph = Qe_graph.Graph
 module Bicolored = Qe_graph.Bicolored
@@ -499,14 +500,14 @@ let test_chaos_differential () =
    the classes.compute counter is bumped by Classes.compute itself and
    (on hits) replayed by the cache, so it counts logical computations
    either way *)
-let classes_computes f =
+let counted name f =
   let sink = Sink.create () in
   Sink.with_ambient sink f;
-  match
-    Metrics.find (Metrics.snapshot sink.Sink.metrics) "classes.compute"
-  with
+  match Metrics.find (Metrics.snapshot sink.Sink.metrics) name with
   | Some (Metrics.Counter n) -> n
   | _ -> 0
+
+let classes_computes = counted "classes.compute"
 
 let test_predict_computes_classes_once () =
   let b = Bicolored.make (Families.wheel 6) ~black:[ 0; 2; 4 ] in
@@ -519,6 +520,24 @@ let test_predict_computes_classes_once () =
         (classes_computes (fun () -> ignore (Oracle.predict b)));
       Alcotest.(check int) "warm predict replays the same single count" 1
         (classes_computes (fun () -> ignore (Oracle.predict b))))
+
+(* Oracle.predict names the test that decided its verdict; a gcd = 1
+   placement is decided by the gcd, once per logical call, whether the
+   verdict is computed, cached cold or replayed warm *)
+let test_predict_counts_deciding_test () =
+  let b = Bicolored.make (Families.cycle 5) ~black:[ 0; 1 ] in
+  let deciders () =
+    List.map
+      (fun by ->
+        counted ("oracle.predict." ^ by) (fun () -> ignore (Oracle.predict b)))
+      [ "witness"; "gcd"; "search" ]
+  in
+  let expect what = Alcotest.(check (list int)) what [ 0; 1; 0 ] in
+  with_cache_enabled false (fun () -> expect "uncached" (deciders ()));
+  with_cache_enabled true (fun () ->
+      Cache.clear ();
+      expect "cold: gcd decides once" (deciders ());
+      expect "warm: the hit replays it" (deciders ()))
 
 let test_plan_node_class () =
   List.iter
@@ -572,6 +591,8 @@ let () =
         [
           Alcotest.test_case "predict computes classes once" `Quick
             test_predict_computes_classes_once;
+          Alcotest.test_case "predict counts its deciding test" `Quick
+            test_predict_counts_deciding_test;
           Alcotest.test_case "plan node_class index" `Quick
             test_plan_node_class;
         ] );

@@ -415,6 +415,85 @@ let test_oracle_cross_check () =
        (fun i -> Graph.n i.Campaign.graph <= 12)
        (Campaign.cayley_zoo ()))
 
+(* [predict] reads the gcd before the regular-subgroup search. Pin that
+   order to the old search-first one: on every small Cayley zoo graph
+   and a seeded sample of 1-3-agent placements, gcd = 1 never meets a
+   placement-preserving translation (Theorems 3.1 and 4.1), so both
+   orders give the same verdict. *)
+let test_oracle_gcd_first () =
+  let search_first b =
+    let g = Bicolored.graph b in
+    let witnessed =
+      Bicolored.num_blacks b = Graph.n g
+      && Option.is_some (Qe_symmetry.Transitive.certified_regular g)
+    in
+    if witnessed || Oracle.translation_impossible b then Oracle.Unsolvable
+    else if Oracle.gcd_classes b = 1 then Oracle.Solvable
+    else Oracle.Frontier
+  in
+  let st = Random.State.make [| 22 |] in
+  List.iter
+    (fun inst ->
+      let g = inst.Campaign.graph in
+      let n = Graph.n g in
+      let sample () =
+        let k = 1 + Random.State.int st (min 3 n) in
+        let rec pick acc =
+          if List.length acc = k then acc
+          else
+            let u = Random.State.int st n in
+            pick (if List.mem u acc then acc else u :: acc)
+        in
+        pick []
+      in
+      List.iter
+        (fun black ->
+          let b = Bicolored.make g ~black in
+          let what =
+            Printf.sprintf "%s {%s}" inst.Campaign.name
+              (String.concat "," (List.map string_of_int black))
+          in
+          if Oracle.gcd_classes b = 1 then
+            Alcotest.(check bool)
+              (what ^ ": gcd 1 => no preserving translation")
+              false
+              (Oracle.translation_impossible b);
+          Alcotest.(check bool)
+            (what ^ ": gcd-first = search-first")
+            true
+            (Oracle.predict b = search_first b))
+        (inst.Campaign.black :: List.init 6 (fun _ -> sample ())))
+    (List.filter
+       (fun i -> Graph.n i.Campaign.graph <= 12)
+       (Campaign.cayley_zoo ()))
+
+(* A gcd = 1 placement never pays for the search: a cold [predict] makes
+   no [oracle.translation] lookup, so [hypercube 7], whose Aut(Q_7) is
+   above the subgroup search's cap, answers instead of raising. *)
+let test_oracle_gcd_skips_search () =
+  let module Cache = Qe_symmetry.Artifact_cache in
+  let translation_lookups () =
+    match
+      List.find_opt
+        (fun s -> s.Cache.kind = "oracle.translation")
+        (Cache.stats ())
+    with
+    | Some s -> s.Cache.hits + s.Cache.misses
+    | None -> 0
+  in
+  let b = Bicolored.make (Families.cycle 7) ~black:[ 0; 1; 3 ] in
+  Cache.clear ();
+  Cache.reset_stats ();
+  Alcotest.(check bool) "C7 {0,1,3} solvable" true
+    (Oracle.predict b = Oracle.Solvable);
+  Alcotest.(check int) "no oracle.translation lookup" 0
+    (translation_lookups ());
+  let q7 = Bicolored.make (Families.hypercube 7) ~black:[ 0; 1; 3 ] in
+  Alcotest.(check bool) "Q7 {0,1,3} solvable" true
+    (Oracle.predict q7 = Oracle.Solvable);
+  Alcotest.(check int) "still no oracle.translation lookup" 0
+    (translation_lookups ())
+
 let test_oracle_cayley_detection () =
   List.iter
     (fun inst ->
@@ -514,6 +593,10 @@ let () =
           Alcotest.test_case "predictions" `Quick test_oracle_predictions;
           Alcotest.test_case "thm 4.1 labeling cross-check" `Slow
             test_oracle_cross_check;
+          Alcotest.test_case "gcd first = search first" `Quick
+            test_oracle_gcd_first;
+          Alcotest.test_case "gcd = 1 skips the search" `Quick
+            test_oracle_gcd_skips_search;
           Alcotest.test_case "cayley detection" `Quick
             test_oracle_cayley_detection;
           Alcotest.test_case "zoo sanity" `Quick test_campaign_zoo_sane;

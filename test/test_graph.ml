@@ -384,6 +384,9 @@ let test_serial_typed_errors () =
          1\n2: 1\n",
         "duplicate symbols (Labeling.make)" );
       ("qelect-instance v1\nnodes 2\nedges\n0 1\nlabeling\n9: 1\n", "bad node");
+      (* outside Graph's contract: 2K_2 is not a connected network *)
+      ("qelect-instance v1\nnodes 4\nedges\n0 1\n2 3\nagents 0\n", "2K_2");
+      ("qelect-instance v1\nnodes 2\n", "no edges");
     ]
   in
   List.iter
@@ -394,6 +397,15 @@ let test_serial_typed_errors () =
       | exception e ->
           Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
     cases;
+  (match
+     Serial.of_string_result
+       "qelect-instance v1\nnodes 4\nedges\n0 1\n2 3\nagents 0\n"
+   with
+  | Error e ->
+      Alcotest.(check int) "disconnected: no single line" 0 e.Serial.line;
+      Alcotest.(check string) "disconnected: reason" "graph is disconnected"
+        e.Serial.reason
+  | Ok _ -> Alcotest.fail "2K_2 accepted");
   (* the legacy raising decoder keeps its Failure contract *)
   Alcotest.(check bool) "of_string raises Failure" true
     (try
