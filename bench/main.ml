@@ -600,8 +600,9 @@ let mark_race_frontier () =
 (* ---------- ablations ---------- *)
 
 (* Lemma 3.1 taken literally: order surroundings by the brute-force
-   min-over-permutations matrix word, instead of the canonical-labeling
-   certificate. Only feasible for maps with <= 9 nodes. *)
+   min-over-permutations matrix word, instead of each orbit's least
+   position in one canonical labeling. Only feasible for maps with <= 9
+   nodes. *)
 let brute_plan map =
   let b = Qe_elect.Mapping.bicolored map in
   let g = Qe_elect.Mapping.graph map in
@@ -643,8 +644,9 @@ let ablation () =
   section "Ablations";
   print_endline
     "1. class ordering: Lemma 3.1's brute-force min-permutation order vs\n\
-     the canonical-labeling certificate order (n <= 9 instances; both are\n\
-     valid instances of the total order, so outcomes must agree):\n";
+     the canonical-position order, one canonical labeling for all classes\n\
+     (n <= 9 instances; both are valid instances of the total order, so\n\
+     outcomes must agree):\n";
   let small_cases =
     [
       ("C5 adjacent", Families.cycle 5, [ 0; 1 ]);

@@ -26,12 +26,22 @@ open Cmdliner
 
 (* ---------- graph spec parsing ---------- *)
 
+(* The one integer reader of every spec field: a bad field names itself
+   and the spec it came from (e.g. [circulant:abc:1: "abc" is not an
+   integer]) as an [Invalid_argument], which [instance_input] reports. *)
+let int_field spec s =
+  match int_of_string_opt s with
+  | Some i -> i
+  | None -> invalid_arg (Printf.sprintf "%s: %S is not an integer" spec s)
+
 (* The one integer-list reader, for agent lists and jump sets alike:
    ',' or '+' separators ('+' survives shells and CI YAML unquoted). *)
-let parse_ints s =
+let parse_ints ~spec s =
   String.split_on_char ','
     (String.map (fun c -> if c = '+' then ',' else c) s)
-  |> List.map int_of_string
+  |> List.map (int_field spec)
+
+let parse_agents l = parse_ints ~spec:("--agents " ^ l) l
 
 (* Malformed instance input (a size a family rejects, a bad agent list,
    an unreadable file) surfaces from the builders as [Invalid_argument]
@@ -42,29 +52,30 @@ let instance_input f =
   try f () with Invalid_argument msg | Sys_error msg -> failwith msg
 
 let parse_graph spec =
+  let int = int_field spec in
   match String.split_on_char ':' spec with
   | [ "petersen" ] -> Families.petersen ()
-  | [ "cycle"; n ] -> Families.cycle (int_of_string n)
-  | [ "path"; n ] -> Families.path (int_of_string n)
-  | [ "complete"; n ] -> Families.complete (int_of_string n)
-  | [ "hypercube"; d ] -> Families.hypercube (int_of_string d)
-  | [ "star"; k ] -> Families.star (int_of_string k)
-  | [ "wheel"; k ] -> Families.wheel (int_of_string k)
-  | [ "tree"; h ] -> Families.binary_tree (int_of_string h)
-  | [ "ccc"; d ] -> Families.cube_connected_cycles (int_of_string d)
+  | [ "cycle"; n ] -> Families.cycle (int n)
+  | [ "path"; n ] -> Families.path (int n)
+  | [ "complete"; n ] -> Families.complete (int n)
+  | [ "hypercube"; d ] -> Families.hypercube (int d)
+  | [ "star"; k ] -> Families.star (int k)
+  | [ "wheel"; k ] -> Families.wheel (int k)
+  | [ "tree"; h ] -> Families.binary_tree (int h)
+  | [ "ccc"; d ] -> Families.cube_connected_cycles (int d)
   | [ "torus"; dims ] -> (
       match String.split_on_char 'x' dims with
-      | [ a; b ] -> Families.torus (int_of_string a) (int_of_string b)
+      | [ a; b ] -> Families.torus (int a) (int b)
       | _ -> failwith "torus spec: torus:AxB")
   | [ "grid"; dims ] -> (
       match String.split_on_char 'x' dims with
-      | [ a; b ] -> Families.grid (int_of_string a) (int_of_string b)
+      | [ a; b ] -> Families.grid (int a) (int b)
       | _ -> failwith "grid spec: grid:AxB")
   | [ "circulant"; n; jumps ] ->
-      Families.circulant (int_of_string n) (parse_ints jumps)
+      Families.circulant (int n) (parse_ints ~spec jumps)
   | [ "random"; seed; n; extra ] ->
-      Families.random_connected ~seed:(int_of_string seed)
-        ~n:(int_of_string n) ~extra_edges:(int_of_string extra)
+      Families.random_connected ~seed:(int seed)
+        ~n:(int n) ~extra_edges:(int extra)
   | _ ->
       failwith
         (spec
@@ -81,7 +92,7 @@ let resolve_instance ?file ~instance ~graph ~agents () =
         let inst = Qe_graph.Serial.load ~path in
         let black =
           match (agents, inst.Qe_graph.Serial.black) with
-          | Some l, _ -> parse_ints l
+          | Some l, _ -> parse_agents l
           | None, (_ :: _ as b) -> b
           | None, [] -> failwith (path ^ ": file declares no agents; pass --agents")
         in
@@ -98,7 +109,7 @@ let resolve_instance ?file ~instance ~graph ~agents () =
         let g = parse_graph spec in
         let black =
           match agents with
-          | Some l -> parse_ints l
+          | Some l -> parse_agents l
           | None -> failwith "--agents required with --graph"
         in
         (g, black, spec)
@@ -1053,19 +1064,20 @@ module Presentation = Qe_group.Presentation
    multiplication table or an edge list. *)
 let parse_frontier_spec spec =
   instance_input @@ fun () ->
+  let int = int_field spec in
   match String.split_on_char ':' spec with
   | [ "circulant"; n; jumps ] ->
-      Presentation.circulant (int_of_string n) (parse_ints jumps)
-  | [ "ccc"; d ] -> Presentation.cube_connected_cycles (int_of_string d)
+      Presentation.circulant (int n) (parse_ints ~spec jumps)
+  | [ "ccc"; d ] -> Presentation.cube_connected_cycles (int d)
   | [ "hypercube"; d ] ->
-      let d = int_of_string d in
+      let d = int d in
       Presentation.cayley
         (Presentation.power (Presentation.cyclic 2) d)
         (List.init d (fun i -> 1 lsl i))
   | [ "torus"; dims ] -> (
       match String.split_on_char 'x' dims with
       | [ a; b ] ->
-          let a = int_of_string a and b = int_of_string b in
+          let a = int a and b = int b in
           if a < 3 || b < 3 then failwith "torus spec: sides must be >= 3";
           Presentation.cayley
             (Presentation.product (Presentation.cyclic a)
@@ -1073,10 +1085,10 @@ let parse_frontier_spec spec =
             [ b (* (1,0) *); 1 (* (0,1) *) ]
       | _ -> failwith "torus spec: torus:AxB")
   | [ "dihedral"; n ] ->
-      let n = int_of_string n in
+      let n = int n in
       Presentation.cayley (Presentation.dihedral n) [ n; n + 1 ]
   | [ "wreath"; base; d ] ->
-      let base = int_of_string base and d = int_of_string d in
+      let base = int base and d = int d in
       (* shift = (0, 1) is element 1; the first-coordinate bump (e_0, 0)
          is element d — for base 2 this is exactly CCC_d *)
       Presentation.cayley (Presentation.wreath_shift ~base d) [ 1; d ]

@@ -3,8 +3,9 @@
     Phases:
     - MAP-DRAWING ({!Mapping.explore}): every agent draws the same map.
     - COMPUTE & ORDER: equivalence classes of the bicolored map, ordered by
-      the total order [≺] of Lemma 3.1 (surrounding certificates), black
-      classes [C_1 ≺ ... ≺ C_ℓ] first.
+      an isomorphism-invariant total order [≺] as Lemma 3.1 requires (each
+      class's least position in one canonical labeling, {!Qe_symmetry.Classes}),
+      black classes [C_1 ≺ ... ≺ C_ℓ] first.
     - Stage agent-agent: AGENT-REDUCE merges [C_2, ..., C_ℓ] into the
       active set, shrinking it to [gcd] by Euclid-style matching rounds
       (searchers race to post match signs on waiters' home whiteboards;

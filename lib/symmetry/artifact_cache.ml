@@ -449,12 +449,21 @@ let memo t ~key compute =
               (* compute under a scratch sink so the kernel delta can be
                  stored and replayed on every future hit — metric
                  placement is then identical to the uncached
-                 computation *)
+                 computation. The caller's tracer (if any) gets one
+                 [cache.compute] span around it, so a miss shows where
+                 it sits in the caller's span tree. *)
               let scratch = Sink.create () in
+              let in_scratch () = Sink.with_ambient scratch compute in
+              let computed () =
+                match Sink.ambient () with
+                | None -> in_scratch ()
+                | Some s ->
+                    Span.with_span
+                      ~attrs:[ ("kind", J.String t.kind) ]
+                      s.Sink.spans "cache.compute" in_scratch
+              in
               let res =
-                match Sink.with_ambient scratch compute with
-                | v -> Ok v
-                | exception e -> Error e
+                match computed () with v -> Ok v | exception e -> Error e
               in
               let delta =
                 strip_cache (Metrics.snapshot scratch.Sink.metrics)

@@ -116,7 +116,13 @@ val memo : 'a table -> key:key -> (unit -> 'a) -> 'a
     raised exception, which is re-raised on every subsequent hit.
     Do not call [memo t ~key] recursively from its own [f] (it would
     deadlock on its own flight); nesting across distinct tables or keys
-    is fine and is how the plan table layers on the classes table. *)
+    is fine and is how the plan table layers on the classes table.
+
+    A miss runs [f] under a scratch ambient sink, whose metric delta is
+    stored and replayed on every hit. When the caller has an ambient
+    sink, the miss also shows on the caller's tracer as one
+    [cache.compute] span with a [kind] attribute (the table's kind);
+    spans opened inside [f] go to the scratch sink. *)
 
 (** {1 Statistics} *)
 

@@ -14,10 +14,6 @@ val group : ?max_leaves:int -> ?cap:int -> Cdigraph.t -> int array list
 
 val group_order : ?max_leaves:int -> ?cap:int -> Cdigraph.t -> int
 
-val orbits : ?max_leaves:int -> Cdigraph.t -> int array
-(** [orbits.(u)] = smallest node in [u]'s orbit under the full
-    automorphism group. *)
-
 val orbit_partition : ?max_leaves:int -> Cdigraph.t -> int list list
 (** Orbits as sorted classes, ordered by smallest member. *)
 

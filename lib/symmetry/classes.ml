@@ -2,93 +2,66 @@ module Bicolored = Qe_graph.Bicolored
 module Graph = Qe_graph.Graph
 
 (* Classes as flat arrays: members of class [i] occupy
-   [members.(off.(i) .. off.(i+1)-1)], ascending. Certificates are
-   materialized per class — eagerly on the slow path (the order needs
-   them), on demand on the fast path (a verified-transitive uniform
-   instance has exactly one class and usually nobody asks). *)
+   [members.(off.(i) .. off.(i+1)-1)], ascending. *)
 type t = {
   off : int array;
   members : int array;
   node_class : int array;
   num_black : int;
-  certs : string option array;
-  cert_of : int -> string;
   fast : bool;
 }
-
-let surrounding_certificate ?max_leaves b u =
-  Canon.certificate ?max_leaves (Cdigraph.of_surrounding b u)
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 let gcd_all = List.fold_left gcd 0
 
 (* The classes are the orbits of the color-preserving automorphisms
    (equivalently: nodes with isomorphic surroundings — Lemma 3.1's first
-   claim, cross-checked in the test suite). One automorphism run finds
-   the orbits; one surrounding certificate per orbit representative then
-   yields the order [≺] — far cheaper than one canonical labeling per
-   node. *)
+   claim, cross-checked in the test suite). One canonical run finds the
+   orbits and, in the same labeling, the order [≺]: black classes first,
+   then by each orbit's least canonical position, largest first (the
+   direction that keeps ELECT's moves lowest on the zoo; see classes.mli
+   for why any such key is isomorphism-invariant). *)
 let compute_slow ?max_leaves b =
   let n = Graph.n (Bicolored.graph b) in
-  let reps = Aut.orbits ?max_leaves (Cdigraph.of_bicolored b) in
-  (* dense class ids in first-appearance order (single pass; the orbit
-     representative is the smallest member, so it is its own witness) *)
-  let rep_class = Array.make n (-1) in
-  let k = ref 0 in
-  for u = 0 to n - 1 do
-    if rep_class.(reps.(u)) < 0 then begin
-      rep_class.(reps.(u)) <- !k;
-      incr k
-    end
-  done;
-  let k = !k in
-  let rep_node = Array.make k 0 in
-  for u = n - 1 downto 0 do
-    rep_node.(rep_class.(reps.(u))) <- reps.(u)
-  done;
-  let cert = Array.init k (fun c -> surrounding_certificate ?max_leaves b (rep_node.(c))) in
-  (* order: black classes by certificate, then white classes by
-     certificate (a class is uniformly colored: surroundings embed node
-     colors, so its representative's color decides) *)
-  let black = Array.init k (fun c -> Bicolored.is_black b rep_node.(c)) in
-  let order = Array.init k Fun.id in
+  let { Canon.orbits; canonical_labeling = pos; _ } =
+    Canon.run ?max_leaves (Cdigraph.of_bicolored b)
+  in
+  (* each orbit's least canonical position, kept at its representative
+     (the smallest member, so [orbits.(r) = r]) *)
+  let least = Array.make n max_int in
+  Array.iteri (fun u r -> least.(r) <- min least.(r) pos.(u)) orbits;
+  let reps =
+    Array.of_seq
+      (Seq.filter (fun u -> orbits.(u) = u) (Seq.init n Fun.id))
+  in
+  (* a class is uniformly colored, so its representative's color decides *)
+  let black r = Bicolored.is_black b r in
   Array.sort
-    (fun a bb ->
-      if black.(a) <> black.(bb) then compare black.(bb) black.(a)
-      else String.compare cert.(a) cert.(bb))
-    order;
-  let pos = Array.make k 0 in
-  Array.iteri (fun i c -> pos.(c) <- i) order;
-  let num_black = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 black in
+    (fun r s ->
+      if black r <> black s then compare (black s) (black r)
+      else compare least.(s) least.(r))
+    reps;
+  let k = Array.length reps in
+  let num_black =
+    Array.fold_left (fun acc r -> if black r then acc + 1 else acc) 0 reps
+  in
+  let rep_class = Array.make n (-1) in
+  Array.iteri (fun i r -> rep_class.(r) <- i) reps;
   (* counting sort of members into class order, ascending node ids *)
+  let node_class = Array.init n (fun u -> rep_class.(orbits.(u))) in
   let off = Array.make (k + 1) 0 in
-  for u = 0 to n - 1 do
-    let i = pos.(rep_class.(reps.(u))) in
-    off.(i + 1) <- off.(i + 1) + 1
-  done;
+  Array.iter (fun i -> off.(i + 1) <- off.(i + 1) + 1) node_class;
   for i = 0 to k - 1 do
     off.(i + 1) <- off.(i + 1) + off.(i)
   done;
   let members = Array.make n 0 in
-  let node_class = Array.make n (-1) in
   let next = Array.sub off 0 k in
-  for u = 0 to n - 1 do
-    let i = pos.(rep_class.(reps.(u))) in
-    members.(next.(i)) <- u;
-    next.(i) <- next.(i) + 1;
-    node_class.(u) <- i
-  done;
-  let certs = Array.make k None in
-  Array.iteri (fun c i -> certs.(i) <- Some cert.(c)) pos;
-  {
-    off;
-    members;
+  Array.iteri
+    (fun u i ->
+      members.(next.(i)) <- u;
+      next.(i) <- next.(i) + 1)
     node_class;
-    num_black;
-    certs;
-    cert_of = (fun i -> surrounding_certificate ?max_leaves b (members.(off.(i))));
-    fast = false;
-  }
+  { off; members; node_class; num_black; fast = false }
 
 (* Fast path: a verified vertex-transitivity certificate plus the
    uniform all-black placement pins the answer with no search at all —
@@ -96,7 +69,7 @@ let compute_slow ?max_leaves b =
    containing every node. For any non-uniform placement translations
    only refine the true classes (the full group may pair nodes no
    translation does), so we fall through to the search. *)
-let compute_fast ?max_leaves b =
+let compute_fast b =
   let g = Bicolored.graph b in
   let n = Graph.n g in
   if Bicolored.num_blacks b <> n then None
@@ -110,8 +83,6 @@ let compute_fast ?max_leaves b =
             members = Array.init n Fun.id;
             node_class = Array.make n 0;
             num_black = 1;
-            certs = [| None |];
-            cert_of = (fun _ -> surrounding_certificate ?max_leaves b 0);
             fast = true;
           }
 
@@ -125,7 +96,7 @@ let compute ?max_leaves b =
     | None -> 0
   in
   let result, path =
-    match compute_fast ?max_leaves b with
+    match compute_fast b with
     | Some t -> (t, "classes.fast_path")
     | None -> (compute_slow ?max_leaves b, "classes.slow_path")
   in
@@ -157,21 +128,6 @@ let members_of_class t i =
 let classes t = List.init (num_classes t) (members_of_class t)
 let sizes t = List.init (num_classes t) (size t)
 let gcd_sizes t = gcd_all (sizes t)
-
-let certificate_of_class t i =
-  if i < 0 || i >= num_classes t then
-    invalid_arg "Classes.certificate_of_class: no such class";
-  match t.certs.(i) with
-  | Some c -> c
-  | None ->
-      let c = t.cert_of i in
-      t.certs.(i) <- Some c;
-      c
-
-let equivalent ?max_leaves b u v =
-  String.equal
-    (surrounding_certificate ?max_leaves b u)
-    (surrounding_certificate ?max_leaves b v)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%d classes (%d black):@," (num_classes t)

@@ -2,11 +2,23 @@
     (Section 3.1 of the paper).
 
     Two nodes are equivalent (Definition 2.1) iff their surroundings
-    (Definition 3.1) are isomorphic — that equivalence and the class order
-    are computed here from surrounding certificates. The order is exactly
-    what Lemma 3.1 requires: deterministic, isomorphism-invariant, and
-    independent of agent colors and edge labels, so every agent computes
-    the same ordered classes from its map. *)
+    (Definition 3.1) are isomorphic, i.e. iff they lie in one orbit of
+    the color-preserving automorphisms (Lemma 3.1's first claim, which
+    the test suite cross-checks against surrounding certificates and
+    {!Brute}). One {!Canon.run} on {!Cdigraph.of_bicolored} yields both
+    the orbits and the order: black classes first, then classes by the
+    least canonical position of any member, largest first.
+
+    That order is what Lemma 3.1 requires: deterministic, independent of
+    agent colors and edge labels, and isomorphism-invariant. Take an
+    isomorphism [φ : G → G'] and canonical labelings [λ], [λ'] of the two
+    instances. Both canonical forms are equal, so [λ'∘φ∘λ⁻¹] is an
+    automorphism of that common form. It maps the image [λ(O)] of an
+    orbit [O] of [G] onto [λ'(φ(O))], and since [λ(O)] is an orbit of the
+    form's automorphism group, the two sets are equal. So each orbit's
+    set of canonical positions, and its least element, do not depend on
+    the numbering, and every agent computes the same ordered classes
+    from its map. *)
 
 type t
 
@@ -15,13 +27,15 @@ val compute : ?max_leaves:int -> Qe_graph.Bicolored.t -> t
     {e verified} transitivity certificate ({!Transitive.certified}) and
     the placement is uniform (every node black), the answer is pinned
     without any automorphism search — one orbit means exactly one class
-    — and the search is skipped entirely; every other instance takes the
-    full search. Both paths produce identical results (differentially
-    tested on every Cayley family). *)
+    — and the search is skipped entirely; every other instance takes
+    {!compute_slow}'s one canonical run. Both paths produce identical
+    results (differentially tested on every Cayley family). *)
 
 val compute_slow : ?max_leaves:int -> Qe_graph.Bicolored.t -> t
-(** The full automorphism search unconditionally — the differential
-    baseline for the fast path. *)
+(** One {!Canon.run} unconditionally — the differential baseline for the
+    fast path. Its orbits are the classes and its canonical labeling
+    orders them; no other canonical run is made.
+    @raise Canon.Budget_exceeded past [max_leaves]. *)
 
 val used_fast_path : t -> bool
 (** Did {!compute} take the transitivity fast path? *)
@@ -51,12 +65,6 @@ val representative : t -> int -> int
 
 val size : t -> int -> int
 (** [size t i] is [|C_{i+1}|], without building any list. *)
-
-val certificate_of_class : t -> int -> string
-(** The surrounding certificate shared by the class members. *)
-
-val equivalent : ?max_leaves:int -> Qe_graph.Bicolored.t -> int -> int -> bool
-(** [S(u) ≅ S(v)]? *)
 
 val gcd_all : int list -> int
 (** Gcd of a list; [gcd_all [] = 0]. *)

@@ -558,6 +558,34 @@ let test_plan_node_class () =
         plan.Elect.node_class)
     (small_zoo ())
 
+(* every cache miss is computed under a [cache.compute] span on the
+   caller's tracer: an ELECT run on a fresh cache shows each agent's
+   plan inside [engine.run] *)
+let test_miss_spans () =
+  let g = Families.circulant 300 [ 1; 3; 9 ] in
+  let world = Qe_runtime.World.make g ~black:[ 0; 1; 5 ] in
+  let sink = Sink.create () in
+  with_cache_enabled true (fun () ->
+      Cache.clear ();
+      ignore
+        (Sink.with_ambient sink (fun () -> Engine.run ~obs:sink world elect)));
+  let rec count (c : Qe_obs.Span.closed) =
+    List.fold_left
+      (fun acc child -> acc + count child)
+      (if
+         c.name = "cache.compute"
+         && List.assoc_opt "kind" c.attrs
+            = Some (Qe_obs.Jsonl.String "elect.plan")
+       then 1
+       else 0)
+      c.children
+  in
+  match Qe_obs.Span.roots sink.Sink.spans with
+  | [ root ] ->
+      Alcotest.(check string) "root" "engine.run" root.name;
+      Alcotest.(check int) "one plan span per agent" 3 (count root)
+  | roots -> Alcotest.failf "expected one root span, got %d" (List.length roots)
+
 let () =
   Alcotest.run "cache"
     [
@@ -595,5 +623,7 @@ let () =
             test_predict_counts_deciding_test;
           Alcotest.test_case "plan node_class index" `Quick
             test_plan_node_class;
+          Alcotest.test_case "miss spans under engine.run" `Quick
+            test_miss_spans;
         ] );
     ]

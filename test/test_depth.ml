@@ -291,7 +291,11 @@ let test_class_accessors () =
   Alcotest.(check int) "node 0 in class 0" 0 (Classes.class_of_node t 0);
   Alcotest.(check int) "node 1 in class 1" 1 (Classes.class_of_node t 1);
   Alcotest.(check bool) "certificates distinct" true
-    (Classes.certificate_of_class t 0 <> Classes.certificate_of_class t 1)
+    (let cert i =
+       Canon.certificate
+         (Cdigraph.of_surrounding b (Classes.representative t i))
+     in
+     cert 0 <> cert 1)
 
 (* ---------- symmetry: views / covering ---------- *)
 

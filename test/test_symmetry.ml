@@ -13,6 +13,7 @@ module Label_equiv = Qe_symmetry.Label_equiv
 module Cayley_detect = Qe_symmetry.Cayley_detect
 module Refine_labeling = Qe_symmetry.Refine_labeling
 module GCayley = Qe_group.Cayley
+module Campaign = Qe_elect.Campaign
 
 let random_cdigraph st =
   let n = 2 + Random.State.int st 5 in
@@ -197,8 +198,10 @@ let test_classes_path_end () =
   Alcotest.(check int) "gcd 1" 1 (Classes.gcd_sizes t)
 
 let test_classes_match_aut_orbits () =
-  (* Lemma 3.1's first claim: u ~ v iff S(u) iso S(v); cross-check the
-     surrounding-certificate classes against automorphism orbits. *)
+  (* the classes are the automorphism orbits, in some order (the
+     kernel-independent cross-checks, against surroundings and Brute,
+     are the "match surrounding certificates" and "brute orbits"
+     cases) *)
   let instances =
     [
       (Families.cycle 6, [ 0; 3 ]);
@@ -239,6 +242,113 @@ let test_classes_petersen_paper () =
   Alcotest.(check (list int)) "sizes 2,4,4" [ 2; 4; 4 ]
     (sorted_sizes (Classes.classes t));
   Alcotest.(check int) "gcd 2" 2 (Classes.gcd_sizes t)
+
+(* --- The class order: one canonical run, isomorphism-invariant --- *)
+
+let surrounding_cert b u = Canon.certificate (Cdigraph.of_surrounding b u)
+
+(* a partition as a canonical value: sorted classes, each sorted *)
+let as_partition cls = List.sort compare (List.map (List.sort compare) cls)
+
+let classes_partition b = as_partition (Classes.classes (Classes.compute b))
+
+let group_by key n =
+  let tbl = Hashtbl.create 16 in
+  for u = n - 1 downto 0 do
+    let k = key u in
+    Hashtbl.replace tbl k (u :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
+  done;
+  as_partition (Hashtbl.fold (fun _ c acc -> c :: acc) tbl [])
+
+let zoo_instances () =
+  List.map
+    (fun i -> Bicolored.make i.Campaign.graph ~black:i.Campaign.black)
+    (Campaign.zoo () @ Campaign.cayley_zoo ())
+
+let seeded_agents st n =
+  let k = 1 + Random.State.int st (min 3 n) in
+  List.sort_uniq compare (List.init k (fun _ -> Random.State.int st n))
+
+let renumber_graph g p =
+  Graph.of_edges ~n:(Graph.n g)
+    (List.map (fun (u, v) -> (p.(u), p.(v))) (Graph.edges g))
+
+(* Lemma 3.1 needs every agent to read the same ordered classes off its
+   own numbering of the map: renumbering by π must map the class list
+   to π of it, class for class and in the same order. *)
+let prop_class_order_renumber_invariant =
+  let zoo = Array.of_list (Campaign.cayley_zoo ()) in
+  QCheck.Test.make ~name:"class order renumber-invariant" ~count:150
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| 0xc1a; seed |] in
+      let g =
+        if seed mod 3 = 0 then
+          zoo.(Random.State.int st (Array.length zoo)).Campaign.graph
+        else
+          Families.random_connected ~seed
+            ~n:(5 + Random.State.int st 56)
+            ~extra_edges:(Random.State.int st 12)
+      in
+      let n = Graph.n g in
+      let black = seeded_agents st n in
+      let p = random_permutation st n in
+      let classes g black = Classes.classes (Classes.compute (Bicolored.make g ~black)) in
+      let image =
+        List.map (fun c -> List.sort compare (List.map (fun u -> p.(u)) c))
+      in
+      classes (renumber_graph g p) (List.map (fun u -> p.(u)) black)
+      = image (classes g black))
+
+let test_classes_one_canonical_run () =
+  let b = Bicolored.make (Families.circulant 60 [ 1; 3; 9 ]) ~black:[ 0; 1; 5 ] in
+  let sink = Qe_obs.Sink.create () in
+  let t = Qe_obs.Sink.with_ambient sink (fun () -> Classes.compute_slow b) in
+  Alcotest.(check bool) "non-uniform: many classes" true
+    (Classes.num_classes t > 1);
+  Alcotest.(check (option int)) "canon.runs" (Some 1)
+    (match
+       Qe_obs.Metrics.find
+         (Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics)
+         "canon.runs"
+     with
+    | Some (Qe_obs.Metrics.Counter c) -> Some c
+    | _ -> None)
+
+(* Lemma 3.1's first claim: u ~ v iff S(u) ≅ S(v). The one-run
+   partition must equal the grouping by surrounding certificates. *)
+let test_classes_match_surroundings () =
+  List.iter
+    (fun b ->
+      let n = Graph.n (Bicolored.graph b) in
+      Alcotest.(check bool) "classes = surrounding-certificate groups" true
+        (classes_partition b = group_by (surrounding_cert b) n))
+    (zoo_instances ())
+
+(* ... and the true automorphism orbits, by brute force, on <= 8 nodes:
+   the zoo's small instances and random bicoloured graphs. *)
+let prop_classes_match_brute_8 =
+  let small =
+    List.filter (fun b -> Graph.n (Bicolored.graph b) <= 8) (zoo_instances ())
+  in
+  QCheck.Test.make ~name:"classes = brute orbits (n <= 8)" ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| 0xc1b; seed |] in
+      let b =
+        if seed mod 4 = 0 then
+          List.nth small (Random.State.int st (List.length small))
+        else
+          let n = 3 + Random.State.int st 6 in
+          let g =
+            Families.random_connected ~seed ~n
+              ~extra_edges:(Random.State.int st 6)
+          in
+          Bicolored.make g ~black:(seeded_agents st n)
+      in
+      let brute = Brute.orbits (Cdigraph.of_bicolored b) in
+      classes_partition b
+      = group_by (fun u -> brute.(u)) (Graph.n (Bicolored.graph b)))
 
 let test_gcd_all () =
   Alcotest.(check int) "gcd of []" 0 (Classes.gcd_all []);
@@ -479,11 +589,19 @@ let test_surrounding_root_indegree () =
 
 let test_surrounding_iso_iff_equivalent () =
   let b = Bicolored.make (Families.cycle 6) ~black:[ 0; 3 ] in
+  let t = Classes.compute b in
+  (* S(u) ≅ S(v) by surrounding certificates, and the classes agree *)
+  let equivalent u v =
+    let iso = String.equal (surrounding_cert b u) (surrounding_cert b v) in
+    Alcotest.(check bool) "same class iff iso surroundings" iso
+      (Classes.class_of_node t u = Classes.class_of_node t v);
+    iso
+  in
   (* 1 and 2 are equivalent (reflection+rotation), 0 and 1 are not (colors
      differ) *)
-  Alcotest.(check bool) "1 ~ 2" true (Classes.equivalent b 1 2);
-  Alcotest.(check bool) "0 !~ 1" false (Classes.equivalent b 0 1);
-  Alcotest.(check bool) "0 ~ 3" true (Classes.equivalent b 0 3)
+  Alcotest.(check bool) "1 ~ 2" true (equivalent 1 2);
+  Alcotest.(check bool) "0 !~ 1" false (equivalent 0 1);
+  Alcotest.(check bool) "0 ~ 3" true (equivalent 0 3)
 
 (* --- Differential tests: worklist refiner vs the reference 1-WL round --- *)
 
@@ -898,6 +1016,12 @@ let () =
           Alcotest.test_case "petersen (paper fig 5)" `Quick
             test_classes_petersen_paper;
           Alcotest.test_case "gcd helper" `Quick test_gcd_all;
+          QCheck_alcotest.to_alcotest prop_class_order_renumber_invariant;
+          Alcotest.test_case "one canonical run" `Quick
+            test_classes_one_canonical_run;
+          Alcotest.test_case "match surrounding certificates" `Quick
+            test_classes_match_surroundings;
+          QCheck_alcotest.to_alcotest prop_classes_match_brute_8;
         ] );
       ( "views",
         [
