@@ -1926,6 +1926,7 @@ let frontier_bench () =
     [
       ("circulant-4096", fun () -> (P.circulant 4096 [ 1; 3 ]).P.graph);
       ("ccc-10", fun () -> (P.cube_connected_cycles 10).P.graph);
+      ("ccc-13", fun () -> (P.cube_connected_cycles 13).P.graph);
       ( "circulant-100000",
         fun () -> (P.circulant 100_000 [ 1; 3; 9 ]).P.graph );
     ]

@@ -2,6 +2,9 @@ module Graph = Qe_graph.Graph
 module Csr = Qe_graph.Csr
 module Labeling = Qe_graph.Labeling
 module Traverse = Qe_graph.Traverse
+module Sink = Qe_obs.Sink
+module Span = Qe_obs.Span
+module Jsonl = Qe_obs.Jsonl
 
 (* Implicit groups: order + multiplication/inverse closures instead of
    the O(n^2) table {!Group.t} stores. Element encodings agree with the
@@ -84,32 +87,30 @@ let wreath_shift ~base d =
     pow_base.(i) <- pow_base.(i - 1) * base
   done;
   let nw = pow_base.(d) in
-  let digit w b = w / pow_base.(b) mod base in
-  (* digit b of shift_i(w) is digit ((b - i) mod d) of w *)
+  (* digit b of shift_i(w) is digit ((b - i) mod d) of w: a rotation of
+     the digit string up by i places, so the low d - i digits move up
+     and the top i wrap around to the bottom *)
   let shift w i =
-    if i = 0 then w
-    else begin
-      let r = ref 0 in
-      for b = 0 to d - 1 do
-        let src = (((b - i) mod d) + d) mod d in
-        r := !r + (digit w src * pow_base.(b))
-      done;
-      !r
-    end
+    ((w mod pow_base.(d - i)) * pow_base.(i)) + (w / pow_base.(d - i))
   in
-  let add w w' =
-    let r = ref 0 in
-    for b = 0 to d - 1 do
-      r := !r + ((digit w b + digit w' b) mod base * pow_base.(b))
-    done;
-    !r
-  in
-  let neg w =
-    let r = ref 0 in
-    for b = 0 to d - 1 do
-      r := !r + ((base - digit w b) mod base * pow_base.(b))
-    done;
-    !r
+  (* digit-wise addition mod [base]: xor in base 2, where every vector
+     is its own negative *)
+  let add, neg =
+    if base = 2 then (( lxor ), Fun.id)
+    else
+      let digit w b = w / pow_base.(b) mod base in
+      ( (fun w w' ->
+          let r = ref 0 in
+          for b = 0 to d - 1 do
+            r := !r + ((digit w b + digit w' b) mod base * pow_base.(b))
+          done;
+          !r),
+        fun w ->
+          let r = ref 0 in
+          for b = 0 to d - 1 do
+            r := !r + ((base - digit w b) mod base * pow_base.(b))
+          done;
+          !r )
   in
   let mul x y =
     let w = x / d and i = x mod d in
@@ -157,53 +158,79 @@ let cayley p gens =
   let n = p.order in
   (* Each unordered edge {a, a*s} is listed exactly once, per generator in
      sorted connection order: involutions from their smaller endpoint,
-     non-involutions via the smaller of {s, s⁻¹}. *)
-  let invol = List.filter (is_involution p) connection in
-  let canon =
-    List.filter (fun s -> (not (is_involution p s)) && s < p.inv s) connection
+     non-involutions via the smaller of {s, s⁻¹}. Each such generator
+     emits one block of consecutive edge ids: n/2 for an involution (it
+     pairs the nodes perfectly), n otherwise. *)
+  let emitted =
+    Array.of_list
+      (List.filter (fun s -> is_involution p s || s < p.inv s) connection)
   in
-  (* each involution pairs nodes perfectly: n/2 edges *)
-  let m = (List.length invol * n / 2) + (List.length canon * n) in
+  let block_len s = if is_involution p s then n / 2 else n in
+  let block_start = Array.make (Array.length emitted + 1) 0 in
+  Array.iteri
+    (fun k s -> block_start.(k + 1) <- block_start.(k) + block_len s)
+    emitted;
+  let m = block_start.(Array.length emitted) in
+  (* generation spans, under an ambient sink only: without one, the
+     cost is this one probe *)
+  let tracer = Option.map (fun sink -> sink.Sink.spans) (Sink.ambient ()) in
+  let stage ?attrs name f =
+    match tracer with None -> f () | Some t -> Span.with_span ?attrs t name f
+  in
+  stage ~attrs:[ ("n", Jsonl.Int n); ("m", Jsonl.Int m) ] "gen.cayley"
+  @@ fun () ->
   let edge_u = Array.make m 0 and edge_v = Array.make m 0 in
-  let k = ref 0 in
-  List.iter
-    (fun s ->
-      if is_involution p s then
-        for a = 0 to n - 1 do
-          let b = p.mul a s in
-          if a < b then begin
-            edge_u.(!k) <- a;
-            edge_v.(!k) <- b;
-            incr k
-          end
-        done
-      else if s < p.inv s then
-        for a = 0 to n - 1 do
-          edge_u.(!k) <- a;
-          edge_v.(!k) <- p.mul a s;
-          incr k
-        done)
-    connection;
-  assert (!k = m);
-  let csr = Csr.of_endpoints ~n edge_u edge_v in
+  stage "gen.edges" (fun () ->
+      Array.iteri
+        (fun k s ->
+          let e = ref block_start.(k) in
+          let involution = is_involution p s in
+          for a = 0 to n - 1 do
+            let b = p.mul a s in
+            if (not involution) || a < b then begin
+              edge_u.(!e) <- a;
+              edge_v.(!e) <- b;
+              incr e
+            end
+          done;
+          assert (!e = block_start.(k + 1)))
+        emitted);
+  let csr = stage "gen.csr" (fun () -> Csr.of_endpoints ~n edge_u edge_v) in
   let graph = Graph.of_csr csr in
   (* A Cayley graph is connected iff its connection set generates the
      group: one BFS over the built CSR checks generation. *)
-  if not (Traverse.is_connected graph) then
+  if not (stage "gen.connected" (fun () -> Traverse.is_connected graph)) then
     invalid_arg "Presentation.cayley: set does not generate the group";
-  (* port symbol = the generator this dart follows: u⁻¹ v *)
-  let labeling =
-    Labeling.make graph (fun u i ->
-        p.mul (p.inv u) csr.Csr.dst.(csr.Csr.off.(u) + i))
+  (* port symbol = the generator this dart follows, u⁻¹v: edge {a, a·s}
+     reads s at a and s⁻¹ at a·s, and its id names its block, so the
+     label needs no group arithmetic *)
+  let emitted_inv = Array.map p.inv emitted in
+  let block_of e =
+    let rec go lo hi =
+      (* block_start.(lo) <= e < block_start.(hi) *)
+      if hi - lo = 1 then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if block_start.(mid) <= e then go mid hi else go lo mid
+    in
+    go 0 (Array.length emitted)
   in
-  Graph.set_transitivity_witness graph
-    {
-      Graph.w_gens =
-        Array.of_list
-          (List.map
-             (fun s -> Array.init n (fun a -> p.mul s a))
-             connection);
-    };
+  let labeling =
+    stage "gen.labeling" (fun () ->
+        Labeling.make graph (fun u i ->
+            let e = csr.Csr.edge.(csr.Csr.off.(u) + i) in
+            let k = block_of e in
+            if csr.Csr.edge_u.(e) = u then emitted.(k) else emitted_inv.(k)))
+  in
+  stage "gen.witness" (fun () ->
+      Graph.set_transitivity_witness graph
+        {
+          Graph.w_gens =
+            Array.of_list
+              (List.map
+                 (fun s -> Array.init n (fun a -> p.mul s a))
+                 connection);
+        });
   { graph; labeling; connection; group = p }
 
 let circulant n jumps = cayley (cyclic n) jumps

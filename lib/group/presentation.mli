@@ -14,9 +14,9 @@
     {!Qe_graph.Csr} flat arrays, checks that the result is connected
     (which holds iff the connection set generates the group), attaches
     the natural edge labeling (the port toward [v] at [u] carries the
-    generator [u⁻¹v]) and registers a transitivity witness — the left
-    translations — on the graph for {!Qe_symmetry.Transitive} to
-    verify. *)
+    generator [u⁻¹v], read off the generator that emitted the edge) and
+    registers a transitivity witness — the left translations — on the
+    graph for {!Qe_symmetry.Transitive} to verify. *)
 
 type t
 
@@ -49,7 +49,10 @@ val wreath_shift : base:int -> int -> t
 (** [wreath_shift ~base d] is the wreath-like product [Z_base ≀ Z_d] =
     Z_base^d ⋊ Z_d (cyclic coordinate shift), order [base^d * d].
     Element [(w, i)] is encoded [w * d + i], [w] a base-[base] digit
-    vector. *)
+    vector. The shift rotates the digit string in O(1)
+    ([(w mod base^(d-i))·base^i + w / base^(d-i)]); in base 2 the
+    digit-wise sum is [lxor] and negation the identity, so [mul] and
+    [inv] are O(1). Other bases add and negate digit by digit, O(d). *)
 
 val semidirect_shift : int -> t
 (** [wreath_shift ~base:2] — bit-identical to {!Group.semidirect_shift};
@@ -70,9 +73,20 @@ val cayley : t -> int list -> instance
     under inverses), streamed into CSR with no intermediate edge list.
     Each edge [{a, a·s}] is listed once, per generator in sorted
     connection order: an involution from its smaller endpoint, a
-    non-involution via the smaller of [{s, s⁻¹}]. Generation is checked
-    on the built graph: one BFS over the CSR, since a Cayley graph is
-    connected iff its connection set generates the group.
+    non-involution via the smaller of [{s, s⁻¹}]. So edge ids come in
+    one block per emitting generator [s] ([n/2] edges for an
+    involution, [n] otherwise), and a dart's label is [s] at [a] and
+    [s⁻¹] at [a·s]: labeling calls no group arithmetic, and needs no
+    per-edge table. Generation is checked on the built graph: one BFS
+    over the CSR, since a Cayley graph is connected iff its connection
+    set generates the group. The labels' per-node distinctness is still
+    validated ({!Qe_graph.Labeling.make}), and the witness stays
+    untrusted until {!Qe_symmetry.Transitive} verifies it.
+
+    Under an ambient {!Qe_obs.Sink}, generation records one [gen.cayley]
+    span (attributes [n], [m]) with the children [gen.edges], [gen.csr],
+    [gen.connected], [gen.labeling] and [gen.witness]; with none, the
+    cost is one probe.
     @raise Invalid_argument if a generator is the identity or out of
     range, or the graph is disconnected (the set does not generate the
     group). *)

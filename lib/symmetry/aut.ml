@@ -4,9 +4,7 @@ let generators ?max_leaves g = (Canon.run ?max_leaves g).generators
 
 let compose a b = Array.init (Array.length a) (fun i -> a.(b.(i)))
 
-let group ?max_leaves ?(cap = 100_000) g =
-  let n = Cdigraph.n g in
-  let gens = generators ?max_leaves g in
+let close ?(cap = 100_000) n gens =
   let identity = Array.init n Fun.id in
   let seen = Hashtbl.create 64 in
   Hashtbl.add seen identity ();
@@ -27,6 +25,9 @@ let group ?max_leaves ?(cap = 100_000) g =
       gens
   done;
   identity :: List.filter (fun p -> p <> identity) (List.rev !order)
+
+let group ?max_leaves ?cap g =
+  close ?cap (Cdigraph.n g) (generators ?max_leaves g)
 
 let group_order ?max_leaves ?cap g = List.length (group ?max_leaves ?cap g)
 

@@ -7,10 +7,15 @@ val generators : ?max_leaves:int -> Cdigraph.t -> int array list
 (** Generators of the automorphism group (possibly empty for a rigid
     digraph), from the canonical-labeling search. *)
 
-val group : ?max_leaves:int -> ?cap:int -> Cdigraph.t -> int array list
-(** All automorphisms, identity first, by closing the generators under
-    composition. [cap] defaults to 100_000 elements.
+val close : ?cap:int -> int -> int array list -> int array list
+(** [close n gens] is the permutation group on [n] points that [gens]
+    generate, identity first, by closing them under composition. [cap]
+    defaults to 100_000 elements.
     @raise Too_large if the group is bigger. *)
+
+val group : ?max_leaves:int -> ?cap:int -> Cdigraph.t -> int array list
+(** All automorphisms: {!close} over {!generators}.
+    @raise Too_large if the group has more than [cap] elements. *)
 
 val group_order : ?max_leaves:int -> ?cap:int -> Cdigraph.t -> int
 

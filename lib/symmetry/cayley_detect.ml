@@ -107,13 +107,15 @@ let find_regular_subgroup n candidates =
       List.rev !found)
 
 (* Candidate translations per target node: fixed-point-free automorphisms
-   mapping the base vertex 0 there. *)
+   mapping the base vertex 0 there. One canonical run gives both the
+   orbits (is the graph vertex-transitive?) and the generators the
+   automorphism group is closed from. *)
 let candidates_of ?(max_aut = 50_000) ?max_leaves g =
   let n = Graph.n g in
-  let dg = Cdigraph.of_graph g in
-  if not (Aut.is_vertex_transitive ?max_leaves dg) then `Not_vt
+  let r = Canon.run ?max_leaves (Cdigraph.of_graph g) in
+  if Array.exists (fun o -> o <> 0) r.Canon.orbits then `Not_vt
   else
-    match Aut.group ?max_leaves ~cap:max_aut dg with
+    match Aut.close ~cap:max_aut n r.Canon.generators with
     | exception Aut.Too_large -> `Too_large
     | autos ->
         let candidates = Array.make n [] in

@@ -430,6 +430,52 @@ let test_presentation_vs_group () =
     (P.wreath_shift ~base:2 4)
     (Group.semidirect_shift 4)
 
+(* [P.wreath_shift] rotates and xors in O(1); pin it to the definition,
+   digit by digit: (w, i)·(w', i') = (w + shift_i w', i + i') and
+   (w, i)⁻¹ = (shift_{-i} (-w), -i), where digit j of shift_i w is digit
+   (j - i) mod d of w. *)
+let rec ipow b k = if k = 0 then 1 else b * ipow b (k - 1)
+
+let wreath_reference ~base d =
+  let md k a = ((a mod k) + k) mod k in
+  let decode x =
+    let w = x / d in
+    (Array.init d (fun j -> w / ipow base j mod base), x mod d)
+  in
+  let encode (digits, i) =
+    (Array.fold_right (fun dg acc -> (acc * base) + dg) digits 0 * d) + i
+  in
+  let shift w i = Array.init d (fun j -> w.(md d (j - i))) in
+  let mul x y =
+    let w, i = decode x and w', i' = decode y in
+    let s = shift w' i in
+    encode (Array.init d (fun j -> md base (w.(j) + s.(j))), md d (i + i'))
+  in
+  let inv x =
+    let w, i = decode x in
+    encode (shift (Array.map (fun dg -> md base (-dg)) w) (-i), md d (-i))
+  in
+  (mul, inv)
+
+let prop_wreath_vs_digits =
+  let gen =
+    QCheck.Gen.(
+      bool >>= fun two ->
+      let base, dmax = if two then (2, 20) else (3, 12) in
+      int_range 1 dmax >>= fun d ->
+      let order = ipow base d * d in
+      pair (int_bound (order - 1)) (int_bound (order - 1)) >|= fun (x, y) ->
+      (base, d, x, y))
+  in
+  QCheck.Test.make ~name:"wreath_shift mul/inv = digit loops" ~count:1000
+    (QCheck.make
+       ~print:(fun (b, d, x, y) -> Printf.sprintf "base %d, d %d, x %d, y %d" b d x y)
+       gen)
+    (fun (base, d, x, y) ->
+      let p = P.wreath_shift ~base d in
+      let mul, inv = wreath_reference ~base d in
+      P.mul p x y = mul x y && P.inv p x = inv x)
+
 (* the streamed CSR generator must be structurally identical to the
    table-backed edge-list builder, labels included *)
 let test_presentation_cayley_vs_table () =
@@ -461,6 +507,73 @@ let test_presentation_cayley_vs_table () =
               (Genset.elements (Cayley.genset table))))
         inst.P.connection)
     pairs
+
+(* Labels come from the emitting generator, not from group arithmetic:
+   pin every dart's label to u⁻¹v computed independently — by table
+   arithmetic ([Cayley.port_generator]) on table-backed groups, by the
+   presentation's own [mul]/[inv] on the arithmetic families. *)
+let test_labels_vs_arithmetic () =
+  let check_darts name g label expected =
+    for u = 0 to Graph.n g - 1 do
+      Graph.iter_darts g u (fun i v _ _ ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: symbol at %d.%d" name u i)
+            (expected u i v) (label u i))
+    done
+  in
+  let s4 = Group.symmetric 4 in
+  let named nm =
+    List.find (fun a -> Group.elt_name s4 a = nm) (Group.elements s4)
+  in
+  List.iter
+    (fun (name, c) ->
+      check_darts name (Cayley.graph c)
+        (Labeling.symbol (Cayley.labeling c))
+        (fun u i _ -> Cayley.port_generator c u i))
+    [
+      (* a 4-cycle and a transposition: a non-involution and its inverse *)
+      ("S4", Cayley.make (Genset.make s4 [ named "1230"; named "1023" ]));
+      ("Q8", Cayley.make (Genset.make (Group.quaternion ()) [ 2; 4 ]));
+      (* a rotation and a reflection *)
+      ("D6", Cayley.make (Genset.make (Group.dihedral 6) [ 1; 6 ]));
+      ("ccc 3", Cayley.cube_connected_cycles 3);
+    ];
+  List.iter
+    (fun (name, (inst : P.instance)) ->
+      let p = inst.P.group in
+      check_darts name inst.P.graph
+        (Labeling.symbol inst.P.labeling)
+        (fun u _ v -> P.mul p (P.inv p u) v))
+    [
+      ("ccc:10", P.cube_connected_cycles 10);
+      ("wreath:3:5", P.cayley (P.wreath_shift ~base:3 5) [ 1; 5 ]);
+      ("torus:30x20", P.cayley (P.product (P.cyclic 30) (P.cyclic 20)) [ 20; 1 ]);
+      ("dihedral:50", P.cayley (P.dihedral 50) [ 50; 51 ]);
+      ( "hypercube:8",
+        P.cayley (P.power (P.cyclic 2) 8) (List.init 8 (fun i -> 1 lsl i)) );
+    ]
+
+(* under an ambient sink, generation is one [gen.cayley] span whose
+   children are its stages, in order *)
+let test_generation_spans () =
+  let sink = Qe_obs.Sink.create () in
+  let inst = Qe_obs.Sink.with_ambient sink (fun () -> P.circulant 12 [ 1; 5 ]) in
+  match Qe_obs.Span.roots sink.Qe_obs.Sink.spans with
+  | [ root ] ->
+      let open Qe_obs.Span in
+      Alcotest.(check string) "root" "gen.cayley" root.name;
+      Alcotest.(check bool) "n and m" true
+        (root.attrs
+        = [
+            ("n", Qe_obs.Jsonl.Int (Graph.n inst.P.graph));
+            ("m", Qe_obs.Jsonl.Int (Graph.m inst.P.graph));
+          ]);
+      Alcotest.(check (list string)) "stages"
+        [ "gen.edges"; "gen.csr"; "gen.connected"; "gen.labeling"; "gen.witness" ]
+        (List.map (fun c -> c.name) root.children);
+      Alcotest.(check bool) "stages are leaves" true
+        (List.for_all (fun c -> c.children = []) root.children)
+  | roots -> Alcotest.failf "expected one root span, got %d" (List.length roots)
 
 let test_presentation_validation () =
   Alcotest.check_raises "identity generator" (Invalid_argument
@@ -547,6 +660,10 @@ let () =
           Alcotest.test_case "vs table groups" `Quick test_presentation_vs_group;
           Alcotest.test_case "cayley vs table builder" `Quick
             test_presentation_cayley_vs_table;
+          Alcotest.test_case "labels = group arithmetic" `Quick
+            test_labels_vs_arithmetic;
+          QCheck_alcotest.to_alcotest prop_wreath_vs_digits;
+          Alcotest.test_case "generation spans" `Quick test_generation_spans;
           Alcotest.test_case "validation" `Quick test_presentation_validation;
         ] );
       ("smoke", [ Alcotest.test_case "50k circulant" `Quick test_big_smoke ]);

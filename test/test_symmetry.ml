@@ -300,6 +300,15 @@ let prop_class_order_renumber_invariant =
       classes (renumber_graph g p) (List.map (fun u -> p.(u)) black)
       = image (classes g black))
 
+let canon_runs sink =
+  match
+    Qe_obs.Metrics.find
+      (Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics)
+      "canon.runs"
+  with
+  | Some (Qe_obs.Metrics.Counter c) -> Some c
+  | _ -> None
+
 let test_classes_one_canonical_run () =
   let b = Bicolored.make (Families.circulant 60 [ 1; 3; 9 ]) ~black:[ 0; 1; 5 ] in
   let sink = Qe_obs.Sink.create () in
@@ -307,13 +316,7 @@ let test_classes_one_canonical_run () =
   Alcotest.(check bool) "non-uniform: many classes" true
     (Classes.num_classes t > 1);
   Alcotest.(check (option int)) "canon.runs" (Some 1)
-    (match
-       Qe_obs.Metrics.find
-         (Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics)
-         "canon.runs"
-     with
-    | Some (Qe_obs.Metrics.Counter c) -> Some c
-    | _ -> None)
+    (canon_runs sink)
 
 (* Lemma 3.1's first claim: u ~ v iff S(u) ≅ S(v). The one-run
    partition must equal the grouping by surrounding certificates. *)
@@ -533,6 +536,27 @@ let test_recognition_deterministic () =
         (Qe_group.Group.isomorphic_as_tables a.group b.group);
       Alcotest.(check (list int)) "same generators" a.generators b.generators
   | _ -> Alcotest.fail "Q3 must be Cayley"
+
+(* One recognition is one canonical search: its orbits decide vertex
+   transitivity and its generators are closed into the group. *)
+let test_recognition_one_canonical_run () =
+  let before = Qe_symmetry.Artifact_cache.enabled () in
+  Qe_symmetry.Artifact_cache.set_enabled false;
+  let sink = Qe_obs.Sink.create () in
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> Qe_symmetry.Artifact_cache.set_enabled before)
+      (fun () ->
+        Qe_obs.Sink.with_ambient sink (fun () ->
+            Cayley_detect.recognize (Families.cycle 8)))
+  in
+  (match outcome with
+  | Cayley_detect.Cayley r ->
+      Alcotest.(check bool) "C8 verified" true
+        (Cayley_detect.verify (Families.cycle 8) r)
+  | _ -> Alcotest.fail "C8 must be Cayley");
+  Alcotest.(check (option int)) "canon.runs" (Some 1)
+    (canon_runs sink)
 
 (* --- Theorem 4.1 marking process --- *)
 
@@ -1052,6 +1076,8 @@ let () =
             test_recognition_translation_classes;
           Alcotest.test_case "deterministic" `Quick
             test_recognition_deterministic;
+          Alcotest.test_case "one canonical run" `Quick
+            test_recognition_one_canonical_run;
         ] );
       ( "refine_labeling",
         [
