@@ -8,7 +8,7 @@ let main (_ctx : Protocol.ctx) =
   (* No use of colors anywhere: the agent treats all signs alike. *)
   Script.post ~tag:claim_tag ();
   let obs = Script.observe () in
-  match obs.Protocol.ports with
+  match Lazy.force obs.Protocol.ports with
   | p :: _ ->
       let there = Script.move p in
       if List.exists (Sign.has_tag claim_tag) there.Protocol.board then

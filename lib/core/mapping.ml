@@ -73,7 +73,7 @@ let explore (ctx : Protocol.ctx) =
     let node =
       {
         xid = id;
-        xports = Array.of_list obs.ports;
+        xports = Array.of_list (Lazy.force obs.ports);
         xadj = Array.make deg None;
         xhome = home_color_of_board obs.board;
         xorder = !order;

@@ -80,7 +80,7 @@ let fold_darts t u ~init ~f =
   !acc
 
 let sort_range (a : int array) lo hi =
-  if hi - lo <= 16 then
+  if hi - lo <= 32 then
     for i = lo + 1 to hi - 1 do
       let x = a.(i) in
       let j = ref (i - 1) in

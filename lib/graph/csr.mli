@@ -50,7 +50,8 @@ val fold_darts :
 val sort_range : int array -> int -> int -> unit
 (** [sort_range a lo hi] sorts the slice [a.(lo) .. a.(hi-1)] ascending
     in place: insertion sort on degree-sized slices, [Array.sort] above
-    16 elements. *)
+    32 elements (a copy of the slice — the hypercube's degree 17 sits
+    under the cutoff). *)
 
 val words : t -> int
 (** Approximate heap footprint in words (arrays + headers) — used by the

@@ -168,20 +168,23 @@ let presentation_order st a node =
   done;
   perm
 
+(* Built on first read: only MAP-DRAWING reads the ports, once per newly
+   visited node, while every other observation (barrier waits, tours,
+   navigation steps) discards them. [node] is captured by value, so a
+   late force still answers for the node the observation was taken at. *)
 let make_obs st a =
   a.reads <- a.reads + 1;
   let node = a.loc in
-  let labeling = World.labeling st.world in
-  let perm = presentation_order st a node in
-  let ports =
-    Array.to_list
-      (Array.map
-         (fun i -> World.symbol_of st.world (Labeling.symbol labeling node i))
-         perm)
-  in
   {
-    Protocol.degree = Array.length perm;
-    ports;
+    Protocol.degree = Graph.degree (World.graph st.world) node;
+    ports =
+      lazy
+        (let labeling = World.labeling st.world in
+         Array.fold_right
+           (fun i acc ->
+             World.symbol_of st.world (Labeling.symbol labeling node i) :: acc)
+           (presentation_order st a node)
+           []);
     entry = a.entry;
     board = Whiteboard.signs st.boards.(node);
   }

@@ -1,6 +1,6 @@
 type observation = {
   degree : int;
-  ports : Qe_color.Symbol.t list;
+  ports : Qe_color.Symbol.t list Lazy.t;
   entry : Qe_color.Symbol.t option;
   board : Sign.t list;
 }

@@ -8,9 +8,13 @@
 
 type observation = {
   degree : int;
-  ports : Qe_color.Symbol.t list;
-      (** port symbols at the current node, in this agent's own
-          presentation order *)
+  ports : Qe_color.Symbol.t list Lazy.t;
+      (** port symbols at the node where the observation was taken, in
+          this agent's own presentation order. Computed on first read:
+          an observation whose ports are never forced never pays for
+          them. The order is a pure function of the run's seed, the
+          agent and the node, so forcing late (after the agent moved on)
+          or twice gives the same list as forcing at once. *)
   entry : Qe_color.Symbol.t option;
       (** the label (at this node) of the port the agent just arrived
           through; [None] at the home-base before any move *)

@@ -1,4 +1,7 @@
 module Graph = Qe_graph.Graph
+module Sink = Qe_obs.Sink
+module Span = Qe_obs.Span
+module Jsonl = Qe_obs.Jsonl
 
 (* A generator phi is an automorphism iff for every node u the multiset
    { phi(v) : v neighbor of u } equals the neighbor multiset of phi(u).
@@ -48,41 +51,65 @@ let is_automorphism g (phi : int array) =
   done;
   !ok
 
-(* Orbit of node 0 under the first [k] generators: directed closure
-   suffices because each generator has finite order, so its inverse is
-   a power of it — if w is reachable, so is everything in its orbit. *)
-let one_orbit n (gens : int array array) k =
-  let reach = Array.make n false in
-  let queue = Array.make n 0 in
-  reach.(0) <- true;
-  queue.(0) <- 0;
-  let head = ref 0 and tail = ref 1 in
-  while !head < !tail do
-    let u = queue.(!head) in
-    incr head;
-    for i = 0 to k - 1 do
-      let v = gens.(i).(u) in
-      if not reach.(v) then begin
-        reach.(v) <- true;
-        queue.(!tail) <- v;
-        incr tail
+(* The shortest prefix of verified automorphisms with one orbit, and
+   how many generators were checked. The orbits of the first k
+   generators are the components of the graph with edges u-phi(u) for
+   those generators (each has finite order, so its inverse is a power of
+   it): one union-find grows them as each generator passes
+   [is_automorphism], O(n) near-constant finds per generator, and the
+   generators after the prefix are never read. *)
+let verify_counted g (w : Graph.witness) =
+  let n = Graph.n g and gens = w.Graph.w_gens in
+  let len = Array.length gens in
+  let parent = Array.init n Fun.id in
+  (* path halving, tail-recursive: a long chain cannot blow the stack *)
+  let rec find u =
+    let p = parent.(u) in
+    if p = u then u
+    else begin
+      let gp = parent.(p) in
+      parent.(u) <- gp;
+      find gp
+    end
+  in
+  let orbits = ref n in
+  let join (phi : int array) =
+    for u = 0 to n - 1 do
+      let a = find u and b = find phi.(u) in
+      if a <> b then begin
+        parent.(a) <- b;
+        decr orbits
       end
     done
-  done;
-  !tail = n
-
-(* The shortest prefix of verified automorphisms with one orbit: a
-   prefix is only orbit-checked once each of its generators passed
-   [is_automorphism], and the generators after it are never read. *)
-let verify g (w : Graph.witness) =
-  let n = Graph.n g and gens = w.Graph.w_gens in
+  in
   let rec go k =
-    if one_orbit n gens k then Some { Graph.w_gens = Array.sub gens 0 k }
-    else if k < Array.length gens && is_automorphism g gens.(k) then
+    if !orbits = 1 then (Some { Graph.w_gens = Array.sub gens 0 k }, k)
+    else if k < len && is_automorphism g gens.(k) then begin
+      join gens.(k);
       go (k + 1)
-    else None
+    end
+    else (None, min (k + 1) len)
   in
   go 0
+
+let verify g w = fst (verify_counted g w)
+
+(* A first ask verifies, under a [transitive.certify] span when an
+   ambient sink is installed; later asks read the cached verdict. *)
+let certify g w =
+  match Sink.ambient () with
+  | None -> verify g w
+  | Some sink ->
+      let t = sink.Sink.spans in
+      let span = Span.enter t "transitive.certify" in
+      Fun.protect ~finally:(fun () -> ignore (Span.exit t span)) @@ fun () ->
+      let c, checked = verify_counted g w in
+      Span.add_attr span "checked" (Jsonl.Int checked);
+      Span.add_attr span "prefix"
+        (match c with
+        | Some c -> Jsonl.Int (Array.length c.Graph.w_gens)
+        | None -> Jsonl.Null);
+      c
 
 let certified g =
   match Graph.transitivity_witness g with
@@ -91,7 +118,7 @@ let certified g =
       match Graph.certified_witness g with
       | Some c -> c
       | None ->
-          let c = verify g w in
+          let c = certify g w in
           Graph.set_certified_witness g c;
           c)
 

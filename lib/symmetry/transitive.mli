@@ -8,10 +8,11 @@
     (sorted neighbor-multiset comparison against the graph's memoized
     sorted adjacency, O(m log d) per generator, one degree-sized
     buffer), and stops at the first prefix whose generated group moves
-    node 0 onto every node. Only a witness with such a prefix becomes a
-    certificate, and the certificate is that prefix; it is cached on the
-    graph, so verification runs once per graph no matter how many
-    consumers ask.
+    node 0 onto every node (one union-find over the edges u-phi(u) grows
+    the orbits as each generator passes). Only a witness with such a
+    prefix becomes a certificate, and the certificate is that prefix; it
+    is cached on the graph, so verification runs once per graph no
+    matter how many consumers ask.
 
     Soundness note: a certificate proves the graph is vertex-transitive.
     It does {e not} by itself determine the classes of an arbitrary
@@ -25,7 +26,11 @@
 
 val certified : Qe_graph.Graph.t -> Qe_graph.Graph.witness option
 (** The graph's witness cut to its certified generator prefix (cached),
-    [None] if absent or rejected. *)
+    [None] if absent or rejected. Under an ambient {!Qe_obs.Sink}, the
+    ask that verifies records one [transitive.certify] span with the
+    attributes [checked] (generators run through {!is_automorphism})
+    and [prefix] (the certified prefix length, [null] when rejected);
+    an ask answered from the cache records none. *)
 
 val certified_regular : Qe_graph.Graph.t -> int array option
 (** The first generator of the certified prefix whose cycles on the

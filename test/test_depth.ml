@@ -410,7 +410,7 @@ let test_engine_event_stream () =
         (fun _ctx ->
           Script.post ~tag:"x" ();
           let obs = Script.observe () in
-          (match obs.Protocol.ports with
+          (match Lazy.force obs.Protocol.ports with
           | p :: _ -> ignore (Script.move p)
           | [] -> ());
           ignore (Script.erase ~tag:"x");
@@ -495,7 +495,8 @@ let test_presentation_order_varies_between_agents () =
         (fun _ctx ->
           let obs = Script.observe () in
           seen :=
-            List.map Qe_color.Symbol.name obs.Protocol.ports :: !seen;
+            List.map Qe_color.Symbol.name (Lazy.force obs.Protocol.ports)
+            :: !seen;
           Protocol.Leader);
     }
   in
@@ -513,7 +514,8 @@ let test_presentation_order_varies_between_agents () =
         main =
           (fun _ctx ->
             let obs = Script.observe () in
-            out := List.map Qe_color.Symbol.name obs.Protocol.ports;
+            out :=
+              List.map Qe_color.Symbol.name (Lazy.force obs.Protocol.ports);
             Protocol.Leader);
       }
     in

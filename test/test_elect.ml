@@ -250,6 +250,35 @@ let test_elect_move_complexity_bound () =
           r.Campaign.inst.Campaign.name r.Campaign.moves bound)
     records
 
+(* Theorem 3.1's cost law across a 10x size step: with agents {0, 1, 5},
+   moves and whiteboard accesses per r|E| stay under one constant (they
+   read 4.2-4.7 on both families at both sizes). *)
+let test_elect_cost_law_at_scale () =
+  let c = 5.0 in
+  List.iter
+    (fun (name, g) ->
+      let w = World.make g ~black:[ 0; 1; 5 ] in
+      let r = Engine.run w Elect.protocol in
+      (match r.Engine.outcome with
+      | Engine.Elected _ -> ()
+      | o -> Alcotest.failf "%s: %a" name Engine.pp_outcome o);
+      let re = float_of_int (3 * Graph.m g) in
+      List.iter
+        (fun (what, count) ->
+          let ratio = float_of_int count /. re in
+          if ratio > c then
+            Alcotest.failf "%s: %s/(r|E|) = %.2f > %.1f" name what ratio c)
+        [
+          ("moves", r.Engine.total_moves);
+          ("accesses", r.Engine.total_accesses);
+        ])
+    [
+      ("circulant:1000:1,3,9", Families.circulant 1000 [ 1; 3; 9 ]);
+      ("circulant:10000:1,3,9", Families.circulant 10000 [ 1; 3; 9 ]);
+      ("torus:32x32", Families.torus 32 32);
+      ("torus:100x100", Families.torus 100 100);
+    ]
+
 let test_elect_deep_euclid_chains () =
   (* Fibonacci double stars force the maximum number of AGENT-REDUCE
      rounds (subtractive Euclid on coprime neighbors), including
@@ -563,6 +592,8 @@ let () =
             test_elect_adversarial_labelings;
           Alcotest.test_case "move complexity O(r|E|)" `Slow
             test_elect_move_complexity_bound;
+          Alcotest.test_case "cost law across a 10x step" `Slow
+            test_elect_cost_law_at_scale;
           Alcotest.test_case "deep Euclid chains" `Slow
             test_elect_deep_euclid_chains;
           Alcotest.test_case "early exit skips waiting classes" `Quick

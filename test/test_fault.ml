@@ -27,7 +27,7 @@ let forever_mover =
     main =
       (fun _ctx ->
         let rec go (obs : Protocol.observation) =
-          go (Script.move (List.hd obs.ports))
+          go (Script.move (List.hd (Lazy.force obs.ports)))
         in
         go (Script.observe ()));
   }

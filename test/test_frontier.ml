@@ -188,6 +188,108 @@ let test_shortest_prefix () =
   Alcotest.(check bool) "no exhibit" true
     (Transitive.certified_regular g = None)
 
+(* the first ask on a graph verifies under one [transitive.certify]
+   span; a second ask reads the cached verdict and records nothing *)
+let test_certify_span () =
+  let certify_spans g =
+    let sink = Qe_obs.Sink.create () in
+    let c = Qe_obs.Sink.with_ambient sink (fun () -> Transitive.certified g) in
+    (c, Qe_obs.Span.roots sink.Qe_obs.Sink.spans)
+  in
+  let attrs (s : Qe_obs.Span.closed) = s.attrs in
+  let g = (P.circulant 12 [ 1; 5 ]).P.graph in
+  (match certify_spans g with
+  | Some w, [ s ] ->
+      let k = Array.length w.Graph.w_gens in
+      Alcotest.(check string) "name" "transitive.certify" s.name;
+      Alcotest.(check bool) "checked and prefix" true
+        (attrs s
+        = [ ("checked", Qe_obs.Jsonl.Int k); ("prefix", Qe_obs.Jsonl.Int k) ])
+  | None, _ -> Alcotest.fail "circulant 12 should certify"
+  | _, roots ->
+      Alcotest.failf "expected one span, got %d" (List.length roots));
+  Alcotest.(check int) "second ask: no span" 0
+    (List.length (snd (certify_spans g)));
+  let g = Families.cycle 6 in
+  Graph.set_transitivity_witness g
+    { Graph.w_gens = [| [| 1; 0; 2; 3; 4; 5 |] |] };
+  match certify_spans g with
+  | None, [ s ] ->
+      Alcotest.(check bool) "rejected: one checked, no prefix" true
+        (attrs s
+        = [ ("checked", Qe_obs.Jsonl.Int 1); ("prefix", Qe_obs.Jsonl.Null) ])
+  | _ -> Alcotest.fail "a bogus witness should be rejected under one span"
+
+(* the union-find prefix search against the per-prefix orbit BFS it
+   replaced, on shuffled Cayley witnesses with one bogus generator
+   spliced in at a random position *)
+let prop_verify_vs_bfs =
+  let bfs_one_orbit n (gens : int array array) k =
+    let reach = Array.make n false and queue = Queue.create () in
+    reach.(0) <- true;
+    Queue.add 0 queue;
+    let count = ref 1 in
+    while not (Queue.is_empty queue) do
+      let u = Queue.pop queue in
+      for i = 0 to k - 1 do
+        let v = gens.(i).(u) in
+        if not reach.(v) then begin
+          reach.(v) <- true;
+          incr count;
+          Queue.add v queue
+        end
+      done
+    done;
+    !count = n
+  in
+  QCheck.Test.make ~name:"verify = per-prefix orbit BFS" ~count:100
+    QCheck.(pair (int_bound 3) (int_bound 1_000_000))
+    (fun (fam, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let g =
+        match fam with
+        | 0 -> Cayley.graph (Cayley.hypercube (2 + Random.State.int rng 4))
+        | 1 ->
+            Cayley.graph
+              (Cayley.torus (3 + Random.State.int rng 4)
+                 (3 + Random.State.int rng 4))
+        | 2 -> (P.cube_connected_cycles (3 + Random.State.int rng 2)).P.graph
+        | _ -> (P.circulant (8 + Random.State.int rng 20) [ 1; 2; 3 ]).P.graph
+      in
+      let n = Graph.n g in
+      let w = Option.get (Graph.transitivity_witness g) in
+      let gens = Array.copy w.Graph.w_gens in
+      for i = Array.length gens - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let t = gens.(i) in
+        gens.(i) <- gens.(j);
+        gens.(j) <- t
+      done;
+      let bogus = Array.init n (fun u -> if u < 2 then 1 - u else u) in
+      let at = Random.State.int rng (Array.length gens + 1) in
+      let gens =
+        Array.concat
+          [
+            Array.sub gens 0 at;
+            [| bogus |];
+            Array.sub gens at (Array.length gens - at);
+          ]
+      in
+      let expected =
+        let rec go k =
+          if bfs_one_orbit n gens k then Some k
+          else if
+            k < Array.length gens && Transitive.is_automorphism g gens.(k)
+          then go (k + 1)
+          else None
+        in
+        go 0
+      in
+      Option.map
+        (fun c -> Array.length c.Graph.w_gens)
+        (Transitive.verify g { Graph.w_gens = gens })
+      = expected)
+
 (* the certified prefix is memoized on the graph; attaching a new witness
    must drop it, in both directions *)
 let test_new_witness_reverified () =
@@ -654,6 +756,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_cycle_scan_naive;
           Alcotest.test_case "witness agrees with the search" `Quick
             test_witness_vs_search;
+          Alcotest.test_case "certification span" `Quick test_certify_span;
+          QCheck_alcotest.to_alcotest prop_verify_vs_bfs;
         ] );
       ( "presentation",
         [

@@ -6,6 +6,7 @@ module Protocol = Qe_runtime.Protocol
 module Script = Qe_runtime.Script
 module Sign = Qe_runtime.Sign
 module Whiteboard = Qe_runtime.Whiteboard
+module Campaign = Qe_elect.Campaign
 
 let strategies =
   [
@@ -34,7 +35,7 @@ let star_race =
     main =
       (fun ctx ->
         let obs = Script.observe () in
-        match obs.Protocol.ports with
+        match Lazy.force obs.Protocol.ports with
         | [ p ] ->
             let center = Script.move p in
             if
@@ -65,7 +66,7 @@ let wake_chain =
         in
         if foreign_ping then Protocol.Defeated
         else
-          match obs.Protocol.ports with
+          match Lazy.force obs.Protocol.ports with
           | p :: _ ->
               let _ = Script.move p in
               Script.post ~tag:"ping" ();
@@ -108,7 +109,7 @@ let wait_handshake =
                   Script.post ~tag:"visit" ();
                   Protocol.Defeated
             in
-            deliver obs.Protocol.ports
+            deliver (Lazy.force obs.Protocol.ports)
         | None -> Protocol.Aborted "expected rank");
   }
 
@@ -128,7 +129,7 @@ let lifo_starvation_probe =
             Protocol.Defeated
         | Some _ ->
             let rec go (obs : Protocol.observation) =
-              match obs.Protocol.ports with
+              match Lazy.force obs.Protocol.ports with
               | p :: _ -> go (Script.move p)
               | [] -> Protocol.Aborted "isolated node"
             in
@@ -147,7 +148,7 @@ let cycle_walker laps =
         let n_steps = ref 0 in
         let obs = ref (Script.observe ()) in
         (* first step: arbitrary port *)
-        (match !obs.Protocol.ports with
+        (match Lazy.force !obs.Protocol.ports with
         | p :: _ ->
             obs := Script.move p;
             incr n_steps
@@ -161,7 +162,7 @@ let cycle_walker laps =
           let out =
             List.find
               (fun p -> not (Qe_color.Symbol.equal p entry))
-              !obs.Protocol.ports
+              (Lazy.force !obs.Protocol.ports)
           in
           obs := Script.move out;
           incr n_steps
@@ -177,7 +178,7 @@ let home_roundtrip =
       (fun ctx ->
         Script.post ~tag:"mark" ();
         let obs = Script.observe () in
-        match obs.Protocol.ports with
+        match Lazy.force obs.Protocol.ports with
         | p :: _ -> (
             let there = Script.move p in
             match there.Protocol.entry with
@@ -213,7 +214,7 @@ let forever_mover =
     main =
       (fun _ctx ->
         let rec loop obs =
-          match obs.Protocol.ports with
+          match Lazy.force obs.Protocol.ports with
           | p :: _ -> loop (Script.move p)
           | [] -> Protocol.Aborted "no ports"
         in
@@ -485,6 +486,93 @@ let test_lifo_no_starvation () =
   Alcotest.(check bool) "starved agent halted" true
     (List.exists (fun (_, v) -> v = Protocol.Defeated) r.Engine.verdicts)
 
+(* An observation's ports are built on first read, from the node where
+   it was taken: forced after the agent moved on, and forced twice, they
+   are the list an immediate force gives. *)
+let test_ports_forced_late () =
+  let w = World.make (Families.path 3) ~black:[ 0 ] in
+  let now = ref [] and late = ref [] and again = ref [] and there = ref [] in
+  let probe =
+    {
+      Protocol.name = "late-force";
+      quantitative = false;
+      main =
+        (fun _ctx ->
+          let unforced = Script.observe () in
+          now := Lazy.force (Script.observe ()).Protocol.ports;
+          let next = Script.move (List.hd !now) in
+          late := Lazy.force unforced.Protocol.ports;
+          again := Lazy.force unforced.Protocol.ports;
+          there := Lazy.force next.Protocol.ports;
+          Protocol.Leader);
+    }
+  in
+  ignore (Engine.run ~seed:3 w probe);
+  let names = List.map Qe_color.Symbol.name in
+  let home_symbols =
+    let l = World.labeling w in
+    List.init
+      (Qe_graph.Graph.degree (World.graph w) 0)
+      (fun i ->
+        Qe_color.Symbol.name
+          (World.symbol_of w (Qe_graph.Labeling.symbol l 0 i)))
+  in
+  Alcotest.(check (list string)) "late = immediate" (names !now) (names !late);
+  Alcotest.(check (list string)) "twice = once" (names !late) (names !again);
+  Alcotest.(check (list string)) "the home's ports" home_symbols
+    (List.sort compare (names !late));
+  Alcotest.(check int) "the next node has its own" 2 (List.length !there)
+
+(* ELECT on every zoo instance under every strategy and two seeds: the
+   [on_event] stream and every result field but [wall_time_ns],
+   digested, must match the recorded golden run for run. *)
+let engine_golden_path = "data/engine_golden.txt"
+
+let engine_digest (inst : Campaign.instance) (sname, strategy) seed =
+  let strategy =
+    match strategy with Engine.Random_fair _ -> Engine.Random_fair seed | s -> s
+  in
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  let on_event e = Format.fprintf ppf "%a\n" Engine.pp_event e in
+  let world = World.make inst.graph ~black:inst.black in
+  let r = Engine.run ~strategy ~seed ~on_event world Qe_elect.Elect.protocol in
+  Format.fprintf ppf "outcome %a\n" Engine.pp_outcome r.outcome;
+  List.iter
+    (fun (c, v) -> Format.fprintf ppf "%a=%a;" Color.pp c Protocol.pp_verdict v)
+    r.verdicts;
+  List.iter
+    (fun (c, (s : Engine.agent_stats)) ->
+      Format.fprintf ppf "%a:%d,%d,%d,%d,%d;" Color.pp c s.moves s.posts
+        s.erases s.reads s.turns)
+    r.per_agent;
+  List.iter (fun (c, u) -> Format.fprintf ppf "%a>%d;" Color.pp c u)
+    r.final_locations;
+  List.iter
+    (fun (k, n) -> Format.fprintf ppf "%a*%d;" Qe_fault.Kind.pp k n)
+    r.faults_injected;
+  Format.fprintf ppf "\n%d %d %d@." r.total_moves r.total_accesses
+    r.scheduler_turns;
+  Printf.sprintf "%s %s %d %s" inst.name sname seed
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_engine_golden () =
+  let expected =
+    In_channel.with_open_text engine_golden_path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  let actual =
+    List.concat_map
+      (fun inst ->
+        List.concat_map
+          (fun st -> List.map (engine_digest inst st) [ 0; 1 ])
+          Campaign.strategies)
+      (Campaign.zoo ())
+  in
+  Alcotest.(check int) "runs" 450 (List.length actual);
+  Alcotest.(check (list string)) "digests" expected actual
+
 let () =
   Alcotest.run "runtime"
     [
@@ -512,6 +600,10 @@ let () =
             test_mailbox_strategy_same_outcome;
           Alcotest.test_case "lifo fairness (no starvation)" `Quick
             test_lifo_no_starvation;
+          Alcotest.test_case "ports forced late" `Quick
+            test_ports_forced_late;
+          Alcotest.test_case "golden ELECT runs (zoo x strategies x seeds)"
+            `Quick test_engine_golden;
         ] );
       ( "whiteboard",
         [ Alcotest.test_case "post/erase/revision" `Quick
