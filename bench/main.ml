@@ -294,8 +294,8 @@ let thm21 () =
   in
   let rows =
     List.map
-      (fun (name, c, black) ->
-        let g = GCayley.graph c and l = GCayley.labeling c in
+      (fun (name, (c : GCayley.t), black) ->
+        let g = c.graph and l = c.labeling in
         let b = Bicolored.make g ~black in
         let d = Label_equiv.max_class_size ~placement:b l in
         let sigma = View.sigma ~placement:b l in
@@ -774,9 +774,9 @@ let yk_views () =
     [
       ("path5 standard", Labeling.standard (Families.path 5));
       ("C6 standard", Labeling.standard (Families.cycle 6));
-      ("C6 natural (symmetric)", GCayley.labeling (GCayley.ring 6));
+      ("C6 natural (symmetric)", (GCayley.ring 6).labeling);
       ("petersen standard", Labeling.standard (Families.petersen ()));
-      ("Q3 natural (symmetric)", GCayley.labeling (GCayley.hypercube 3));
+      ("Q3 natural (symmetric)", (GCayley.hypercube 3).labeling);
       ("star4 standard", Labeling.standard (Families.star 4));
       ("figure 2(c)", snd (Families.figure2c ()));
     ]
@@ -838,15 +838,15 @@ let sigma_explorer () =
         ( "C6 antipodal",
           Families.cycle 6,
           [ 0; 3 ],
-          Some (GCayley.labeling (GCayley.ring 6)) );
+          Some (GCayley.ring 6).labeling );
         ( "C8 antipodal",
           Families.cycle 8,
           [ 0; 4 ],
-          Some (GCayley.labeling (GCayley.ring 8)) );
+          Some (GCayley.ring 8).labeling );
         ( "Q3 antipodal",
           Families.hypercube 3,
           [ 0; 7 ],
-          Some (GCayley.labeling (GCayley.hypercube 3)) );
+          Some (GCayley.hypercube 3).labeling );
         ("petersen adjacent", Families.petersen (), [ 0; 1 ], None);
         ("path4 ends", Families.path 4, [ 0; 3 ], None);
         ("C5 adjacent", Families.cycle 5, [ 0; 1 ], None);

@@ -1057,11 +1057,11 @@ let selftest_cmd random_count jobs brute_cap write_golden dump_path =
 
 module Classes = Qe_symmetry.Classes
 module Presentation = Qe_group.Presentation
+module Cayley = Qe_group.Cayley
 
-(* Large-instance specs: Presentation-backed Cayley families streamed
-   straight into CSR. Deliberately separate from [parse_graph] — these
-   are the generators that scale to 10^5-10^6 nodes without building a
-   multiplication table or an edge list. *)
+(* Large-instance specs: Cayley families streamed straight into CSR.
+   Deliberately separate from [parse_graph] — these are the generators
+   that scale to 10^5-10^6 nodes without an edge list. *)
 let parse_frontier_spec spec =
   instance_input @@ fun () ->
   let int = int_field spec in
@@ -1069,24 +1069,12 @@ let parse_frontier_spec spec =
   | [ "circulant"; n; jumps ] ->
       Presentation.circulant (int n) (parse_ints ~spec jumps)
   | [ "ccc"; d ] -> Presentation.cube_connected_cycles (int d)
-  | [ "hypercube"; d ] ->
-      let d = int d in
-      Presentation.cayley
-        (Presentation.power (Presentation.cyclic 2) d)
-        (List.init d (fun i -> 1 lsl i))
+  | [ "hypercube"; d ] -> Cayley.hypercube (int d)
   | [ "torus"; dims ] -> (
       match String.split_on_char 'x' dims with
-      | [ a; b ] ->
-          let a = int a and b = int b in
-          if a < 3 || b < 3 then failwith "torus spec: sides must be >= 3";
-          Presentation.cayley
-            (Presentation.product (Presentation.cyclic a)
-               (Presentation.cyclic b))
-            [ b (* (1,0) *); 1 (* (0,1) *) ]
+      | [ a; b ] -> Cayley.torus (int a) (int b)
       | _ -> failwith "torus spec: torus:AxB")
-  | [ "dihedral"; n ] ->
-      let n = int n in
-      Presentation.cayley (Presentation.dihedral n) [ n; n + 1 ]
+  | [ "dihedral"; n ] -> Cayley.dihedral_cayley (int n)
   | [ "wreath"; base; d ] ->
       let base = int base and d = int d in
       (* shift = (0, 1) is element 1; the first-coordinate bump (e_0, 0)

@@ -4,8 +4,7 @@
 
    Run with: dune exec examples/cayley_tour.exe *)
 
-module Group = Qe_group.Group
-module Genset = Qe_group.Genset
+module Presentation = Qe_group.Presentation
 module Cayley = Qe_group.Cayley
 module Graph = Qe_graph.Graph
 module Cayley_detect = Qe_symmetry.Cayley_detect
@@ -18,8 +17,8 @@ let networks =
     ("hypercube Q3", Cayley.hypercube 3, [ 0; 7 ]);
     ("torus 3x4", Cayley.torus 3 4, [ 0; 7 ]);
     ("complete K5", Cayley.complete 5, [ 0; 1 ]);
-    ("circulant C10{1,3}", Cayley.circulant 10 [ 1; 3 ], [ 0; 5 ]);
-    ("CCC(3)", Cayley.cube_connected_cycles 3, [ 0; 11 ]);
+    ("circulant C10{1,3}", Presentation.circulant 10 [ 1; 3 ], [ 0; 5 ]);
+    ("CCC(3)", Presentation.cube_connected_cycles 3, [ 0; 11 ]);
     ("star graph ST4", Cayley.star_graph 4, [ 0; 9 ]);
     ("dihedral 2n-cycle D5", Cayley.dihedral_cayley 5, [ 0; 2 ]);
   ]
@@ -27,17 +26,17 @@ let networks =
 let () =
   print_endline "group          -> graph      (n, m, degree)";
   List.iter
-    (fun (name, c, _) ->
-      let g = Cayley.graph c in
+    (fun (name, (c : Cayley.t), _) ->
+      let g = c.graph in
       Printf.printf "  %-22s %s: n=%d m=%d deg=%d\n" name
-        (Group.name (Cayley.group c))
+        (Presentation.name c.group)
         (Graph.n g) (Graph.m g) (Graph.degree g 0))
     networks;
 
   print_endline "\nrecognition from bare topology (no group given):";
   List.iter
-    (fun (name, c, _) ->
-      let g = Cayley.graph c in
+    (fun (name, (c : Cayley.t), _) ->
+      let g = c.graph in
       if Graph.n g <= 24 then
         match Cayley_detect.recognize g with
         | Cayley_detect.Cayley r ->
@@ -59,8 +58,8 @@ let () =
      (e.g. the 3x4 torus also carries a Z12 structure whose translation\n\
      by 6 can preserve the placement):";
   List.iter
-    (fun (name, c, black) ->
-      let g = Cayley.graph c in
+    (fun (name, (c : Cayley.t), black) ->
+      let g = c.graph in
       if Graph.n g <= 24 then begin
         let classes = Cayley.translation_classes c ~black in
         let class_size = List.length (List.hd classes) in
@@ -69,7 +68,7 @@ let () =
         Printf.printf
           "  %-22s %d classes of size %d under %s -> %s\n" name
           (List.length classes) class_size
-          (Group.name (Cayley.group c))
+          (Presentation.name c.group)
           (match r.Engine.outcome with
           | Engine.Elected _ -> "elected"
           | Engine.Declared_unsolvable -> "provably unsolvable"

@@ -48,15 +48,13 @@ let symmetric_labeling_exists b =
     (fun translations ->
       (* rebuild the group and its natural labeling, then measure the
          label-equivalence classes *)
-      let n = Graph.n g in
-      let table =
-        Array.init n (fun u -> Array.init n (fun w -> translations.(u).(w)))
+      let group =
+        Qe_group.Presentation.of_mul_table ~name:"oracle" translations
       in
-      let group = Qe_group.Group.of_mul_table ~name:"oracle" table in
       let labeling =
         Qe_graph.Labeling.make g (fun u i ->
             let v = (Graph.dart g u i).dst in
-            Qe_group.Group.mul group (Qe_group.Group.inv group u) v)
+            Qe_group.Presentation.(mul group (inv group u) v))
       in
       Label_equiv.max_class_size ~placement:b labeling > 1)
     subgroups

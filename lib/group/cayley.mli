@@ -1,27 +1,17 @@
-(** Cayley graphs [Cay(Γ, S)] with their natural generator labeling.
+(** Cayley graphs [Cay(Γ, S)] with their natural generator labeling:
+    the Theorem 4.1 helpers and the standard networks.
 
     Nodes are the group elements; [{a, a·s}] is an edge for each [s ∈ S].
     The natural labeling puts symbol [s = u⁻¹v] on the port of [u] toward
     [v] — the labeling used in the proof of Theorem 4.1, preserved by every
     translation [a ↦ γa].
 
-    There is one builder: {!make} is {!Presentation.cayley} over
-    {!Presentation.of_group}, so the table-backed networks below and the
-    large presentation instances share edge order, ports, labels and the
-    left-translation transitivity witness. *)
+    A Cayley graph is a {!Presentation.instance}, built by the one
+    builder {!Presentation.cayley}; so every network here shares edge
+    order, ports, labels and the left-translation transitivity witness
+    with the large presentation instances. *)
 
-type t
-
-val make : Genset.t -> t
-(** Builds [Cay(Γ, S)] through {!Presentation.cayley}. *)
-
-val graph : t -> Qe_graph.Graph.t
-val labeling : t -> Qe_graph.Labeling.t
-(** The natural labeling; the symbol on a port is the generator's element
-    id. *)
-
-val group : t -> Group.t
-val genset : t -> Genset.t
+type t = Presentation.instance
 
 val port_generator : t -> int -> int -> int
 (** [port_generator c u i] is the generator [s] with
@@ -30,9 +20,6 @@ val port_generator : t -> int -> int -> int
 val translation : t -> int -> int -> int
 (** [translation c gamma a = gamma * a] — the node map of the translation
     automorphism [φ_γ]. *)
-
-val is_automorphism : t -> (int -> int) -> bool
-(** Checks a node map is a graph automorphism (ignores labels). *)
 
 val translation_preserves_labeling : t -> int -> bool
 (** Sanity of the Theorem 4.1 claim: every translation preserves the
@@ -48,21 +35,22 @@ val translation_classes : t -> black:int list -> int list list
     translation-equivalence classes of Section 4. Classes are sorted by
     their minimum node; each class is sorted. *)
 
-(** {1 Standard networks as Cayley graphs} *)
+(** {1 Standard networks as Cayley graphs}
+
+    {!Presentation.circulant} and {!Presentation.cube_connected_cycles}
+    complete the set. *)
 
 val ring : int -> t
 val hypercube : int -> t
+(** [Q_d = Cay(Z_2^d, unit vectors)], [d >= 1]. *)
+
 val complete : int -> t
 val torus : int -> int -> t
 (** Sides [>= 3]. *)
 
-val circulant : int -> int list -> t
 val star_graph : int -> t
 (** The star network [ST_k] = [Cay(S_k, {(1 i) transpositions})],
     [3 <= k <= 6]. *)
-
-val cube_connected_cycles : int -> t
-(** [CCC(d) = Cay(Z_2^d ⋊ Z_d, {shift, shift⁻¹, flip_0})], [d >= 3]. *)
 
 val dihedral_cayley : int -> t
 (** [Cay(D_n, {s, sr})] — a [2n]-cycle presentation of the dihedral

@@ -1,104 +1,16 @@
-type t = {
-  order : int;
-  mul_table : int array array;
-  inv_table : int array;
-  name : string;
-  elt_names : string array;
-}
+module P = Presentation
 
-let id = 0
+type t = P.t
 
-let of_mul_table ?(name = "G") ?elt_names table =
-  let n = Array.length table in
-  if n = 0 then invalid_arg "Group.of_mul_table: empty table";
-  Array.iter
-    (fun row ->
-      if Array.length row <> n then
-        invalid_arg "Group.of_mul_table: table not square";
-      Array.iter
-        (fun x ->
-          if x < 0 || x >= n then
-            invalid_arg "Group.of_mul_table: entry out of range")
-        row)
-    table;
-  for a = 0 to n - 1 do
-    if table.(0).(a) <> a || table.(a).(0) <> a then
-      invalid_arg "Group.of_mul_table: element 0 is not the identity"
-  done;
-  let assoc a b c =
-    if table.(table.(a).(b)).(c) <> table.(a).(table.(b).(c)) then
-      invalid_arg "Group.of_mul_table: not associative"
-  in
-  if n <= 256 then
-    for a = 0 to n - 1 do
-      for b = 0 to n - 1 do
-        for c = 0 to n - 1 do
-          assoc a b c
-        done
-      done
-    done
-  else begin
-    (* Exhaustive checking is O(n^3); for large tables spot-check a
-       deterministic sample instead (constructions in this library are
-       associative by construction, the check guards against typos). *)
-    let st = Random.State.make [| n; 0x5eed |] in
-    for _ = 1 to 2_000_000 do
-      assoc (Random.State.int st n) (Random.State.int st n)
-        (Random.State.int st n)
-    done
-  end;
-  let inv_table = Array.make n (-1) in
-  for a = 0 to n - 1 do
-    for b = 0 to n - 1 do
-      if table.(a).(b) = 0 then inv_table.(a) <- b
-    done
-  done;
-  Array.iteri
-    (fun a i ->
-      if i < 0 then
-        invalid_arg
-          (Printf.sprintf "Group.of_mul_table: element %d has no inverse" a))
-    inv_table;
-  let elt_names =
-    match elt_names with
-    | Some names when Array.length names = n -> names
-    | Some _ -> invalid_arg "Group.of_mul_table: wrong number of names"
-    | None -> Array.init n string_of_int
-  in
-  { order = n; mul_table = table; inv_table; name; elt_names }
-
-let order g = g.order
-let name g = g.name
-let elt_name g a = g.elt_names.(a)
-let mul g a b = g.mul_table.(a).(b)
-let inv g a = g.inv_table.(a)
-let elements g = List.init g.order Fun.id
-
-let elt_order g a =
-  let rec go x k = if x = 0 then k else go (mul g x a) (k + 1) in
-  if a = 0 then 1 else go a 1
+let elements g = List.init (P.order g) Fun.id
 
 let is_abelian g =
-  let ok = ref true in
-  for a = 0 to g.order - 1 do
-    for b = 0 to g.order - 1 do
-      if mul g a b <> mul g b a then ok := false
-    done
-  done;
-  !ok
-
-let is_involution g a = a <> 0 && mul g a a = 0
-
-let pow g a k =
-  if k < 0 then invalid_arg "Group.pow: negative exponent";
-  let rec go acc x k =
-    if k = 0 then acc
-    else go (if k land 1 = 1 then mul g acc x else acc) (mul g x x) (k lsr 1)
-  in
-  go 0 a k
+  List.for_all
+    (fun a -> List.for_all (fun b -> P.mul g a b = P.mul g b a) (elements g))
+    (elements g)
 
 let closure g gens =
-  let seen = Array.make g.order false in
+  let seen = Array.make (P.order g) false in
   seen.(0) <- true;
   let q = Queue.create () in
   Queue.add 0 q;
@@ -106,74 +18,16 @@ let closure g gens =
     let a = Queue.pop q in
     List.iter
       (fun s ->
-        let b = mul g a s in
-        if not seen.(b) then begin
-          seen.(b) <- true;
-          Queue.add b q
-        end;
-        let c = mul g a (inv g s) in
-        if not seen.(c) then begin
-          seen.(c) <- true;
-          Queue.add c q
-        end)
+        List.iter
+          (fun b ->
+            if not seen.(b) then begin
+              seen.(b) <- true;
+              Queue.add b q
+            end)
+          [ P.mul g a s; P.mul g a (P.inv g s) ])
       gens
   done;
   List.filter (fun a -> seen.(a)) (elements g)
-
-let generates g gens = List.length (closure g gens) = g.order
-let conjugate g a x = mul g (mul g x a) (inv g x)
-
-(* --- Constructions --- *)
-
-let cyclic n =
-  if n < 1 then invalid_arg "Group.cyclic";
-  let table = Array.init n (fun a -> Array.init n (fun b -> (a + b) mod n)) in
-  of_mul_table ~name:(Printf.sprintf "Z%d" n) table
-
-let product g h =
-  let n = g.order * h.order in
-  let encode a b = (a * h.order) + b in
-  let table =
-    Array.init n (fun x ->
-        let xa = x / h.order and xb = x mod h.order in
-        Array.init n (fun y ->
-            let ya = y / h.order and yb = y mod h.order in
-            encode (mul g xa ya) (mul h xb yb)))
-  in
-  let elt_names =
-    Array.init n (fun x ->
-        Printf.sprintf "(%s,%s)"
-          g.elt_names.(x / h.order)
-          h.elt_names.(x mod h.order))
-  in
-  of_mul_table ~name:(g.name ^ "x" ^ h.name) ~elt_names table
-
-let power g k =
-  if k < 1 then invalid_arg "Group.power";
-  let rec go acc k = if k = 0 then acc else go (product acc g) (k - 1) in
-  go g (k - 1)
-
-let dihedral n =
-  if n < 1 then invalid_arg "Group.dihedral";
-  (* Elements: rotations r^i (0..n-1), reflections s*r^i (n..2n-1), with
-     r^i * r^j = r^{i+j}, r^i * sr^j = sr^{j-i}, sr^i * r^j = sr^{i+j},
-     sr^i * sr^j = r^{j-i}. *)
-  let sz = 2 * n in
-  let md x = ((x mod n) + n) mod n in
-  let table =
-    Array.init sz (fun x ->
-        Array.init sz (fun y ->
-            match (x < n, y < n) with
-            | true, true -> md (x + y)
-            | true, false -> n + md (y - n - x)
-            | false, true -> n + md (x - n + y)
-            | false, false -> md (y - x)))
-  in
-  let elt_names =
-    Array.init sz (fun x ->
-        if x < n then Printf.sprintf "r%d" x else Printf.sprintf "sr%d" (x - n))
-  in
-  of_mul_table ~name:(Printf.sprintf "D%d" n) ~elt_names table
 
 let permutation_group ~name ~k keep =
   (* Enumerate permutations of [0..k-1] (identity first), keep those
@@ -203,17 +57,25 @@ let permutation_group ~name ~k keep =
     Array.init n (fun a ->
         Array.init n (fun b -> Hashtbl.find index (compose all.(a) all.(b))))
   in
-  let elt_names =
-    Array.map
-      (fun p ->
-        String.concat "" (Array.to_list (Array.map string_of_int p)))
-      all
-  in
-  of_mul_table ~name ~elt_names table
+  P.of_mul_table ~name table
 
 let symmetric k =
   if k < 1 || k > 6 then invalid_arg "Group.symmetric: need 1 <= k <= 6";
   permutation_group ~name:(Printf.sprintf "S%d" k) ~k (fun _ -> true)
+
+let of_permutation p =
+  (* Lehmer code: each entry counts the later, smaller entries, a digit
+     of the rank in the factorial number system *)
+  let k = Array.length p in
+  let rank = ref 0 in
+  for i = 0 to k - 1 do
+    let smaller = ref 0 in
+    for j = i + 1 to k - 1 do
+      if p.(j) < p.(i) then incr smaller
+    done;
+    rank := (!rank * (k - i)) + !smaller
+  done;
+  !rank
 
 let parity p =
   (* number of inversions mod 2 *)
@@ -259,44 +121,13 @@ let quaternion () =
             let ax, s = mul_q (x / 2, x mod 2) (y / 2, y mod 2) in
             enc ax s))
   in
-  let elt_names = [| "1"; "-1"; "i"; "-i"; "j"; "-j"; "k"; "-k" |] in
-  of_mul_table ~name:"Q8" ~elt_names table
-
-let semidirect_shift d =
-  if d < 1 then invalid_arg "Group.semidirect_shift";
-  (* Elements (w, i): w in Z_2^d, i in Z_d. (w, i) * (w', i') =
-     (w xor shift_i(w'), i + i') where shift_i rotates coordinates left by
-     i: bit b of shift_i(w') is bit (b - i mod d) of w'. *)
-  let n = (1 lsl d) * d in
-  let enc w i = (w * d) + i in
-  let shift w i =
-    let r = ref 0 in
-    for b = 0 to d - 1 do
-      let src = ((b - i) mod d + d) mod d in
-      if (w lsr src) land 1 = 1 then r := !r lor (1 lsl b)
-    done;
-    !r
-  in
-  let table =
-    Array.init n (fun x ->
-        let w = x / d and i = x mod d in
-        Array.init n (fun y ->
-            let w' = y / d and i' = y mod d in
-            enc (w lxor shift w' i) ((i + i') mod d)))
-  in
-  let elt_names =
-    Array.init n (fun x -> Printf.sprintf "(%d,%d)" (x / d) (x mod d))
-  in
-  of_mul_table ~name:(Printf.sprintf "Z2^%d:Z%d" d d) ~elt_names table
-
-let isomorphic_as_tables g h =
-  g.order = h.order && g.mul_table = h.mul_table
+  P.of_mul_table ~name:"Q8" table
 
 (* greedy generating set: repeatedly adjoin the smallest element outside
    the closure *)
 let greedy_generators g =
   let rec go gens covered =
-    if List.length covered = g.order then List.rev gens
+    if List.length covered = P.order g then List.rev gens
     else
       let x =
         List.find (fun a -> not (List.mem a covered)) (elements g)
@@ -306,21 +137,21 @@ let greedy_generators g =
   go [] (closure g [])
 
 let order_profile g =
-  List.sort compare (List.map (elt_order g) (elements g))
+  List.sort compare (List.map (P.elt_order g) (elements g))
 
 let find_isomorphism g h =
-  if order g <> order h then None
+  if P.order g <> P.order h then None
   else if order_profile g <> order_profile h then None
   else if is_abelian g <> is_abelian h then None
   else begin
-    let n = order g in
+    let n = P.order g in
     let gens = greedy_generators g in
     (* candidates per generator: elements of h with the same order *)
     let candidates =
       List.map
         (fun s ->
-          let os = elt_order g s in
-          List.filter (fun x -> elt_order h x = os) (elements h))
+          let os = P.elt_order g s in
+          List.filter (fun x -> P.elt_order h x = os) (elements h))
         gens
     in
     (* given generator images, extend to the full map by BFS over words;
@@ -336,8 +167,8 @@ let find_isomorphism g h =
         let x = Queue.pop q in
         List.iter2
           (fun s img ->
-            let y = mul g x s in
-            let fy = mul h map.(x) img in
+            let y = P.mul g x s in
+            let fy = P.mul h map.(x) img in
             if map.(y) = -1 then begin
               map.(y) <- fy;
               Queue.add y q
@@ -378,7 +209,7 @@ let catalog =
      let add name g = entries := (name, g) :: !entries in
      (* cyclics first so that aliases resolve to the cyclic name *)
      for n = 1 to 24 do
-       add (Printf.sprintf "Z%d" n) (cyclic n)
+       add (Printf.sprintf "Z%d" n) (P.cyclic n)
      done;
      (* abelian products (order <= 24) *)
      List.iter
@@ -388,8 +219,8 @@ let catalog =
          in
          let grp =
            List.fold_left
-             (fun acc f -> product acc (cyclic f))
-             (cyclic (List.hd factors))
+             (fun acc f -> P.product acc (P.cyclic f))
+             (P.cyclic (List.hd factors))
              (List.tl factors)
          in
          add name grp)
@@ -400,22 +231,21 @@ let catalog =
        ];
      (* dihedral *)
      for k = 3 to 12 do
-       add (Printf.sprintf "D%d" k) (dihedral k)
+       add (Printf.sprintf "D%d" k) (P.dihedral k)
      done;
      add "Q8" (quaternion ());
      add "A4" (alternating 4);
      add "S4" (symmetric 4);
-     add "Z2^2:Z2" (semidirect_shift 2);
-     add "Z2^3:Z3" (semidirect_shift 3);
-     add "Z3xZ2^2" (product (cyclic 3) (product (cyclic 2) (cyclic 2)));
+     add "Z2^2:Z2" (P.semidirect_shift 2);
+     add "Z2^3:Z3" (P.semidirect_shift 3);
+     add "Z3xZ2^2" (P.product (P.cyclic 3) (P.product (P.cyclic 2) (P.cyclic 2)));
      List.rev !entries)
 
 let identify g =
-  if order g > 24 then None
+  if P.order g > 24 then None
   else
     List.find_map
       (fun (name, h) ->
-        if order h = order g && isomorphic g h then Some name else None)
+        if P.order h = P.order g && isomorphic g h then Some name else None)
       (Lazy.force catalog)
 
-let pp ppf g = Format.fprintf ppf "%s (order %d)" g.name g.order

@@ -1,72 +1,34 @@
-(** Finite groups, represented by their multiplication tables.
+(** Groups whose input is a table, and group isomorphism.
 
-    Elements are integers [0 .. order-1]; element [0] is always the
-    identity. This concrete representation is all the paper needs: Cayley
-    graphs [Cay(Γ, S)] for the interconnection-network groups (cyclic,
-    products, dihedral, symmetric, semidirect), and translations [a ↦ γa]. *)
+    Every group is a {!Presentation.t}. The arithmetic families (cyclic,
+    products, dihedral, the CCC shift) are {!Presentation} constructions;
+    the groups here have no such arithmetic, so they are built from
+    their multiplication tables ({!Presentation.of_mul_table}). *)
 
-type t
+type t = Presentation.t
 
-val of_mul_table : ?name:string -> ?elt_names:string array -> int array array -> t
-(** Builds a group from a full multiplication table [table.(a).(b) = a*b].
-    Checks: squareness, range, identity at 0, associativity, inverses.
-    @raise Invalid_argument when the table is not a group. *)
+val symmetric : int -> t
+(** [S_k], [1 <= k <= 6] (order [k!], capped to keep tables small).
+    Elements are the permutations of [0..k-1] in lexicographic order,
+    multiplied by composition: [(p * q)(i) = p(q(i))]. *)
 
-val order : t -> int
-val name : t -> string
-val elt_name : t -> int -> string
-val mul : t -> int -> int -> int
-val inv : t -> int -> int
-val id : int
-(** The identity element — always [0]. *)
+val of_permutation : int array -> int
+(** [of_permutation p] is the element of [symmetric (Array.length p)]
+    that is [p] in one-line notation ([i ↦ p.(i)]): its lexicographic
+    rank. *)
+
+val alternating : int -> t
+(** [A_k], [2 <= k <= 6] (order [k!/2]): the even permutations, in
+    lexicographic order. *)
+
+val quaternion : unit -> t
+(** [Q_8]: [1, -1, i, -i, j, -j, k, -k] as [0..7]. *)
 
 val elements : t -> int list
-val elt_order : t -> int -> int
 val is_abelian : t -> bool
-val is_involution : t -> int -> bool
-val pow : t -> int -> int -> int
-(** [pow g a k] for [k >= 0]. *)
 
 val closure : t -> int list -> int list
 (** Subgroup generated by a set, as a sorted element list. *)
-
-val generates : t -> int list -> bool
-(** Does the set generate the whole group? *)
-
-val conjugate : t -> int -> int -> int
-(** [conjugate g a x = x * a * x^-1]. *)
-
-(** {1 Constructions} *)
-
-val cyclic : int -> t
-(** [Z_n], addition modulo [n]. *)
-
-val product : t -> t -> t
-(** Direct product. *)
-
-val power : t -> int -> t
-(** [power g k] = [g × ... × g], [k >= 1] factors. *)
-
-val dihedral : int -> t
-(** [D_n] of order [2n], [n >= 1]: rotations [0..n-1], reflections
-    [n..2n-1]. *)
-
-val symmetric : int -> t
-(** [S_k], [1 <= k <= 6] (order [k!], capped to keep tables small). *)
-
-val alternating : int -> t
-(** [A_k], [2 <= k <= 6] (order [k!/2]). *)
-
-val quaternion : unit -> t
-(** [Q_8]. *)
-
-val semidirect_shift : int -> t
-(** [Z_2^d ⋊ Z_d] where [Z_d] acts by cyclically shifting coordinates — the
-    group of the cube-connected-cycles network. Order [d * 2^d], [d >= 1]. *)
-
-val isomorphic_as_tables : t -> t -> bool
-(** Structural equality of tables (same order and identical multiplication)
-    — {e not} group isomorphism; used by tests for determinism checks. *)
 
 val find_isomorphism : t -> t -> int array option
 (** A group isomorphism [g -> h] as an element map, if one exists.
@@ -80,5 +42,3 @@ val identify : t -> string option
     24 (cyclic, dihedral, products of small cyclics, quaternion, A4, S4,
     semidirect shifts...). Returns the catalog name, or [None] when the
     group is outside the catalog. *)
-
-val pp : Format.formatter -> t -> unit

@@ -6,11 +6,10 @@ module Sink = Qe_obs.Sink
 module Span = Qe_obs.Span
 module Jsonl = Qe_obs.Jsonl
 
-(* Implicit groups: order + multiplication/inverse closures instead of
-   the O(n^2) table {!Group.t} stores. Element encodings agree with the
-   corresponding {!Group} constructions wherever both exist (verified in
-   the test suite), so small presentations are drop-in table
-   replacements and large ones scale to 10^5-10^6 elements. *)
+(* A group is its order plus multiplication/inverse closures over the
+   elements [0 .. order-1], element 0 the identity. Constructions
+   compose arithmetically (mixed-radix encodings) and scale to 10^5-10^6
+   elements; a table backs a group only where the input is a table. *)
 type t = {
   order : int;
   mul : int -> int -> int;
@@ -28,13 +27,70 @@ let elt_order p a =
   let rec go x k = if x = 0 then k else go (p.mul x a) (k + 1) in
   if a = 0 then 1 else go a 1
 
-let of_group g =
+let of_mul_table ?(name = "G") table =
+  let n = Array.length table in
+  if n = 0 then invalid_arg "Presentation.of_mul_table: empty table";
+  Array.iter
+    (fun row ->
+      if Array.length row <> n then
+        invalid_arg "Presentation.of_mul_table: table not square";
+      Array.iter
+        (fun x ->
+          if x < 0 || x >= n then
+            invalid_arg "Presentation.of_mul_table: entry out of range")
+        row)
+    table;
+  for a = 0 to n - 1 do
+    if table.(0).(a) <> a || table.(a).(0) <> a then
+      invalid_arg "Presentation.of_mul_table: element 0 is not the identity"
+  done;
+  let assoc a b c =
+    if table.(table.(a).(b)).(c) <> table.(a).(table.(b).(c)) then
+      invalid_arg "Presentation.of_mul_table: not associative"
+  in
+  if n <= 256 then
+    for a = 0 to n - 1 do
+      for b = 0 to n - 1 do
+        for c = 0 to n - 1 do
+          assoc a b c
+        done
+      done
+    done
+  else begin
+    (* Exhaustive checking is O(n^3); for large tables spot-check a
+       deterministic sample instead (the check guards against typos in
+       hand-built tables). *)
+    let st = Random.State.make [| n; 0x5eed |] in
+    for _ = 1 to 2_000_000 do
+      assoc (Random.State.int st n) (Random.State.int st n)
+        (Random.State.int st n)
+    done
+  end;
+  let inv_table = Array.make n (-1) in
+  for a = 0 to n - 1 do
+    for b = 0 to n - 1 do
+      if table.(a).(b) = 0 then inv_table.(a) <- b
+    done
+  done;
+  Array.iteri
+    (fun a i ->
+      if i < 0 then
+        invalid_arg
+          (Printf.sprintf
+             "Presentation.of_mul_table: element %d has no inverse" a))
+    inv_table;
   {
-    order = Group.order g;
-    mul = Group.mul g;
-    inv = Group.inv g;
-    name = Group.name g;
+    order = n;
+    mul = (fun a b -> table.(a).(b));
+    inv = (fun a -> inv_table.(a));
+    name;
   }
+
+(* [a * b], or [Invalid_argument] naming [ctor] when it exceeds max_int *)
+let checked_mul ctor a b =
+  if a > max_int / b then
+    invalid_arg (ctor ^ ": group order exceeds max_int");
+  a * b
 
 let cyclic n =
   if n < 1 then invalid_arg "Presentation.cyclic";
@@ -45,11 +101,11 @@ let cyclic n =
     name = Printf.sprintf "Z%d" n;
   }
 
-(* (a, b) encoded as a * |h| + b — identical to {!Group.product}. *)
+(* (a, b) encoded as a * |h| + b *)
 let product g h =
   let oh = h.order in
   {
-    order = g.order * oh;
+    order = checked_mul "Presentation.product" g.order oh;
     mul =
       (fun x y ->
         (g.mul (x / oh) (y / oh) * oh) + h.mul (x mod oh) (y mod oh));
@@ -57,13 +113,41 @@ let product g h =
     name = g.name ^ "x" ^ h.name;
   }
 
+(* The k-fold product in one mixed-radix loop, digit j (from the least
+   significant) the factor k-1-j: the same encoding as folding [product],
+   without k levels of nested closures. A group of order 2 has one table,
+   so its power multiplies by [lxor]. *)
 let power g k =
   if k < 1 then invalid_arg "Presentation.power";
-  let rec go acc k = if k = 0 then acc else go (product acc g) (k - 1) in
-  go g (k - 1)
+  let og = g.order in
+  let order = ref 1 in
+  for _ = 1 to k do
+    order := checked_mul "Presentation.power" !order og
+  done;
+  let name = String.concat "x" (List.init k (fun _ -> g.name)) in
+  if og = 2 then { order = !order; mul = ( lxor ); inv = Fun.id; name }
+  else
+    (* [f] applied digit by digit *)
+    let digitwise f x y =
+      let r = ref 0 and x = ref x and y = ref y and place = ref 1 in
+      for _ = 1 to k do
+        r := !r + (f (!x mod og) (!y mod og) * !place);
+        x := !x / og;
+        y := !y / og;
+        place := !place * og
+      done;
+      !r
+    in
+    {
+      order = !order;
+      mul = digitwise g.mul;
+      inv = (fun x -> digitwise (fun a _ -> g.inv a) x 0);
+      name;
+    }
 
 let dihedral n =
   if n < 1 then invalid_arg "Presentation.dihedral";
+  (* rotations r^i are 0..n-1, reflections s*r^i are n..2n-1 *)
   let md x = ((x mod n) + n) mod n in
   let mul x y =
     match (x < n, y < n) with
@@ -77,16 +161,16 @@ let dihedral n =
 
 (* Z_base^d ⋊ Z_d with the cyclic coordinate shift — the wreath-like
    product Z_base ≀ Z_d. Element (w, i) is encoded [w * d + i] with [w]
-   a base-[base] digit vector; for [base = 2] this is bit-for-bit
-   {!Group.semidirect_shift} (whose Cayley graph is CCC_d). *)
+   a base-[base] digit vector; for [base = 2] its Cayley graph on
+   [{shift, flip_0}] is CCC_d. *)
 let wreath_shift ~base d =
   if base < 2 then invalid_arg "Presentation.wreath_shift: base must be >= 2";
   if d < 1 then invalid_arg "Presentation.wreath_shift: d must be >= 1";
   let pow_base = Array.make (d + 1) 1 in
   for i = 1 to d do
-    pow_base.(i) <- pow_base.(i - 1) * base
+    pow_base.(i) <- checked_mul "Presentation.wreath_shift" pow_base.(i - 1) base
   done;
-  let nw = pow_base.(d) in
+  let order = checked_mul "Presentation.wreath_shift" pow_base.(d) d in
   (* digit b of shift_i(w) is digit ((b - i) mod d) of w: a rotation of
      the digit string up by i places, so the low d - i digits move up
      and the top i wrap around to the bottom *)
@@ -122,12 +206,7 @@ let wreath_shift ~base d =
     let i' = (d - i) mod d in
     (shift (neg w) i' * d) + i'
   in
-  {
-    order = nw * d;
-    mul;
-    inv;
-    name = Printf.sprintf "Z%d^%d:Z%d" base d d;
-  }
+  { order; mul; inv; name = Printf.sprintf "Z%d^%d:Z%d" base d d }
 
 let semidirect_shift d = wreath_shift ~base:2 d
 

@@ -1,22 +1,22 @@
-(** Implicit (presentation-style) groups and the large-instance Cayley
-    generator.
+(** Finite groups as closures, and the one Cayley-graph generator.
 
-    {!Group.t} stores an O(n²) multiplication table — fine at order ≤
-    a few thousand, hopeless at the 10⁵–10⁶ element orders the frontier
-    targets. A {!t} here is just [order] plus [mul]/[inv] closures;
-    constructions compose arithmetically (mixed-radix encodings), and
-    every encoding agrees element-for-element with the corresponding
-    {!Group} construction where both exist, so differential tests can
-    compare them directly.
+    A group {!t} is its order plus [mul]/[inv] closures over the
+    elements [0 .. order-1]; element [0] is always the identity. This is
+    all the paper needs: Cayley graphs [Cay(Γ, S)] for the
+    interconnection-network groups (cyclic, products, dihedral, the CCC
+    shift, [S_k]) and translations [a ↦ γa]. Constructions compose
+    arithmetically (mixed-radix encodings) and scale to the 10⁵–10⁶
+    element orders the frontier targets. A table backs a group only where
+    the input is a table ({!of_mul_table}: a recovered regular subgroup,
+    or {!Group}'s [S_k], [A_k] and [Q_8]).
 
-    {!cayley} is the one Cayley-graph builder: {!Cayley.make} calls it
-    through {!of_group}. It streams the graph straight into
-    {!Qe_graph.Csr} flat arrays, checks that the result is connected
-    (which holds iff the connection set generates the group), attaches
-    the natural edge labeling (the port toward [v] at [u] carries the
-    generator [u⁻¹v], read off the generator that emitted the edge) and
-    registers a transitivity witness — the left translations — on the
-    graph for {!Qe_symmetry.Transitive} to verify. *)
+    {!cayley} is the one Cayley-graph builder. It streams the graph
+    straight into {!Qe_graph.Csr} flat arrays, checks that the result is
+    connected (which holds iff the connection set generates the group),
+    attaches the natural edge labeling (the port toward [v] at [u]
+    carries the generator [u⁻¹v], read off the generator that emitted the
+    edge) and registers a transitivity witness — the left translations —
+    on the graph for {!Qe_symmetry.Transitive} to verify. *)
 
 type t
 
@@ -28,22 +28,32 @@ val inv : t -> int -> int
 val is_involution : t -> int -> bool
 val elt_order : t -> int -> int
 
-val of_group : Group.t -> t
-(** Wrap a table-based group — how {!Cayley.make} builds through
-    {!cayley}. *)
+val of_mul_table : ?name:string -> int array array -> t
+(** A group from its full multiplication table [table.(a).(b) = a*b].
+    Checks: squareness, range, identity at 0, associativity (exhaustive
+    up to order 256, a fixed sample above), inverses.
+    @raise Invalid_argument when the table is not a group. *)
+
+(** {1 Constructions}
+
+    The products below raise [Invalid_argument "<ctor>: group order
+    exceeds max_int"] when the order does not fit in an [int]. *)
 
 val cyclic : int -> t
-(** Z_n; same encoding as {!Group.cyclic}. *)
+(** Z_n, addition modulo [n]. *)
 
 val product : t -> t -> t
-(** Direct product; [(a, b)] encoded as [a * order h + b], matching
-    {!Group.product}. *)
+(** Direct product; [(a, b)] encoded as [a * order h + b]. *)
 
 val power : t -> int -> t
-(** Iterated product, first factor most significant ({!Group.power}). *)
+(** [power g k] = [g × ... × g], [k >= 1] factors, first factor most
+    significant — the encoding of folding {!product}, computed in one
+    digit loop. A factor of order 2 makes [mul] an [lxor] and [inv] the
+    identity. *)
 
 val dihedral : int -> t
-(** D_n on [2n] elements; encoding matches {!Group.dihedral}. *)
+(** D_n on [2n] elements, [n >= 1]: rotations [0..n-1], reflections
+    [n..2n-1]. *)
 
 val wreath_shift : base:int -> int -> t
 (** [wreath_shift ~base d] is the wreath-like product [Z_base ≀ Z_d] =
@@ -55,10 +65,11 @@ val wreath_shift : base:int -> int -> t
     [inv] are O(1). Other bases add and negate digit by digit, O(d). *)
 
 val semidirect_shift : int -> t
-(** [wreath_shift ~base:2] — bit-identical to {!Group.semidirect_shift};
-    its Cayley graph on generators [{shift, flip_0}] is CCC_d. *)
+(** [wreath_shift ~base:2]: [Z_2^d ⋊ Z_d], the group of the
+    cube-connected-cycles network; its Cayley graph on generators
+    [{shift, flip_0}] is CCC_d. *)
 
-(** {1 Large Cayley instances} *)
+(** {1 Cayley graphs} *)
 
 type instance = {
   graph : Qe_graph.Graph.t;

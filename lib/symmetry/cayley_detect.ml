@@ -1,7 +1,7 @@
 module Graph = Qe_graph.Graph
 
 type recognition = {
-  group : Qe_group.Group.t;
+  group : Qe_group.Presentation.t;
   generators : int list;
   translations : int array array;
 }
@@ -133,7 +133,7 @@ let recognize ?(max_aut = 50_000) ?max_leaves g =
     (* K_1 is Cay(trivial group, {}) degenerately; treat explicitly. *)
     Cayley
       {
-        group = Qe_group.Group.cyclic 1;
+        group = Qe_group.Presentation.cyclic 1;
         generators = [];
         translations = [| [| 0 |] |];
       }
@@ -155,13 +155,13 @@ let recognize ?(max_aut = 50_000) ?max_leaves g =
           with
           | None -> Not_cayley
           | Some translations ->
-              (* group table: e_u * e_w = translation mapping 0 to
-                 translations.(u).(w) *)
-              let table =
-                Array.init n (fun u ->
-                    Array.init n (fun w -> translations.(u).(w)))
+              (* e_u * e_w is the translation mapping 0 to
+                 translations.(u).(w): the translations are the group
+                 table *)
+              let group =
+                Qe_group.Presentation.of_mul_table ~name:"recovered"
+                  translations
               in
-              let group = Qe_group.Group.of_mul_table ~name:"recovered" table in
               let generators = List.sort compare (Graph.neighbors g 0) in
               (* the recognized regular subgroup doubles as a
                  transitivity witness for downstream fast paths *)
@@ -203,22 +203,8 @@ let translation_classes r ~black =
 let verify g r =
   let n = Graph.n g in
   Array.length r.translations = n
-  && Qe_group.Group.order r.group = n
-  && (* each translation is an automorphism of g *)
-  Array.for_all
-    (fun phi ->
-      let count tbl key delta =
-        let cur = try Hashtbl.find tbl key with Not_found -> 0 in
-        Hashtbl.replace tbl key (cur + delta)
-      in
-      let tbl = Hashtbl.create (2 * Graph.m g) in
-      List.iter
-        (fun (u, v) ->
-          count tbl (min u v, max u v) 1;
-          count tbl (min phi.(u) phi.(v), max phi.(u) phi.(v)) (-1))
-        (Graph.edges g);
-      Hashtbl.fold (fun _ c acc -> acc && c = 0) tbl true)
-    r.translations
+  && Qe_group.Presentation.order r.group = n
+  && Array.for_all (Transitive.is_automorphism g) r.translations
   && (* regularity: w-th translation maps 0 to w *)
   Array.for_all Fun.id (Array.init n (fun w -> r.translations.(w).(0) = w))
   && (* table matches composition *)
@@ -229,7 +215,8 @@ let verify g r =
                 let composed =
                   Array.init n (fun i -> r.translations.(u).(r.translations.(w).(i)))
                 in
-                composed = r.translations.(Qe_group.Group.mul r.group u w)))))
+                composed
+                = r.translations.(Qe_group.Presentation.mul r.group u w)))))
 
 let all_regular_subgroups ?max_aut ?max_leaves ?(limit = 10_000) g =
   let n = Graph.n g in

@@ -9,7 +9,7 @@
     groups" requirement. *)
 
 type recognition = {
-  group : Qe_group.Group.t;
+  group : Qe_group.Presentation.t;
       (** The abstract group [Γ] recovered from the regular action;
           element [w]'s left-multiplication permutation is
           [translations.(w)], and element 0 is the identity (node 0 is the

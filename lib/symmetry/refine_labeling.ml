@@ -1,5 +1,5 @@
 module Cayley = Qe_group.Cayley
-module Group = Qe_group.Group
+module P = Qe_group.Presentation
 module Graph = Qe_graph.Graph
 
 type step = {
@@ -24,9 +24,8 @@ let gcd_sizes classes =
 let normalize classes = List.sort compare (List.map (List.sort compare) classes)
 
 let run ?max_leaves c ~black =
-  let grp = Cayley.group c in
-  let g = Cayley.graph c in
-  let n = Group.order grp in
+  let grp = c.P.group and g = c.P.graph in
+  let n = P.order grp in
   let is_black = Array.make n false in
   List.iter (fun b -> is_black.(b) <- true) black;
   let translation_classes =
@@ -43,8 +42,8 @@ let run ?max_leaves c ~black =
       (fun a ->
         if not (is_marked a s) then begin
           marked.(a) <- s :: marked.(a);
-          let b = Group.mul grp a s in
-          marked.(b) <- Group.inv grp s :: marked.(b)
+          let b = P.mul grp a s in
+          marked.(b) <- P.inv grp s :: marked.(b)
         end)
       tc
   in
@@ -62,7 +61,7 @@ let run ?max_leaves c ~black =
     in
     Aut.orbit_partition ?max_leaves dg
   in
-  let gens = Qe_group.Genset.elements (Cayley.genset c) in
+  let gens = c.P.connection in
   let class_of classes a = List.find (fun cl -> List.mem a cl) classes in
   let initial_classes = pseudo_classes () in
   let steps = ref [] in
@@ -93,7 +92,7 @@ let run ?max_leaves c ~black =
         match tc with
         | a :: _ ->
             let ca = class_of classes a in
-            let cb = class_of classes (Group.mul grp a s) in
+            let cb = class_of classes (P.mul grp a s) in
             if List.length ca <> List.length cb then 0 else 1
         | [] -> 1
       in

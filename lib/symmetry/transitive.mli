@@ -1,7 +1,7 @@
 (** Verified vertex-transitivity witnesses.
 
-    Cayley constructors ({!Qe_group} families, the presentation
-    generator) and {!Cayley_detect} attach an {e untrusted} witness to
+    The Cayley builder ({!Qe_group.Presentation.cayley}) and
+    {!Cayley_detect} attach an {e untrusted} witness to
     the graphs they build: claimed automorphism generators (see
     {!Qe_graph.Graph.witness}). This module is the trust boundary — it
     checks the generators in order, each with {!is_automorphism}

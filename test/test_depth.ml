@@ -9,7 +9,7 @@ module Bicolored = Qe_graph.Bicolored
 module Traverse = Qe_graph.Traverse
 module Families = Qe_graph.Families
 module Group = Qe_group.Group
-module Genset = Qe_group.Genset
+module P = Qe_group.Presentation
 module GCayley = Qe_group.Cayley
 module Cdigraph = Qe_symmetry.Cdigraph
 module Refine = Qe_symmetry.Refine
@@ -153,63 +153,65 @@ let prop_kneser_regular =
 
 (* ---------- group ---------- *)
 
+(* powers and conjugates, from the group's own [mul] and [inv] *)
 let test_pow_and_conjugate () =
-  let g = Group.cyclic 10 in
-  Alcotest.(check int) "3^4 = 12 mod 10" 2 (Group.pow g 3 4);
-  Alcotest.(check int) "x^0 = e" 0 (Group.pow g 7 0);
-  let d = Group.dihedral 4 in
+  let pow g a k = List.fold_left (fun x _ -> P.mul g x a) 0 (List.init k Fun.id) in
+  let g = P.cyclic 10 in
+  Alcotest.(check int) "3^4 = 12 mod 10" 2 (pow g 3 4);
+  Alcotest.(check int) "x^0 = e" 0 (pow g 7 0);
+  let d = P.dihedral 4 in
   (* conjugating a rotation by a reflection inverts it *)
   let r = 1 and s = 4 in
-  Alcotest.(check int) "s r s^-1 = r^-1" (Group.inv d r)
-    (Group.conjugate d r s)
+  Alcotest.(check int) "s r s^-1 = r^-1" (P.inv d r)
+    (P.mul d (P.mul d s r) (P.inv d s))
 
 let test_quaternion_element_orders () =
   let q = Group.quaternion () in
-  let orders = List.sort compare (List.map (Group.elt_order q) (Group.elements q)) in
+  let orders = List.sort compare (List.map (P.elt_order q) (Group.elements q)) in
   Alcotest.(check (list int)) "orders 1,2,4x6" [ 1; 2; 4; 4; 4; 4; 4; 4 ] orders
 
 let test_semidirect_degenerate () =
-  let g = Group.semidirect_shift 1 in
-  Alcotest.(check int) "Z2^1 : Z1 has order 2" 2 (Group.order g);
+  let g = P.semidirect_shift 1 in
+  Alcotest.(check int) "Z2^1 : Z1 has order 2" 2 (P.order g);
   Alcotest.(check bool) "abelian" true (Group.is_abelian g)
 
 let test_dihedral_small () =
-  Alcotest.(check int) "D1 order 2" 2 (Group.order (Group.dihedral 1));
+  Alcotest.(check int) "D1 order 2" 2 (P.order (P.dihedral 1));
   Alcotest.(check bool) "D2 abelian (klein)" true
-    (Group.is_abelian (Group.dihedral 2));
+    (Group.is_abelian (P.dihedral 2));
   Alcotest.(check bool) "D3 not abelian" false
-    (Group.is_abelian (Group.dihedral 3))
+    (Group.is_abelian (P.dihedral 3))
 
 let prop_elt_order_divides_group_order =
   QCheck.Test.make ~name:"element order divides group order" ~count:30
     (QCheck.int_range 2 12)
     (fun n ->
-      let g = Group.dihedral n in
+      let g = P.dihedral n in
       List.for_all
-        (fun a -> Group.order g mod Group.elt_order g a = 0)
+        (fun a -> P.order g mod P.elt_order g a = 0)
         (Group.elements g))
 
 let prop_closure_is_subgroup =
   QCheck.Test.make ~name:"closure is closed under mul and inv" ~count:30
     QCheck.(pair (int_range 2 16) (int_range 1 15))
     (fun (n, x) ->
-      let g = Group.cyclic n in
+      let g = P.cyclic n in
       let x = x mod n in
       QCheck.assume (x <> 0);
       let h = Group.closure g [ x ] in
       List.for_all
         (fun a ->
-          List.mem (Group.inv g a) h
-          && List.for_all (fun b -> List.mem (Group.mul g a b) h) h)
+          List.mem (P.inv g a) h
+          && List.for_all (fun b -> List.mem (P.mul g a b) h) h)
         h)
 
 let test_genset_partition () =
-  let g = Group.cyclic 12 in
-  let s = Genset.make g [ 1; 6 ] in
-  let inv = Genset.involutions s and non = Genset.non_involutions s in
+  let g = P.cyclic 12 in
+  let s = (P.cayley g [ 1; 6 ]).connection in
+  let inv, non = List.partition (P.is_involution g) s in
   Alcotest.(check (list int)) "involutions" [ 6 ] inv;
   Alcotest.(check (list int)) "non-involutions" [ 1; 11 ] non;
-  Alcotest.(check int) "partition" (Genset.size s)
+  Alcotest.(check int) "partition" (List.length s)
     (List.length inv + List.length non)
 
 (* ---------- symmetry: cdigraph / refine / canon ---------- *)
@@ -326,11 +328,11 @@ let test_covering_minimum_bases () =
   in
   check "path5" (Labeling.standard (Families.path 5)) 1 5;
   check "K2" (Labeling.standard (Families.complete 2)) 2 1;
-  check "C6 natural" (GCayley.labeling (GCayley.ring 6)) 6 1;
-  check "Q3 natural" (GCayley.labeling (GCayley.hypercube 3)) 8 1;
+  check "C6 natural" (GCayley.ring 6).P.labeling 6 1;
+  check "Q3 natural" (GCayley.hypercube 3).P.labeling 8 1;
   check "fig2c" (snd (Families.figure2c ())) 3 1;
   let b = Bicolored.make (Families.cycle 6) ~black:[ 0; 3 ] in
-  check ~placement:b "C6 nat + placement" (GCayley.labeling (GCayley.ring 6))
+  check ~placement:b "C6 nat + placement" (GCayley.ring 6).P.labeling
     2 3
 
 let test_covering_degree_times_base () =
@@ -341,9 +343,9 @@ let test_covering_degree_times_base () =
         (Graph.n (Labeling.graph l))
         (t.Covering.degree * Cdigraph.n t.Covering.base))
     [
-      ("C8 natural", GCayley.labeling (GCayley.ring 8));
+      ("C8 natural", (GCayley.ring 8).P.labeling);
       ("petersen std", Labeling.standard (Families.petersen ()));
-      ("torus natural", GCayley.labeling (GCayley.torus 3 3));
+      ("torus natural", (GCayley.torus 3 3).P.labeling);
     ]
 
 let prop_covering_property_random =

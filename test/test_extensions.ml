@@ -11,6 +11,7 @@ module Engine = Qe_runtime.Engine
 module Gathering = Qe_elect.Gathering
 module Mark_race = Qe_elect.Mark_race
 module Oracle = Qe_elect.Oracle
+module P = Qe_group.Presentation
 
 (* --- new graph families --- *)
 
@@ -85,17 +86,17 @@ let test_view_election_matches_sigma () =
     [
       ("path5", Labeling.standard (Families.path 5));
       ("C6 std", Labeling.standard (Families.cycle 6));
-      ("C6 natural", Qe_group.Cayley.labeling (Qe_group.Cayley.ring 6));
+      ("C6 natural", (Qe_group.Cayley.ring 6).P.labeling);
       ("C5 shuffled", Labeling.shuffled ~seed:3 (Families.cycle 5));
       ("petersen", Labeling.standard (Families.petersen ()));
-      ("Q3 natural", Qe_group.Cayley.labeling (Qe_group.Cayley.hypercube 3));
+      ("Q3 natural", (Qe_group.Cayley.hypercube 3).P.labeling);
       ("tree", Labeling.standard (Families.binary_tree 2));
       ("fig2c", snd (Families.figure2c ()));
     ]
 
 let test_view_election_undecided_unanimous () =
   (* when sigma > 1 every processor must detect it *)
-  let l = Qe_group.Cayley.labeling (Qe_group.Cayley.ring 6) in
+  let l = (Qe_group.Cayley.ring 6).P.labeling in
   let o = MP.View_election.run l in
   Array.iter
     (fun v -> Alcotest.(check bool) "undecided" true (v = MP.Undecided))
@@ -301,25 +302,22 @@ let prop_cayley_fuzzing =
       let st = Random.State.make [| seed; 0xca11e |] in
       let groups =
         [|
-          Qe_group.Group.cyclic (5 + Random.State.int st 8);
-          Qe_group.Group.dihedral (3 + Random.State.int st 3);
-          Qe_group.Group.product
-            (Qe_group.Group.cyclic 2)
-            (Qe_group.Group.cyclic (3 + Random.State.int st 3));
+          P.cyclic (5 + Random.State.int st 8);
+          P.dihedral (3 + Random.State.int st 3);
+          P.product (P.cyclic 2) (P.cyclic (3 + Random.State.int st 3));
           Qe_group.Group.quaternion ();
         |]
       in
       let grp = groups.(Random.State.int st (Array.length groups)) in
-      let n = Qe_group.Group.order grp in
+      let n = P.order grp in
       (* a random generating set: add random non-identity elements until
          the set generates *)
       let rec build gens =
-        if gens <> [] && Qe_group.Group.generates grp gens then gens
+        if gens <> [] && List.length (Qe_group.Group.closure grp gens) = n then
+          gens
         else build ((1 + Random.State.int st (n - 1)) :: gens)
       in
-      let genset = Qe_group.Genset.make grp (build []) in
-      let cayley = Qe_group.Cayley.make genset in
-      let g = Qe_group.Cayley.graph cayley in
+      let g = (P.cayley grp (build [])).graph in
       (* a random placement of 1..3 agents *)
       let r = 1 + Random.State.int st (min 3 n) in
       let rec pick acc k =

@@ -12,7 +12,6 @@ module Families = Qe_graph.Families
 module Bicolored = Qe_graph.Bicolored
 module Labeling = Qe_graph.Labeling
 module Group = Qe_group.Group
-module Genset = Qe_group.Genset
 module Cayley = Qe_group.Cayley
 module P = Qe_group.Presentation
 module Classes = Qe_symmetry.Classes
@@ -57,14 +56,14 @@ let check_fast_equals_slow name g =
 (* every table-backed Cayley family from the group layer *)
 let test_families () =
   List.iter
-    (fun (name, t) -> check_fast_equals_slow name (Cayley.graph t))
+    (fun (name, t) -> check_fast_equals_slow name t.P.graph)
     [
       ("ring 12", Cayley.ring 12);
       ("hypercube 3", Cayley.hypercube 3);
       ("torus 3x4", Cayley.torus 3 4);
-      ("circulant 10 {1,3}", Cayley.circulant 10 [ 1; 3 ]);
+      ("circulant 10 {1,3}", P.circulant 10 [ 1; 3 ]);
       ("star_graph 4", Cayley.star_graph 4);
-      ("ccc 3", Cayley.cube_connected_cycles 3);
+      ("ccc 3", P.cube_connected_cycles 3);
     ]
 
 (* presentation-backed instances take the same fast path *)
@@ -100,7 +99,7 @@ let test_negatives () =
 (* a Cayley graph with a non-uniform placement is transitive but the
    translations only refine the true classes — must use the full search *)
 let test_partial_placement () =
-  let g = Cayley.graph (Cayley.ring 8) in
+  let g = (Cayley.ring 8).P.graph in
   let b = Bicolored.make g ~black:[ 0 ] in
   let t = Classes.compute b in
   Alcotest.(check bool) "non-uniform: slow path" false
@@ -159,9 +158,9 @@ let test_certified_regular_good () =
             (name ^ ": exhibit is an equal-cycle automorphism")
             true (is_exhibit g phi))
     [
-      ("ring 12", Cayley.graph (Cayley.ring 12));
+      ("ring 12", (Cayley.ring 12).P.graph);
       ("P.ccc 4", (P.cube_connected_cycles 4).P.graph);
-      ("star_graph 4", Cayley.graph (Cayley.star_graph 4));
+      ("star_graph 4", (Cayley.star_graph 4).P.graph);
     ]
 
 (* certification keeps the shortest verified prefix with one orbit: a
@@ -248,11 +247,11 @@ let prop_verify_vs_bfs =
       let rng = Random.State.make [| seed |] in
       let g =
         match fam with
-        | 0 -> Cayley.graph (Cayley.hypercube (2 + Random.State.int rng 4))
+        | 0 -> (Cayley.hypercube (2 + Random.State.int rng 4)).P.graph
         | 1 ->
-            Cayley.graph
-              (Cayley.torus (3 + Random.State.int rng 4)
-                 (3 + Random.State.int rng 4))
+            (Cayley.torus (3 + Random.State.int rng 4)
+               (3 + Random.State.int rng 4))
+              .P.graph
         | 2 -> (P.cube_connected_cycles (3 + Random.State.int rng 2)).P.graph
         | _ -> (P.circulant (8 + Random.State.int rng 20) [ 1; 2; 3 ]).P.graph
       in
@@ -384,10 +383,10 @@ let prop_cycle_scan_naive =
 let test_witness_vs_search () =
   let built =
     [
-      Cayley.graph (Cayley.ring 12);
-      Cayley.graph (Cayley.hypercube 3);
-      Cayley.graph (Cayley.torus 3 4);
-      Cayley.graph (Cayley.circulant 10 [ 1; 3 ]);
+      (Cayley.ring 12).P.graph;
+      (Cayley.hypercube 3).P.graph;
+      (Cayley.torus 3 4).P.graph;
+      (P.circulant 10 [ 1; 3 ]).P.graph;
       (P.circulant 12 [ 1; 5 ]).P.graph;
       (P.cayley (P.dihedral 5) [ 5; 6 ]).P.graph;
     ]
@@ -438,11 +437,11 @@ let prop_is_automorphism_naive =
       let rng = Random.State.make [| seed |] in
       let g =
         match which with
-        | 0 -> Cayley.graph (Cayley.ring 6)
-        | 1 -> Cayley.graph (Cayley.hypercube 3)
+        | 0 -> (Cayley.ring 6).P.graph
+        | 1 -> (Cayley.hypercube 3).P.graph
         | 2 -> (P.circulant 8 [ 1; 3 ]).P.graph
         | 3 -> (P.cube_connected_cycles 3).P.graph
-        | 4 -> Cayley.graph (Cayley.torus 3 4)
+        | 4 -> (Cayley.torus 3 4).P.graph
         | 5 -> Families.petersen ()
         | 6 -> Families.star 4
         | 7 -> Families.complete 4
@@ -491,7 +490,7 @@ let test_oracle_fast_path () =
         true
         (Oracle.predict (all_black g) = Oracle.Unsolvable))
     [
-      ("ring 6", Cayley.graph (Cayley.ring 6));
+      ("ring 6", (Cayley.ring 6).P.graph);
       ("P.circulant 18 {1,5}", (P.circulant 18 [ 1; 5 ]).P.graph);
     ];
   (* the same structure without a witness takes the subgroup search and
@@ -501,36 +500,23 @@ let test_oracle_fast_path () =
     (Oracle.predict (all_black (Families.cycle 14)) = Oracle.Unsolvable);
   (* the witness's rotation moves a lone agent: not an exhibit *)
   Alcotest.(check bool) "non-uniform placement ignores the witness" true
-    (Oracle.predict (Bicolored.make (Cayley.graph (Cayley.ring 8)) ~black:[ 0 ])
+    (Oracle.predict (Bicolored.make (Cayley.ring 8).P.graph ~black:[ 0 ])
     = Oracle.Solvable)
 
-(* ---------- presentation/group differentials ---------- *)
+(* ---------- presentations vs their defining formulas ---------- *)
 
-let check_same_group name (p : P.t) (g : Group.t) =
-  Alcotest.(check int) (name ^ ": order") (Group.order g) (P.order p);
-  let n = Group.order g in
-  for a = 0 to n - 1 do
-    Alcotest.(check int)
-      (Printf.sprintf "%s: inv %d" name a)
-      (Group.inv g a) (P.inv p a);
-    for b = 0 to n - 1 do
+let check_same_group name (p : P.t) ~order ~mul ~inv =
+  Alcotest.(check int) (name ^ ": order") order (P.order p);
+  for a = 0 to order - 1 do
+    Alcotest.(check int) (Printf.sprintf "%s: inv %d" name a) (inv a) (P.inv p a);
+    for b = 0 to order - 1 do
       Alcotest.(check int)
         (Printf.sprintf "%s: mul %d %d" name a b)
-        (Group.mul g a b) (P.mul p a b)
+        (mul a b) (P.mul p a b)
     done
   done
 
-let test_presentation_vs_group () =
-  check_same_group "Z12" (P.cyclic 12) (Group.cyclic 12);
-  check_same_group "Z3xZ4"
-    (P.product (P.cyclic 3) (P.cyclic 4))
-    (Group.product (Group.cyclic 3) (Group.cyclic 4));
-  check_same_group "Z2^3" (P.power (P.cyclic 2) 3) (Group.power (Group.cyclic 2) 3);
-  check_same_group "D6" (P.dihedral 6) (Group.dihedral 6);
-  check_same_group "Z2wrZ3" (P.semidirect_shift 3) (Group.semidirect_shift 3);
-  check_same_group "Z2wrZ4 via wreath"
-    (P.wreath_shift ~base:2 4)
-    (Group.semidirect_shift 4)
+let md k a = ((a mod k) + k) mod k
 
 (* [P.wreath_shift] rotates and xors in O(1); pin it to the definition,
    digit by digit: (w, i)·(w', i') = (w + shift_i w', i + i') and
@@ -539,7 +525,6 @@ let test_presentation_vs_group () =
 let rec ipow b k = if k = 0 then 1 else b * ipow b (k - 1)
 
 let wreath_reference ~base d =
-  let md k a = ((a mod k) + k) mod k in
   let decode x =
     let w = x / d in
     (Array.init d (fun j -> w / ipow base j mod base), x mod d)
@@ -558,6 +543,45 @@ let wreath_reference ~base d =
     encode (shift (Array.map (fun dg -> md base (-dg)) w) (-i), md d (-i))
   in
   (mul, inv)
+
+(* Every construction against its defining formula, on every pair. *)
+let test_presentation_vs_group () =
+  check_same_group "Z12" (P.cyclic 12) ~order:12
+    ~mul:(fun a b -> (a + b) mod 12)
+    ~inv:(fun a -> md 12 (-a));
+  (* (a, b) = 4a + b, componentwise *)
+  check_same_group "Z3xZ4"
+    (P.product (P.cyclic 3) (P.cyclic 4))
+    ~order:12
+    ~mul:(fun x y -> (md 3 ((x / 4) + (y / 4)) * 4) + md 4 (x + y))
+    ~inv:(fun x -> (md 3 (-(x / 4)) * 4) + md 4 (-x));
+  check_same_group "Z2^3" (P.power (P.cyclic 2) 3) ~order:8 ~mul:( lxor )
+    ~inv:Fun.id;
+  (* base-3 digits, added digit by digit *)
+  let digits3 f x y =
+    List.fold_left
+      (fun acc j -> acc + (f (x / ipow 3 j mod 3) (y / ipow 3 j mod 3) * ipow 3 j))
+      0 [ 0; 1; 2 ]
+  in
+  check_same_group "Z3^3" (P.power (P.cyclic 3) 3) ~order:27
+    ~mul:(digits3 (fun a b -> md 3 (a + b)))
+    ~inv:(fun x -> digits3 (fun a _ -> md 3 (-a)) x 0);
+  (* s^j r^i is j*n + i, and r^i s = s r^-i:
+     s^j r^i · s^j' r^i' = s^(j+j') r^((-1)^j' i + i') *)
+  let n = 6 in
+  let decode x = (x / n, x mod n) in
+  let encode j i = (md 2 j * n) + md n i in
+  check_same_group "D6" (P.dihedral n) ~order:(2 * n)
+    ~mul:(fun x y ->
+      let j, i = decode x and j', i' = decode y in
+      encode (j + j') ((if j' = 0 then i else -i) + i'))
+    ~inv:(fun x ->
+      let j, i = decode x in
+      encode j (if j = 0 then -i else i));
+  let mul, inv = wreath_reference ~base:2 3 in
+  check_same_group "Z2wrZ3" (P.semidirect_shift 3) ~order:24 ~mul ~inv;
+  let mul, inv = wreath_reference ~base:3 2 in
+  check_same_group "Z3wrZ2" (P.wreath_shift ~base:3 2) ~order:18 ~mul ~inv
 
 let prop_wreath_vs_digits =
   let gen =
@@ -578,37 +602,76 @@ let prop_wreath_vs_digits =
       let mul, inv = wreath_reference ~base d in
       P.mul p x y = mul x y && P.inv p x = inv x)
 
-(* the streamed CSR generator must be structurally identical to the
-   table-backed edge-list builder, labels included *)
-let test_presentation_cayley_vs_table () =
-  let pairs =
-    [
-      ("ring 12", (P.circulant 12 [ 1 ]), Cayley.ring 12);
-      ("circulant 10 {1,3}", (P.circulant 10 [ 1; 3 ]), Cayley.circulant 10 [ 1; 3 ]);
-      ("ccc 3", (P.cube_connected_cycles 3), Cayley.cube_connected_cycles 3);
-    ]
+(* [P.power] decodes all digits in one loop (an [lxor] at order 2); pin
+   it to the k-fold [P.product] it flattens *)
+let prop_power_vs_product =
+  let factors =
+    [| ("Z2", P.cyclic 2); ("Z3", P.cyclic 3); ("D3", P.dihedral 3); ("Z5", P.cyclic 5) |]
   in
-  List.iter
-    (fun (name, (inst : P.instance), table) ->
-      let gp = inst.P.graph and gt = Cayley.graph table in
-      Alcotest.(check bool) (name ^ ": same structure") true
-        (Graph.equal_structure gp gt);
-      for u = 0 to Graph.n gp - 1 do
-        for i = 0 to Graph.degree gp u - 1 do
+  let gen =
+    QCheck.Gen.(
+      int_bound (Array.length factors - 1) >>= fun f ->
+      int_range 1 20 >>= fun k ->
+      let order = ipow (P.order (snd factors.(f))) k in
+      pair (int_bound (order - 1)) (int_bound (order - 1)) >|= fun (x, y) ->
+      (f, k, x, y))
+  in
+  QCheck.Test.make ~name:"power mul/inv = folded product" ~count:1000
+    (QCheck.make
+       ~print:(fun (f, k, x, y) ->
+         Printf.sprintf "%s^%d, x %d, y %d" (fst factors.(f)) k x y)
+       gen)
+    (fun (f, k, x, y) ->
+      let g = snd factors.(f) in
+      let flat = P.power g k in
+      let folded = List.fold_left (fun acc _ -> P.product acc g) g (List.init (k - 1) Fun.id) in
+      P.order flat = P.order folded
+      && P.mul flat x y = P.mul folded x y
+      && P.inv flat x = P.inv folded x)
+
+(* The streamed generator against a reference that lists every edge
+   {a, a·s} from a multiplication table, in the same emitting order,
+   builds through [Graph.of_edges] and labels each dart with u⁻¹v read
+   off the table. *)
+let test_presentation_cayley_vs_table () =
+  let check name (inst : P.instance) (p : P.t) gens =
+    let n = P.order p in
+    let table = Array.init n (fun a -> Array.init n (P.mul p a)) in
+    let inv a = Option.get (Array.find_index (( = ) 0) table.(a)) in
+    let connection = List.sort_uniq compare (gens @ List.map inv gens) in
+    let involution s = table.(s).(s) = 0 in
+    let edges =
+      List.concat_map
+        (fun s ->
+          if involution s || s < inv s then
+            List.filter_map
+              (fun a ->
+                let b = table.(a).(s) in
+                if involution s && b < a then None else Some (a, b))
+              (List.init n Fun.id)
+          else [])
+        connection
+    in
+    let g = Graph.of_edges ~n edges in
+    Alcotest.(check bool) (name ^ ": same structure") true
+      (Graph.equal_structure g inst.graph);
+    for u = 0 to n - 1 do
+      Graph.iter_darts g u (fun i v _ _ ->
           Alcotest.(check int)
             (Printf.sprintf "%s: symbol at %d.%d" name u i)
-            (Labeling.symbol (Cayley.labeling table) u i)
-            (Labeling.symbol inst.P.labeling u i)
-        done
-      done;
-      Alcotest.(check (list int))
-        (name ^ ": connection set")
-        (List.sort_uniq compare
-           (List.concat_map
-              (fun s -> [ s; Group.inv (Cayley.group table) s ])
-              (Genset.elements (Cayley.genset table))))
-        inst.P.connection)
-    pairs
+            table.(inv u).(v)
+            (Labeling.symbol inst.labeling u i))
+    done;
+    Alcotest.(check (list int)) (name ^ ": connection set") connection
+      inst.connection
+  in
+  check "ring 12" (Cayley.ring 12) (P.cyclic 12) [ 1 ];
+  check "circulant 10 {1,3}" (P.circulant 10 [ 1; 3 ]) (P.cyclic 10) [ 1; 3 ];
+  check "ccc 3" (P.cube_connected_cycles 3) (P.semidirect_shift 3) [ 1; 3 ];
+  check "star 4" (Cayley.star_graph 4) (Group.symmetric 4)
+    [ Group.of_permutation [| 1; 0; 2; 3 |]; Group.of_permutation [| 2; 1; 0; 3 |];
+      Group.of_permutation [| 3; 1; 2; 0 |] ];
+  check "dihedral 5" (Cayley.dihedral_cayley 5) (P.dihedral 5) [ 5; 6 ]
 
 (* Labels come from the emitting generator, not from group arithmetic:
    pin every dart's label to u⁻¹v computed independently — by table
@@ -623,22 +686,20 @@ let test_labels_vs_arithmetic () =
             (expected u i v) (label u i))
     done
   in
-  let s4 = Group.symmetric 4 in
-  let named nm =
-    List.find (fun a -> Group.elt_name s4 a = nm) (Group.elements s4)
-  in
   List.iter
     (fun (name, c) ->
-      check_darts name (Cayley.graph c)
-        (Labeling.symbol (Cayley.labeling c))
+      check_darts name c.P.graph
+        (Labeling.symbol c.P.labeling)
         (fun u i _ -> Cayley.port_generator c u i))
     [
       (* a 4-cycle and a transposition: a non-involution and its inverse *)
-      ("S4", Cayley.make (Genset.make s4 [ named "1230"; named "1023" ]));
-      ("Q8", Cayley.make (Genset.make (Group.quaternion ()) [ 2; 4 ]));
+      ( "S4",
+        P.cayley (Group.symmetric 4)
+          [ Group.of_permutation [| 1; 2; 3; 0 |]; Group.of_permutation [| 1; 0; 2; 3 |] ] );
+      ("Q8", P.cayley (Group.quaternion ()) [ 2; 4 ]);
       (* a rotation and a reflection *)
-      ("D6", Cayley.make (Genset.make (Group.dihedral 6) [ 1; 6 ]));
-      ("ccc 3", Cayley.cube_connected_cycles 3);
+      ("D6", P.cayley (P.dihedral 6) [ 1; 6 ]);
+      ("ccc 3", P.cube_connected_cycles 3);
     ];
   List.iter
     (fun (name, (inst : P.instance)) ->
@@ -687,6 +748,24 @@ let test_presentation_validation () =
   Alcotest.(check int) "elt_order" 3 (P.elt_order (P.cyclic 6) 2);
   Alcotest.(check bool) "involution" true (P.is_involution (P.cyclic 6) 3)
 
+(* an order past max_int is refused by the constructor, before any
+   graph is built, instead of wrapping *)
+let test_order_overflow () =
+  let refused ctor f =
+    Alcotest.check_raises ctor
+      (Invalid_argument (ctor ^ ": group order exceeds max_int"))
+      (fun () -> ignore (f () : P.t))
+  in
+  refused "Presentation.power" (fun () -> P.power (P.cyclic 2) 63);
+  refused "Presentation.power" (fun () -> P.power (P.cyclic 2) 62);
+  refused "Presentation.product" (fun () ->
+      P.product (P.cyclic ((1 lsl 32) + 1)) (P.cyclic ((1 lsl 32) + 1)));
+  refused "Presentation.wreath_shift" (fun () -> P.wreath_shift ~base:2 57);
+  refused "Presentation.wreath_shift" (fun () -> P.wreath_shift ~base:3 40);
+  Alcotest.(check int) "2^61 fits" (1 lsl 61) (P.order (P.power (P.cyclic 2) 61));
+  Alcotest.(check int) "2^56 * 56 fits" ((1 lsl 56) * 56)
+    (P.order (P.wreath_shift ~base:2 56))
+
 (* a 5*10^4-node instance streams, classifies and predicts — the smoke
    version of the CI frontier job *)
 let test_big_smoke () =
@@ -711,16 +790,16 @@ let prop_fast_equals_slow =
       let pick k lo hi = lo + (seed / (k + 1) mod (hi - lo + 1)) in
       let g =
         match fam with
-        | 0 -> Cayley.graph (Cayley.ring (pick 1 3 16))
-        | 1 -> Cayley.graph (Cayley.hypercube (pick 2 2 4))
-        | 2 -> Cayley.graph (Cayley.torus (pick 3 3 5) (pick 4 3 5))
+        | 0 -> (Cayley.ring (pick 1 3 16)).P.graph
+        | 1 -> (Cayley.hypercube (pick 2 2 4)).P.graph
+        | 2 -> (Cayley.torus (pick 3 3 5) (pick 4 3 5)).P.graph
         | 3 ->
             let n = pick 5 5 14 in
             let j = 1 + (pick 6 0 (max 1 (n / 2) - 1)) in
             let jumps = if j mod n = 0 || j = 1 then [ 1 ] else [ 1; j ] in
-            Cayley.graph (Cayley.circulant n jumps)
-        | 4 -> Cayley.graph (Cayley.star_graph (pick 7 3 4))
-        | _ -> Cayley.graph (Cayley.cube_connected_cycles 3)
+            (P.circulant n jumps).P.graph
+        | 4 -> (Cayley.star_graph (pick 7 3 4)).P.graph
+        | _ -> (P.cube_connected_cycles 3).P.graph
       in
       let b = all_black g in
       let fast = Classes.compute b in
@@ -767,8 +846,10 @@ let () =
           Alcotest.test_case "labels = group arithmetic" `Quick
             test_labels_vs_arithmetic;
           QCheck_alcotest.to_alcotest prop_wreath_vs_digits;
+          QCheck_alcotest.to_alcotest prop_power_vs_product;
           Alcotest.test_case "generation spans" `Quick test_generation_spans;
           Alcotest.test_case "validation" `Quick test_presentation_validation;
+          Alcotest.test_case "order overflow rejected" `Quick test_order_overflow;
         ] );
       ("smoke", [ Alcotest.test_case "50k circulant" `Quick test_big_smoke ]);
     ]

@@ -1,5 +1,5 @@
 module Group = Qe_group.Group
-module Genset = Qe_group.Genset
+module P = Qe_group.Presentation
 module Cayley = Qe_group.Cayley
 module Graph = Qe_graph.Graph
 module Labeling = Qe_graph.Labeling
@@ -7,14 +7,14 @@ module Traverse = Qe_graph.Traverse
 module Families = Qe_graph.Families
 
 let group_axioms g =
-  let n = Group.order g in
+  let n = P.order g in
   Alcotest.(check bool) "identity" true
-    (List.for_all (fun a -> Group.mul g 0 a = a && Group.mul g a 0 = a)
+    (List.for_all (fun a -> P.mul g 0 a = a && P.mul g a 0 = a)
        (Group.elements g));
   Alcotest.(check bool) "inverses" true
     (List.for_all
-       (fun a -> Group.mul g a (Group.inv g a) = 0
-                 && Group.mul g (Group.inv g a) a = 0)
+       (fun a -> P.mul g a (P.inv g a) = 0
+                 && P.mul g (P.inv g a) a = 0)
        (Group.elements g));
   (* spot-check associativity beyond the constructor's own validation *)
   let st = Random.State.make [| n; 99 |] in
@@ -22,157 +22,161 @@ let group_axioms g =
     let a = Random.State.int st n
     and b = Random.State.int st n
     and c = Random.State.int st n in
-    Alcotest.(check int) "assoc" (Group.mul g (Group.mul g a b) c)
-      (Group.mul g a (Group.mul g b c))
+    Alcotest.(check int) "assoc" (P.mul g (P.mul g a b) c)
+      (P.mul g a (P.mul g b c))
   done
 
 let test_cyclic () =
-  let g = Group.cyclic 6 in
+  let g = P.cyclic 6 in
   group_axioms g;
-  Alcotest.(check int) "order" 6 (Group.order g);
-  Alcotest.(check int) "2+5" 1 (Group.mul g 2 5);
-  Alcotest.(check int) "inv 2" 4 (Group.inv g 2);
+  Alcotest.(check int) "order" 6 (P.order g);
+  Alcotest.(check int) "2+5" 1 (P.mul g 2 5);
+  Alcotest.(check int) "inv 2" 4 (P.inv g 2);
   Alcotest.(check bool) "abelian" true (Group.is_abelian g);
-  Alcotest.(check int) "elt order of 2 in Z6" 3 (Group.elt_order g 2);
-  Alcotest.(check int) "elt order of 1" 6 (Group.elt_order g 1)
+  Alcotest.(check int) "elt order of 2 in Z6" 3 (P.elt_order g 2);
+  Alcotest.(check int) "elt order of 1" 6 (P.elt_order g 1)
 
 let test_product () =
-  let g = Group.product (Group.cyclic 2) (Group.cyclic 3) in
+  let g = P.product (P.cyclic 2) (P.cyclic 3) in
   group_axioms g;
-  Alcotest.(check int) "order" 6 (Group.order g);
+  Alcotest.(check int) "order" 6 (P.order g);
   Alcotest.(check bool) "abelian" true (Group.is_abelian g);
   (* Z2 x Z3 is cyclic of order 6: has an element of order 6 *)
   Alcotest.(check bool) "has order-6 element" true
-    (List.exists (fun a -> Group.elt_order g a = 6) (Group.elements g))
+    (List.exists (fun a -> P.elt_order g a = 6) (Group.elements g))
 
 let test_power () =
-  let g = Group.power (Group.cyclic 2) 4 in
+  let g = P.power (P.cyclic 2) 4 in
   group_axioms g;
-  Alcotest.(check int) "order 16" 16 (Group.order g);
+  Alcotest.(check int) "order 16" 16 (P.order g);
   Alcotest.(check bool) "every element involutive" true
-    (List.for_all (fun a -> a = 0 || Group.is_involution g a)
+    (List.for_all (fun a -> a = 0 || P.is_involution g a)
        (Group.elements g));
   (* xor structure: mul = lxor under our encoding *)
-  Alcotest.(check int) "5 * 3 = 6" 6 (Group.mul g 5 3)
+  Alcotest.(check int) "5 * 3 = 6" 6 (P.mul g 5 3)
 
 let test_dihedral () =
-  let g = Group.dihedral 5 in
+  let g = P.dihedral 5 in
   group_axioms g;
-  Alcotest.(check int) "order 10" 10 (Group.order g);
+  Alcotest.(check int) "order 10" 10 (P.order g);
   Alcotest.(check bool) "non-abelian" false (Group.is_abelian g);
   (* reflections are involutions *)
   Alcotest.(check bool) "reflections involutive" true
-    (List.for_all (fun i -> Group.is_involution g (5 + i))
+    (List.for_all (fun i -> P.is_involution g (5 + i))
        [ 0; 1; 2; 3; 4 ]);
-  Alcotest.(check int) "rotation order" 5 (Group.elt_order g 1)
+  Alcotest.(check int) "rotation order" 5 (P.elt_order g 1)
 
 let test_symmetric () =
   let g = Group.symmetric 4 in
   group_axioms g;
-  Alcotest.(check int) "order 24" 24 (Group.order g);
+  Alcotest.(check int) "order 24" 24 (P.order g);
   Alcotest.(check bool) "non-abelian" false (Group.is_abelian g);
-  let orders = List.map (Group.elt_order g) (Group.elements g) in
+  let orders = List.map (P.elt_order g) (Group.elements g) in
   Alcotest.(check int) "max element order in S4" 4
     (List.fold_left max 1 orders)
 
 let test_quaternion () =
   let g = Group.quaternion () in
   group_axioms g;
-  Alcotest.(check int) "order 8" 8 (Group.order g);
+  Alcotest.(check int) "order 8" 8 (P.order g);
   Alcotest.(check bool) "non-abelian" false (Group.is_abelian g);
   (* exactly one involution: -1 *)
-  let invs = List.filter (Group.is_involution g) (Group.elements g) in
+  let invs = List.filter (P.is_involution g) (Group.elements g) in
   Alcotest.(check int) "single involution" 1 (List.length invs)
 
 let test_semidirect () =
-  let g = Group.semidirect_shift 3 in
+  let g = P.semidirect_shift 3 in
   group_axioms g;
-  Alcotest.(check int) "order 24" 24 (Group.order g);
+  Alcotest.(check int) "order 24" 24 (P.order g);
   Alcotest.(check bool) "non-abelian" false (Group.is_abelian g)
 
 let test_closure_generates () =
-  let g = Group.cyclic 12 in
+  let g = P.cyclic 12 in
+  let generates s = List.length (Group.closure g s) = P.order g in
   Alcotest.(check (list int)) "closure of 4" [ 0; 4; 8 ] (Group.closure g [ 4 ]);
-  Alcotest.(check bool) "5 generates Z12" true (Group.generates g [ 5 ]);
-  Alcotest.(check bool) "4 does not" false (Group.generates g [ 4 ]);
+  Alcotest.(check bool) "5 generates Z12" true (generates [ 5 ]);
+  Alcotest.(check bool) "4 does not" false (generates [ 4 ]);
   Alcotest.(check bool) "4 and 6 give the even residues" false
-    (Group.generates g [ 4; 6 ]);
+    (generates [ 4; 6 ]);
   Alcotest.(check (list int)) "closure of {4,6}" [ 0; 2; 4; 6; 8; 10 ]
     (Group.closure g [ 4; 6 ]);
-  Alcotest.(check bool) "3 and 4 do" true (Group.generates g [ 3; 4 ])
+  Alcotest.(check bool) "3 and 4 do" true (generates [ 3; 4 ])
 
 let test_bad_tables () =
   Alcotest.(check bool) "non-associative rejected" true
     (try
        (* a small magma that is not associative *)
        ignore
-         (Group.of_mul_table
+         (P.of_mul_table
             [| [| 0; 1; 2 |]; [| 1; 2; 2 |]; [| 2; 0; 1 |] |]);
        false
      with Invalid_argument _ -> true);
   Alcotest.(check bool) "bad identity rejected" true
     (try
-       ignore (Group.of_mul_table [| [| 1; 0 |]; [| 0; 1 |] |]);
+       ignore (P.of_mul_table [| [| 1; 0 |]; [| 0; 1 |] |]);
        false
      with Invalid_argument _ -> true)
 
+(* [Presentation.cayley] normalizes the generating set: inverses added,
+   the identity, out-of-range and non-generating sets rejected *)
 let test_genset () =
-  let g = Group.cyclic 8 in
-  let s = Genset.make g [ 1 ] in
-  Alcotest.(check (list int)) "inverse added" [ 1; 7 ] (Genset.elements s);
-  Alcotest.(check bool) "identity rejected" true
-    (try ignore (Genset.make g [ 0 ]); false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "non-generating rejected" true
-    (try ignore (Genset.make g [ 2 ]); false
-     with Invalid_argument _ -> true);
-  let full = Genset.all_non_identity g in
-  Alcotest.(check int) "full genset size" 7 (Genset.size full);
+  let g = P.cyclic 8 in
+  Alcotest.(check (list int)) "inverse added" [ 1; 7 ]
+    (P.cayley g [ 1 ]).connection;
+  let rejected gens =
+    try ignore (P.cayley g gens); false with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "identity rejected" true (rejected [ 0 ]);
+  Alcotest.(check bool) "out of range rejected" true (rejected [ 8 ]);
+  Alcotest.(check bool) "empty set rejected" true (rejected []);
+  Alcotest.(check bool) "non-generating rejected" true (rejected [ 2 ]);
+  let full = (Cayley.complete 8).connection in
+  Alcotest.(check int) "full genset size" 7 (List.length full);
   Alcotest.(check (list int)) "involutions of Z8" [ 4 ]
-    (Genset.involutions full)
+    (List.filter (P.is_involution g) full)
 
 (* --- Cayley graphs --- *)
 
 let isomorphic_check_counts c expected_n expected_m =
-  Alcotest.(check int) "nodes" expected_n (Graph.n (Cayley.graph c));
-  Alcotest.(check int) "edges" expected_m (Graph.m (Cayley.graph c))
+  Alcotest.(check int) "nodes" expected_n (Graph.n c.P.graph);
+  Alcotest.(check int) "edges" expected_m (Graph.m c.P.graph)
 
 let test_cayley_ring () =
   let c = Cayley.ring 7 in
   isomorphic_check_counts c 7 7;
   Alcotest.(check bool) "connected" true
-    (Traverse.is_connected (Cayley.graph c));
+    (Traverse.is_connected c.P.graph);
   for u = 0 to 6 do
-    Alcotest.(check int) "2-regular" 2 (Graph.degree (Cayley.graph c) u)
+    Alcotest.(check int) "2-regular" 2 (Graph.degree c.P.graph u)
   done
 
 let test_cayley_hypercube () =
   let c = Cayley.hypercube 4 in
   isomorphic_check_counts c 16 32;
-  Alcotest.(check int) "diameter 4" 4 (Traverse.diameter (Cayley.graph c))
+  Alcotest.(check int) "diameter 4" 4 (Traverse.diameter c.P.graph)
 
 let test_cayley_complete () =
   let c = Cayley.complete 6 in
   isomorphic_check_counts c 6 15;
-  Alcotest.(check int) "diameter 1" 1 (Traverse.diameter (Cayley.graph c))
+  Alcotest.(check int) "diameter 1" 1 (Traverse.diameter c.P.graph)
 
 let test_cayley_torus_circulant_ccc () =
   isomorphic_check_counts (Cayley.torus 3 4) 12 24;
-  isomorphic_check_counts (Cayley.circulant 10 [ 1; 3 ]) 10 20;
-  isomorphic_check_counts (Cayley.cube_connected_cycles 3) 24 36;
+  isomorphic_check_counts (P.circulant 10 [ 1; 3 ]) 10 20;
+  isomorphic_check_counts (P.cube_connected_cycles 3) 24 36;
   isomorphic_check_counts (Cayley.dihedral_cayley 4) 8 8;
   isomorphic_check_counts (Cayley.star_graph 4) 24 36
 
 let test_cayley_labeling_natural () =
   let c = Cayley.hypercube 3 in
-  let g = Cayley.graph c and l = Cayley.labeling c in
-  let grp = Cayley.group c in
+  let g = c.P.graph and l = c.P.labeling in
+  let grp = c.P.group in
   (* symbol on port (u, i) is the generator u^-1 * v *)
   for u = 0 to Graph.n g - 1 do
     for i = 0 to Graph.degree g u - 1 do
       let v = (Graph.dart g u i).dst in
       Alcotest.(check int) "natural label"
-        (Group.mul grp (Group.inv grp u) v)
+        (P.mul grp (P.inv grp u) v)
         (Labeling.symbol l u i);
       Alcotest.(check int) "port_generator agrees"
         (Labeling.symbol l u i) (Cayley.port_generator c u i)
@@ -180,18 +184,18 @@ let test_cayley_labeling_natural () =
   done;
   Alcotest.(check bool) "labeling valid" true (Labeling.check l)
 
-(* S_4 and Q_8 have no arithmetic [Presentation] constructor: their
-   Cayley graphs reach the one builder through [Presentation.of_group]. *)
+(* S_4 and Q_8 have no arithmetic constructor: their groups are tables
+   ([Presentation.of_mul_table]) behind the same closures. *)
 let test_cayley_table_only_groups () =
   List.iter
     (fun (name, c) ->
-      let g = Cayley.graph c and grp = Cayley.group c in
+      let g = c.P.graph and grp = c.P.group in
       for u = 0 to Graph.n g - 1 do
         Graph.iter_darts g u (fun i v _ _ ->
             Alcotest.(check int)
               (Printf.sprintf "%s: symbol at %d.%d is u^-1 v" name u i)
-              (Group.mul grp (Group.inv grp u) v)
-              (Labeling.symbol (Cayley.labeling c) u i))
+              (P.mul grp (P.inv grp u) v)
+              (Labeling.symbol c.P.labeling u i))
       done;
       Alcotest.(check bool) (name ^ ": witness certified") true
         (Qe_symmetry.Transitive.certified g <> None);
@@ -200,17 +204,18 @@ let test_cayley_table_only_groups () =
     [
       ("star 4", Cayley.star_graph 4);
       (* i = 2 and j = 4 in the quaternion encoding *)
-      ("quaternion", Cayley.make (Genset.make (Group.quaternion ()) [ 2; 4 ]));
+      ("quaternion", P.cayley (Group.quaternion ()) [ 2; 4 ]);
     ]
 
 let test_translations_are_automorphisms () =
   List.iter
     (fun c ->
-      let grp = Cayley.group c in
+      let grp = c.P.group in
       List.iter
         (fun gamma ->
           Alcotest.(check bool) "translation is automorphism" true
-            (Cayley.is_automorphism c (fun a -> Cayley.translation c gamma a));
+            (Qe_symmetry.Transitive.is_automorphism c.P.graph
+               (Array.init (P.order grp) (Cayley.translation c gamma)));
           Alcotest.(check bool) "translation preserves labels" true
             (Cayley.translation_preserves_labeling c gamma))
         (Group.elements grp))
@@ -258,16 +263,16 @@ let test_cayley_structure_matches_families () =
     Alcotest.(check int) (name ^ " diameter") (Traverse.diameter a)
       (Traverse.diameter b)
   in
-  compare_basic "ring" (Cayley.graph (Cayley.ring 9)) (Families.cycle 9);
+  compare_basic "ring" (Cayley.ring 9).P.graph (Families.cycle 9);
   compare_basic "hypercube"
-    (Cayley.graph (Cayley.hypercube 4))
+    (Cayley.hypercube 4).P.graph
     (Families.hypercube 4);
   compare_basic "complete"
-    (Cayley.graph (Cayley.complete 7))
+    (Cayley.complete 7).P.graph
     (Families.complete 7);
-  compare_basic "torus" (Cayley.graph (Cayley.torus 3 5)) (Families.torus 3 5);
+  compare_basic "torus" (Cayley.torus 3 5).P.graph (Families.torus 3 5);
   compare_basic "ccc"
-    (Cayley.graph (Cayley.cube_connected_cycles 3))
+    (P.cube_connected_cycles 3).P.graph
     (Families.cube_connected_cycles 3)
 
 let prop_translation_class_sizes_divide =
@@ -287,11 +292,89 @@ let prop_genset_closed_under_inverse =
   QCheck.Test.make ~name:"genset closed under inverse" ~count:50
     (QCheck.int_range 3 20)
     (fun n ->
-      let g = Group.cyclic n in
-      let s = Genset.make g [ 1 ] in
-      List.for_all
-        (fun x -> List.mem (Group.inv g x) (Genset.elements s))
-        (Genset.elements s))
+      let g = P.cyclic n in
+      let s = (P.cayley g [ 1 ]).connection in
+      List.for_all (fun x -> List.mem (P.inv g x) s) s)
+
+(* --- generation golden --- *)
+
+(* Every Cayley builder, digested: the edge list in id order, each
+   node's port order, every label and the witness generators. The
+   recorded digests pin generation byte for byte across refactors. *)
+let cayley_golden_path = "data/cayley_golden.txt"
+
+let generation_digest name g l =
+  let buf = Buffer.create 4096 in
+  let add = Printf.bprintf in
+  for e = 0 to Graph.m g - 1 do
+    let u, v = Graph.edge_endpoints g e in
+    add buf "e%d %d;" u v
+  done;
+  for u = 0 to Graph.n g - 1 do
+    add buf "\n%d:" u;
+    Graph.iter_darts g u (fun i v _ _ ->
+        add buf " %d/%d" v (Labeling.symbol l u i))
+  done;
+  (match Graph.transitivity_witness g with
+  | None -> add buf "\nno witness"
+  | Some w ->
+      Array.iter
+        (fun phi ->
+          add buf "\nw";
+          Array.iter (add buf " %d") phi)
+        w.Graph.w_gens);
+  Printf.sprintf "%s %d %d %s" name (Graph.n g) (Graph.m g)
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let cayley_golden_lines () =
+  List.map
+    (fun (name, (c : P.instance)) -> generation_digest name c.graph c.labeling)
+    [
+      ("ring 5", Cayley.ring 5);
+      ("ring 8", Cayley.ring 8);
+      ("hypercube 3", Cayley.hypercube 3);
+      ("hypercube 5", Cayley.hypercube 5);
+      ("complete 4", Cayley.complete 4);
+      ("complete 7", Cayley.complete 7);
+      ("torus 3x3", Cayley.torus 3 3);
+      ("torus 4x6", Cayley.torus 4 6);
+      ("circulant 10 {1,3}", P.circulant 10 [ 1; 3 ]);
+      ("circulant 24 {2,3,8}", P.circulant 24 [ 2; 3; 8 ]);
+      ("star_graph 3", Cayley.star_graph 3);
+      ("star_graph 5", Cayley.star_graph 5);
+      ("ccc 3", P.cube_connected_cycles 3);
+      ("ccc 5", P.cube_connected_cycles 5);
+      ("dihedral_cayley 3", Cayley.dihedral_cayley 3);
+      ("dihedral_cayley 8", Cayley.dihedral_cayley 8);
+      ("P.circulant 24 {1,5}", P.circulant 24 [ 1; 5 ]);
+      ("P.circulant 31 {1,4,9}", P.circulant 31 [ 1; 4; 9 ]);
+      ("P.ccc 3", P.cube_connected_cycles 3);
+      ("P.ccc 6", P.cube_connected_cycles 6);
+      ("product Z4xZ6", P.cayley (P.product (P.cyclic 4) (P.cyclic 6)) [ 6; 1 ]);
+      ( "product D3xZ5",
+        P.cayley (P.product (P.dihedral 3) (P.cyclic 5)) [ 5; 15; 1 ] );
+      ("power Z3^4", P.cayley (P.power (P.cyclic 3) 4) [ 1; 3; 9; 27 ]);
+      ("power D3^2", P.cayley (P.power (P.dihedral 3) 2) [ 1; 3; 6; 18 ]);
+      ( "power hypercube:10",
+        P.cayley (P.power (P.cyclic 2) 10) (List.init 10 (fun i -> 1 lsl i)) );
+      ("dihedral D7 {r,s}", P.cayley (P.dihedral 7) [ 1; 7 ]);
+      ("wreath 3:3", P.cayley (P.wreath_shift ~base:3 3) [ 1; 3 ]);
+      (* the frontier --spec families, built as the CLI builds them *)
+      ("spec circulant:60:1+3+9", P.circulant 60 [ 1; 3; 9 ]);
+      ("spec ccc:5", P.cube_connected_cycles 5);
+      ("spec hypercube:6", Cayley.hypercube 6);
+      ("spec torus:5x7", Cayley.torus 5 7);
+      ("spec dihedral:20", Cayley.dihedral_cayley 20);
+      ("spec wreath:3:4", P.cayley (P.wreath_shift ~base:3 4) [ 1; 4 ]);
+    ]
+
+let test_cayley_golden () =
+  let expected =
+    In_channel.with_open_text cayley_golden_path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  Alcotest.(check (list string)) "digests" expected (cayley_golden_lines ())
 
 let () =
   Alcotest.run "group"
@@ -328,6 +411,7 @@ let () =
           Alcotest.test_case "table-only groups" `Quick
             test_cayley_table_only_groups;
         ] );
+      ("group", [ Alcotest.test_case "cayley golden" `Quick test_cayley_golden ]);
       ( "translations",
         [
           Alcotest.test_case "are automorphisms" `Quick

@@ -5,6 +5,7 @@ module Labeling = Qe_graph.Labeling
 module Families = Qe_graph.Families
 module Serial = Qe_graph.Serial
 module Group = Qe_group.Group
+module P = Qe_group.Presentation
 module World = Qe_runtime.World
 module Engine = Qe_runtime.Engine
 module Trace = Qe_runtime.Trace
@@ -157,42 +158,42 @@ let test_trace_nodes_touched () =
 
 let test_alternating () =
   let a4 = Group.alternating 4 in
-  Alcotest.(check int) "A4 order 12" 12 (Group.order a4);
+  Alcotest.(check int) "A4 order 12" 12 (P.order a4);
   Alcotest.(check bool) "A4 not abelian" false (Group.is_abelian a4);
-  Alcotest.(check int) "A5 order 60" 60 (Group.order (Group.alternating 5));
-  Alcotest.(check int) "A3 = Z3" 3 (Group.order (Group.alternating 3));
+  Alcotest.(check int) "A5 order 60" 60 (P.order (Group.alternating 5));
+  Alcotest.(check int) "A3 = Z3" 3 (P.order (Group.alternating 3));
   Alcotest.(check bool) "A4 has no order-6 element" false
-    (List.exists (fun a -> Group.elt_order a4 a = 6) (Group.elements a4))
+    (List.exists (fun a -> P.elt_order a4 a = 6) (Group.elements a4))
 
 let test_find_isomorphism () =
   (* classic isomorphic pairs *)
   let check_iso name g h expected =
     Alcotest.(check bool) name expected (Group.isomorphic g h)
   in
-  check_iso "Z6 = Z2xZ3" (Group.cyclic 6)
-    (Group.product (Group.cyclic 2) (Group.cyclic 3))
+  check_iso "Z6 = Z2xZ3" (P.cyclic 6)
+    (P.product (P.cyclic 2) (P.cyclic 3))
     true;
-  check_iso "D3 = S3" (Group.dihedral 3) (Group.symmetric 3) true;
-  check_iso "Z4 != Z2xZ2" (Group.cyclic 4)
-    (Group.product (Group.cyclic 2) (Group.cyclic 2))
+  check_iso "D3 = S3" (P.dihedral 3) (Group.symmetric 3) true;
+  check_iso "Z4 != Z2xZ2" (P.cyclic 4)
+    (P.product (P.cyclic 2) (P.cyclic 2))
     false;
-  check_iso "Q8 != D4" (Group.quaternion ()) (Group.dihedral 4) false;
-  check_iso "A4 != D6" (Group.alternating 4) (Group.dihedral 6) false;
-  check_iso "Z2^2:Z2 = D4" (Group.semidirect_shift 2) (Group.dihedral 4) true;
+  check_iso "Q8 != D4" (Group.quaternion ()) (P.dihedral 4) false;
+  check_iso "A4 != D6" (Group.alternating 4) (P.dihedral 6) false;
+  check_iso "Z2^2:Z2 = D4" (P.semidirect_shift 2) (P.dihedral 4) true;
   (* the returned map is a genuine isomorphism *)
   match
-    Group.find_isomorphism (Group.dihedral 3) (Group.symmetric 3)
+    Group.find_isomorphism (P.dihedral 3) (Group.symmetric 3)
   with
   | None -> Alcotest.fail "expected an isomorphism"
   | Some phi ->
-      let g = Group.dihedral 3 and h = Group.symmetric 3 in
+      let g = P.dihedral 3 and h = Group.symmetric 3 in
       List.iter
         (fun a ->
           List.iter
             (fun b ->
               Alcotest.(check int) "homomorphism"
-                phi.(Group.mul g a b)
-                (Group.mul h phi.(a) phi.(b)))
+                phi.(P.mul g a b)
+                (P.mul h phi.(a) phi.(b)))
             (Group.elements g))
         (Group.elements g)
 
@@ -200,16 +201,16 @@ let test_identify () =
   let check name g expected =
     Alcotest.(check (option string)) name expected (Group.identify g)
   in
-  check "Z6" (Group.cyclic 6) (Some "Z6");
-  check "Z2xZ3 is Z6" (Group.product (Group.cyclic 2) (Group.cyclic 3))
+  check "Z6" (P.cyclic 6) (Some "Z6");
+  check "Z2xZ3 is Z6" (P.product (P.cyclic 2) (P.cyclic 3))
     (Some "Z6");
-  check "klein" (Group.product (Group.cyclic 2) (Group.cyclic 2))
+  check "klein" (P.product (P.cyclic 2) (P.cyclic 2))
     (Some "Z2xZ2");
-  check "D5" (Group.dihedral 5) (Some "D5");
+  check "D5" (P.dihedral 5) (Some "D5");
   check "Q8" (Group.quaternion ()) (Some "Q8");
   check "A4" (Group.alternating 4) (Some "A4");
   check "S4" (Group.symmetric 4) (Some "S4");
-  check "shift D4" (Group.semidirect_shift 2) (Some "D4");
+  check "shift D4" (P.semidirect_shift 2) (Some "D4");
   check "too big" (Group.symmetric 5) None
 
 let test_identify_recovered_groups () =
@@ -237,7 +238,7 @@ let prop_isomorphic_reflexive =
   QCheck.Test.make ~name:"every catalog-size group is isomorphic to itself"
     ~count:15
     (QCheck.int_range 2 16)
-    (fun n -> Group.isomorphic (Group.dihedral n) (Group.dihedral n))
+    (fun n -> Group.isomorphic (P.dihedral n) (P.dihedral n))
 
 let () =
   Alcotest.run "tools"
