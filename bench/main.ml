@@ -1255,7 +1255,7 @@ let par_scaling () =
     "the same conformance sweep (symmetric suite x strategies x 8\n\
      seeds) on j supervised worker domains, twice per j: cold (artifact\n\
      cache just cleared — misses, single-flight) and warm (second sweep\n\
-     — per-domain L1 hits). Per-layer telemetry per warm row:\n\
+     — shared-shard hits). Per-layer telemetry per warm row:\n\
      single-flight waits from Cache.stats. Records are cross-checked\n\
      bit-identical (CSV minus wall_ns) against -j 1.\n";
   let module Cache = Qe_symmetry.Artifact_cache in

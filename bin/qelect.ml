@@ -203,8 +203,8 @@ let run_cmd file instance graph agents protocol strategy seed verbose
         Some
           (Qe_obs.Sink.create
              ?on_line:(Option.map (fun oc l -> Qe_obs.Export.write oc l) oc)
-             (* traced runs also record the cache's L1/L2 hit instants,
-                which the Chrome exporter renders as markers *)
+             (* traced runs also record the cache's hit instants, which
+                the Chrome exporter renders as markers *)
              ~cache_events:(oc <> None) ())
       else None
     in
@@ -517,35 +517,26 @@ module Cache = Qe_symmetry.Artifact_cache
 (* print to [out] so sweep (CSV on stdout) can route stats to stderr *)
 let print_cache_stats out =
   let rows = Cache.stats () in
-  let active =
-    List.filter (fun (r : Cache.stat) -> r.Cache.hits + r.Cache.misses > 0) rows
-  in
   List.iter
     (fun (r : Cache.stat) ->
-      Printf.fprintf out
-        "# cache: %-18s hits=%-7d (l1=%d l2=%d) misses=%-5d waits=%d\n"
-        r.Cache.kind r.Cache.hits r.Cache.l1_hits
-        (r.Cache.hits - r.Cache.l1_hits)
-        r.Cache.misses r.Cache.single_flight_waits;
-      List.iter
-        (fun (level, s) ->
-          match s with
-          | Qe_obs.Metrics.Hist { count; _ } when count > 0 ->
-              Printf.fprintf out
-                "# cache: %-18s %s-hit latency p50=%-9s p90=%-9s p99=%-9s\n"
-                r.Cache.kind level (pp_quantile s 0.5) (pp_quantile s 0.9)
-                (pp_quantile s 0.99)
-          | _ -> ())
-        [ ("l1", r.Cache.l1_latency); ("l2", r.Cache.l2_latency) ])
-    active;
+      if r.Cache.hits + r.Cache.misses > 0 then begin
+        Printf.fprintf out "# cache: %-18s hits=%-7d misses=%-5d waits=%d\n"
+          r.Cache.kind r.Cache.hits r.Cache.misses r.Cache.single_flight_waits;
+        match r.Cache.l1_latency with
+        | Qe_obs.Metrics.Hist { count; _ } as s when count > 0 ->
+            Printf.fprintf out
+              "# cache: %-18s hit latency p50=%-9s p90=%-9s p99=%-9s\n"
+              r.Cache.kind (pp_quantile s 0.5) (pp_quantile s 0.9)
+              (pp_quantile s 0.99)
+        | _ -> ()
+      end)
+    rows;
   let hits = List.fold_left (fun a (r : Cache.stat) -> a + r.Cache.hits) 0 rows in
-  let l1 = List.fold_left (fun a (r : Cache.stat) -> a + r.Cache.l1_hits) 0 rows in
   let misses =
     List.fold_left (fun a (r : Cache.stat) -> a + r.Cache.misses) 0 rows
   in
-  Printf.fprintf out
-    "# cache: total hits=%d (l1=%d l2=%d) misses=%d hit-rate=%.1f%%\n" hits l1
-    (hits - l1) misses
+  Printf.fprintf out "# cache: total hits=%d misses=%d hit-rate=%.1f%%\n" hits
+    misses
     (100. *. Cache.hit_rate rows)
 
 (* ---------- live exposition (--metrics-port) ---------- *)

@@ -259,9 +259,9 @@ let prewarm instances =
 let strip_latency snap =
   List.filter (fun (name, _) -> not (Qe_obs.Metrics.is_latency name)) snap
 
-(* [cache.*] counters say where an artifact was found — this domain's
-   L1, the shared L2, or a miss — which depends on task placement and on
-   what earlier sweeps left in the cache. Like latency they reach [live]
+(* [cache.*] counters say whether an artifact was a hit, a miss or a
+   single-flight wait — which depends on task timing across domains and
+   on what earlier sweeps left in the cache. Like latency they reach [live]
    untouched, but never a merged, determinism-checked snapshot. *)
 let placement_free snap =
   List.filter

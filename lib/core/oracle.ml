@@ -8,26 +8,18 @@ module Engine = Qe_runtime.Engine
 
 type prediction = Solvable | Unsolvable | Frontier
 
-(* Every oracle predicate is a pure function of the bicolored instance,
-   so each routes through an {!Qe_symmetry.Artifact_cache} table keyed
-   by the instance's structural identity. The [gcd]/[predict]
-   computations share one [Classes.compute] through the nested
-   [Cache.classes] entry — the historical double computation inside
-   [predict] collapses to a single cached one. *)
-let gcd_tbl : int Cache.table = Cache.create_table ~kind:"oracle.gcd" ()
-
+(* Every oracle predicate is a pure function of the bicolored instance.
+   The expensive ones route through an {!Qe_symmetry.Artifact_cache}
+   table keyed by the instance's structural identity; the gcd is an
+   O(#classes) fold over the cached [Cache.classes] entry, which
+   [predict] shares. *)
 let predict_tbl : prediction Cache.table =
   Cache.create_table ~kind:"oracle.predict" ()
 
 let translation_tbl : bool Cache.table =
   Cache.create_table ~kind:"oracle.translation" ()
 
-let symlab_tbl : bool Cache.table =
-  Cache.create_table ~kind:"oracle.symlab" ()
-
-let gcd_classes b =
-  Cache.memo gcd_tbl ~key:(Cache.key_of_bicolored b) (fun () ->
-      Classes.gcd_sizes (Cache.classes b))
+let gcd_classes b = Classes.gcd_sizes (Cache.classes b)
 
 let elect_prediction b =
   if gcd_classes b = 1 then `Elects else `Reports_failure
@@ -41,7 +33,6 @@ let translation_impossible b =
         ~black:(Bicolored.blacks b))
 
 let symmetric_labeling_exists b =
-  Cache.memo symlab_tbl ~key:(Cache.key_of_bicolored b) @@ fun () ->
   let g = Bicolored.graph b in
   let subgroups = Cayley_detect.all_regular_subgroups g in
   List.exists

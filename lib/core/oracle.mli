@@ -1,11 +1,13 @@
 (** Ground truth for the experiments: what the theorems predict for an
     instance, computed outside the agents.
 
-    Every predicate here is a pure function of the bicolored instance
-    and is memoized in {!Qe_symmetry.Artifact_cache} (keyed by the
-    instance's exact structural certificate), so sweeps that interrogate
-    the oracle once per (strategy, seed) pay the symmetry stack once per
-    instance. The memoization is metric-transparent: cached and uncached
+    Every predicate here is a pure function of the bicolored instance.
+    {!predict} and {!translation_impossible} are memoized in
+    {!Qe_symmetry.Artifact_cache} (keyed by the instance's structural
+    identity), and {!gcd_classes} reads the cached class partition, so
+    sweeps that interrogate the oracle once per (strategy, seed) pay the
+    symmetry stack once per instance. {!symmetric_labeling_exists}, a
+    test-only cross-check, is computed afresh on every call. The memoization is metric-transparent: cached and uncached
     calls record identical kernel counters into the ambient sink, modulo
     the [cache.*] counters themselves. [Artifact_cache.set_enabled
     false] restores the direct computations. *)

@@ -1,13 +1,20 @@
+(* [Invalid_argument "Families.<ctor>: <reason>"]; the message is
+   formatted only when a constructor rejects its argument *)
+let reject ctor fmt =
+  Printf.ksprintf
+    (fun why -> invalid_arg ("Families." ^ ctor ^ ": " ^ why))
+    fmt
+
 let path n =
-  if n < 1 then invalid_arg "Families.path";
+  if n < 1 then reject "path" "n must be >= 1 (got %d)" n;
   Graph.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1)))
 
 let cycle n =
-  if n < 3 then invalid_arg "Families.cycle";
+  if n < 3 then reject "cycle" "n must be >= 3 (got %d)" n;
   Graph.of_edges ~n (List.init n (fun i -> (i, (i + 1) mod n)))
 
 let complete n =
-  if n < 1 then invalid_arg "Families.complete";
+  if n < 1 then reject "complete" "n must be >= 1 (got %d)" n;
   let edges = ref [] in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
@@ -17,7 +24,8 @@ let complete n =
   Graph.of_edges ~n (List.rev !edges)
 
 let complete_bipartite a b =
-  if a < 1 || b < 1 then invalid_arg "Families.complete_bipartite";
+  if a < 1 || b < 1 then
+    reject "complete_bipartite" "both sides must be >= 1 (got %d, %d)" a b;
   let edges = ref [] in
   for u = 0 to a - 1 do
     for v = a to a + b - 1 do
@@ -27,11 +35,11 @@ let complete_bipartite a b =
   Graph.of_edges ~n:(a + b) (List.rev !edges)
 
 let star k =
-  if k < 1 then invalid_arg "Families.star";
+  if k < 1 then reject "star" "k must be >= 1 (got %d)" k;
   Graph.of_edges ~n:(k + 1) (List.init k (fun i -> (0, i + 1)))
 
 let hypercube d =
-  if d < 1 then invalid_arg "Families.hypercube";
+  if d < 1 then reject "hypercube" "d must be >= 1 (got %d)" d;
   let n = 1 lsl d in
   let edges = ref [] in
   for u = 0 to n - 1 do
@@ -43,7 +51,8 @@ let hypercube d =
   Graph.of_edges ~n (List.rev !edges)
 
 let grid a b =
-  if a < 1 || b < 1 || a * b < 2 then invalid_arg "Families.grid";
+  if a < 1 || b < 1 || a * b < 2 then
+    reject "grid" "sides must be >= 1 with at least 2 nodes (got %dx%d)" a b;
   let id i j = (i * b) + j in
   let edges = ref [] in
   for i = 0 to a - 1 do
@@ -55,7 +64,7 @@ let grid a b =
   Graph.of_edges ~n:(a * b) (List.rev !edges)
 
 let torus a b =
-  if a < 3 || b < 3 then invalid_arg "Families.torus: sides must be >= 3";
+  if a < 3 || b < 3 then reject "torus" "sides must be >= 3 (got %dx%d)" a b;
   let id i j = (i * b) + j in
   let edges = ref [] in
   for i = 0 to a - 1 do
@@ -67,11 +76,12 @@ let torus a b =
   Graph.of_edges ~n:(a * b) (List.rev !edges)
 
 let circulant n jumps =
-  if n < 3 then invalid_arg "Families.circulant";
+  if n < 3 then reject "circulant" "n must be >= 3 (got %d)" n;
   List.iter
     (fun j ->
       if j < 1 || 2 * j > n then
-        invalid_arg "Families.circulant: jump out of range")
+        reject "circulant" "jump %d out of range [1, %d] for n = %d" j
+          (n / 2) n)
     jumps;
   let seen = Hashtbl.create 16 in
   let edges = ref [] in
@@ -95,7 +105,7 @@ let petersen () =
   Graph.of_edges ~n:10 (outer @ inner @ spokes)
 
 let cube_connected_cycles d =
-  if d < 3 then invalid_arg "Families.cube_connected_cycles: need d >= 3";
+  if d < 3 then reject "cube_connected_cycles" "d must be >= 3 (got %d)" d;
   let id w i = (w * d) + i in
   let edges = ref [] in
   for w = 0 to (1 lsl d) - 1 do
@@ -108,7 +118,7 @@ let cube_connected_cycles d =
   Graph.of_edges ~n:(d * (1 lsl d)) (List.rev !edges)
 
 let binary_tree h =
-  if h < 0 then invalid_arg "Families.binary_tree";
+  if h < 0 then reject "binary_tree" "h must be >= 0 (got %d)" h;
   let n = (1 lsl (h + 1)) - 1 in
   let edges = ref [] in
   for u = 0 to n - 1 do
@@ -119,14 +129,15 @@ let binary_tree h =
   Graph.of_edges ~n (List.rev !edges)
 
 let wheel k =
-  if k < 3 then invalid_arg "Families.wheel";
+  if k < 3 then reject "wheel" "k must be >= 3 (got %d)" k;
   let rim = List.init k (fun i -> (i, (i + 1) mod k)) in
   let spokes = List.init k (fun i -> (i, k)) in
   Graph.of_edges ~n:(k + 1) (rim @ spokes)
 
 let generalized_petersen n k =
   if n < 3 || k < 1 || 2 * k >= n then
-    invalid_arg "Families.generalized_petersen";
+    reject "generalized_petersen"
+      "need n >= 3 and 1 <= k < n/2 (got n = %d, k = %d)" n k;
   let outer = List.init n (fun i -> (i, (i + 1) mod n)) in
   let inner = List.init n (fun i -> (n + i, n + ((i + k) mod n))) in
   (* dedupe inner edges when k = n/2 is excluded, so all are distinct *)
@@ -138,7 +149,8 @@ let dodecahedron () = generalized_petersen 10 2
 let desargues () = generalized_petersen 10 3
 
 let kneser n k =
-  if k < 1 || n < (2 * k) + 1 then invalid_arg "Families.kneser";
+  if k < 1 || n < (2 * k) + 1 then
+    reject "kneser" "need k >= 1 and n >= 2k + 1 (got n = %d, k = %d)" n k;
   (* enumerate k-subsets as sorted int lists *)
   let rec subsets from size =
     if size = 0 then [ [] ]
@@ -149,7 +161,7 @@ let kneser n k =
   in
   let nodes = Array.of_list (subsets 0 k) in
   let nn = Array.length nodes in
-  if nn > 5000 then invalid_arg "Families.kneser: too many subsets";
+  if nn > 5000 then reject "kneser" "%d subsets exceed the cap of 5000" nn;
   let disjoint a b = List.for_all (fun x -> not (List.mem x b)) a in
   let edges = ref [] in
   for i = 0 to nn - 1 do
@@ -161,7 +173,9 @@ let kneser n k =
 
 let complete_multipartite sizes =
   if sizes = [] || List.exists (fun s -> s < 1) sizes then
-    invalid_arg "Families.complete_multipartite";
+    reject "complete_multipartite"
+      "need at least one part, each of size >= 1 (got [%s])"
+      (String.concat "; " (List.map string_of_int sizes));
   let n = List.fold_left ( + ) 0 sizes in
   (* group id per node *)
   let group = Array.make n 0 in
@@ -183,7 +197,8 @@ let complete_multipartite sizes =
   Graph.of_edges ~n (List.rev !edges)
 
 let double_star a b =
-  if a < 1 || b < 1 then invalid_arg "Families.double_star";
+  if a < 1 || b < 1 then
+    reject "double_star" "both leaf counts must be >= 1 (got %d, %d)" a b;
   let n = 2 + a + b in
   let edges =
     ((0, 1) :: List.init a (fun i -> (0, 2 + i)))
@@ -192,7 +207,8 @@ let double_star a b =
   Graph.of_edges ~n edges
 
 let random_connected ~seed ~n ~extra_edges =
-  if n < 1 then invalid_arg "Families.random_connected";
+  if n < 1 then
+    reject "random_connected" "n must be >= 1 (got %d)" n;
   let st = Random.State.make [| seed; n; extra_edges |] in
   (* Random tree: attach each node (in a shuffled order) to a random earlier
      node of that order. *)

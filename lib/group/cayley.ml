@@ -59,11 +59,15 @@ let hypercube d = P.cayley (P.power (P.cyclic 2) d) (List.init d (fun i -> 1 lsl
 let complete n = P.cayley (P.cyclic n) (List.init (n - 1) succ)
 
 let torus a b =
-  if a < 3 || b < 3 then invalid_arg "Cayley.torus: sides must be >= 3";
+  if a < 3 || b < 3 then
+    invalid_arg
+      (Printf.sprintf "Cayley.torus: sides must be >= 3 (got %dx%d)" a b);
   P.cayley (P.product (P.cyclic a) (P.cyclic b)) [ b (* (1,0) *); 1 (* (0,1) *) ]
 
 let star_graph k =
-  if k < 3 || k > 6 then invalid_arg "Cayley.star_graph: need 3 <= k <= 6";
+  if k < 3 || k > 6 then
+    invalid_arg
+      (Printf.sprintf "Cayley.star_graph: need 3 <= k <= 6 (got %d)" k);
   (* the transpositions (0 i) *)
   let transposition i =
     let p = Array.init k Fun.id in
@@ -74,5 +78,7 @@ let star_graph k =
   P.cayley (Group.symmetric k) (List.init (k - 1) (fun i -> transposition (i + 1)))
 
 let dihedral_cayley n =
-  if n < 2 then invalid_arg "Cayley.dihedral_cayley: need n >= 2";
+  if n < 2 then
+    invalid_arg
+      (Printf.sprintf "Cayley.dihedral_cayley: need n >= 2 (got %d)" n);
   P.cayley (P.dihedral n) [ n; n + 1 ]

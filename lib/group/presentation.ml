@@ -92,8 +92,15 @@ let checked_mul ctor a b =
     invalid_arg (ctor ^ ": group order exceeds max_int");
   a * b
 
+(* [Invalid_argument "Presentation.<ctor>: <reason>"], formatted only
+   on rejection *)
+let reject ctor fmt =
+  Printf.ksprintf
+    (fun why -> invalid_arg ("Presentation." ^ ctor ^ ": " ^ why))
+    fmt
+
 let cyclic n =
-  if n < 1 then invalid_arg "Presentation.cyclic";
+  if n < 1 then reject "cyclic" "n must be >= 1 (got %d)" n;
   {
     order = n;
     mul = (fun a b -> (a + b) mod n);
@@ -118,7 +125,7 @@ let product g h =
    without k levels of nested closures. A group of order 2 has one table,
    so its power multiplies by [lxor]. *)
 let power g k =
-  if k < 1 then invalid_arg "Presentation.power";
+  if k < 1 then reject "power" "k must be >= 1 (got %d)" k;
   let og = g.order in
   let order = ref 1 in
   for _ = 1 to k do
@@ -146,7 +153,7 @@ let power g k =
     }
 
 let dihedral n =
-  if n < 1 then invalid_arg "Presentation.dihedral";
+  if n < 1 then reject "dihedral" "n must be >= 1 (got %d)" n;
   (* rotations r^i are 0..n-1, reflections s*r^i are n..2n-1 *)
   let md x = ((x mod n) + n) mod n in
   let mul x y =
@@ -164,8 +171,9 @@ let dihedral n =
    a base-[base] digit vector; for [base = 2] its Cayley graph on
    [{shift, flip_0}] is CCC_d. *)
 let wreath_shift ~base d =
-  if base < 2 then invalid_arg "Presentation.wreath_shift: base must be >= 2";
-  if d < 1 then invalid_arg "Presentation.wreath_shift: d must be >= 1";
+  if base < 2 then
+    reject "wreath_shift" "base must be >= 2 (got %d)" base;
+  if d < 1 then reject "wreath_shift" "d must be >= 1 (got %d)" d;
   let pow_base = Array.make (d + 1) 1 in
   for i = 1 to d do
     pow_base.(i) <- checked_mul "Presentation.wreath_shift" pow_base.(i - 1) base
@@ -315,6 +323,5 @@ let cayley p gens =
 let circulant n jumps = cayley (cyclic n) jumps
 
 let cube_connected_cycles d =
-  if d < 3 then
-    invalid_arg "Presentation.cube_connected_cycles: need d >= 3";
+  if d < 3 then reject "cube_connected_cycles" "d must be >= 3 (got %d)" d;
   cayley (semidirect_shift d) [ 1; d ]

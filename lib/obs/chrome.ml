@@ -5,7 +5,7 @@
    a "domain" attribute land in that worker's lane, which is how the
    per-worker pool.batch trees render side by side). Span trees become
    nested B/E pairs; trace events carrying a "t_ns" attribute (the
-   cache's L1/L2 hit markers) become instant events. Timestamps are the
+   cache's hit markers) become instant events. Timestamps are the
    monotonic span clock, nanoseconds scaled to the microseconds the
    format expects. *)
 

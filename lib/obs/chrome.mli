@@ -11,7 +11,7 @@
       [d + 1]; everything else renders in lane 0 (["main"]). Each lane
       gets a [thread_name] metadata event.
     - {!Export.Event} lines carrying a ["t_ns"] attribute (the cache's
-      L1/L2 hit markers from traced runs) render as instant events;
+      hit markers from traced runs) render as instant events;
       events without a timestamp (the engine's logical execution events)
       are skipped — they have sequence order, not wall-clock extent.
     - [Meta] and [Metric_snapshot] lines are skipped.

@@ -23,7 +23,7 @@ type t = {
           event streaming while keeping metrics and spans live *)
   cache_events : bool;
       (** when true (and [on_line] is set), the artifact cache streams a
-          timestamped [Export.Event] per L1/L2 hit — the instant-event
+          timestamped [Export.Event] per hit — the instant-event
           markers the Chrome exporter draws. Off by default: hit events
           carry wall-clock timestamps and a fresh [seq = 0], so they do
           not belong in streams consumed by determinism checks or

@@ -34,83 +34,6 @@ let strip_cache snap =
     (fun (name, _) -> not (String.starts_with ~prefix:"cache." name))
     snap
 
-(* ---------- domain-private latency tallies ---------- *)
-
-(* Hit latencies are tallied whether or not a sink is installed, so
-   `--stats` and the scrape endpoint can quote quantiles for any run.
-   Like the L1 hit cells, each domain owns a private tally (plain
-   mutable fields, no sharing on the hot path); stats pool them with
-   the same tolerance for racy reads as every other cache counter. *)
-type lhist = {
-  lh_counts : int array;  (* length = |latency_buckets| + 1 *)
-  mutable lh_sum : int;
-  mutable lh_count : int;
-  mutable lh_lo : int;
-  mutable lh_hi : int;
-}
-
-let lhist () =
-  {
-    lh_counts = Array.make (Array.length Metrics.latency_buckets + 1) 0;
-    lh_sum = 0;
-    lh_count = 0;
-    lh_lo = 0;
-    lh_hi = 0;
-  }
-
-let lh_observe lh v =
-  let bounds = Metrics.latency_buckets in
-  let nb = Array.length bounds in
-  let idx =
-    if v > bounds.(nb - 1) then nb
-    else begin
-      let lo = ref 0 and hi = ref (nb - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if bounds.(mid) < v then lo := mid + 1 else hi := mid
-      done;
-      !lo
-    end
-  in
-  lh.lh_counts.(idx) <- lh.lh_counts.(idx) + 1;
-  lh.lh_sum <- lh.lh_sum + v;
-  if lh.lh_count = 0 then begin
-    lh.lh_lo <- v;
-    lh.lh_hi <- v
-  end
-  else begin
-    if v < lh.lh_lo then lh.lh_lo <- v;
-    if v > lh.lh_hi then lh.lh_hi <- v
-  end;
-  lh.lh_count <- lh.lh_count + 1
-
-let lh_reset lh =
-  Array.fill lh.lh_counts 0 (Array.length lh.lh_counts) 0;
-  lh.lh_sum <- 0;
-  lh.lh_count <- 0;
-  lh.lh_lo <- 0;
-  lh.lh_hi <- 0
-
-let lh_sample lh =
-  Metrics.Hist
-    {
-      bounds = Array.copy Metrics.latency_buckets;
-      counts = Array.copy lh.lh_counts;
-      sum = lh.lh_sum;
-      count = lh.lh_count;
-      lo = lh.lh_lo;
-      hi = lh.lh_hi;
-    }
-
-(* pooled read across domains' private tallies *)
-let lh_pool samples =
-  List.fold_left
-    (fun acc lh -> Metrics.merge acc [ ("h", lh_sample lh) ])
-    [ ("h", lh_sample (lhist ())) ]
-    samples
-  |> fun merged ->
-  match merged with [ (_, s) ] -> s | _ -> assert false
-
 (* ---------- keys ---------- *)
 
 (* The identity arrays are the instance's own memoized ones, so a key
@@ -160,11 +83,6 @@ let key_of_bicolored b =
 
 let num_shards = 32 (* power of two: shard = hash land (num_shards - 1) *)
 
-(* Bumped by [clear]; every per-domain L1 checks it on entry and flushes
-   lazily on mismatch, so [clear] never has to reach into other domains'
-   local state. *)
-let generation = Atomic.make 0
-
 type 'a entry =
   | Ready of ('a, exn) result * Metrics.snapshot
       (** value (or deterministic failure) + the kernel-metric delta its
@@ -177,41 +95,29 @@ and flight = {
   mutable fl_done : bool;
 }
 
-type 'a shard = { m : Mutex.t; tbl : 'a entry Tbl.t }
-
-(* Domain-local first level: a plain hashtable of settled entries, no
-   mutex anywhere on its path. Populated from L2 hits and own computes;
-   never holds an In_flight. [l1_hits] is this domain's private cell,
-   registered in the owning table so stats can pool across domains
-   without putting a shared counter on the hot path. *)
-type 'a l1 = {
-  mutable l1_gen : int;
-  l1_tbl : (('a, exn) result * Metrics.snapshot) Tbl.t;
-  l1_hits : int Atomic.t;
-  l1_lat : lhist;  (* this domain's L1 hit latencies *)
-  l2_lat : lhist;  (* this domain's L2 hit latencies (incl. waits) *)
+(* Every field below is read and written under [m] only, so the counts
+   are exact at any job count. Hit latencies are tallied whether or not
+   a sink is installed, so `--stats` and the scrape endpoint can quote
+   quantiles for any run; [lat] lives in the shard's own registry
+   [reg], which [reset_stats] replaces. *)
+type 'a shard = {
+  m : Mutex.t;
+  tbl : 'a entry Tbl.t;
+  mutable hits : int;
+  mutable misses : int;
+  mutable waits : int;
+  mutable reg : Metrics.registry;
+  mutable lat : Metrics.histogram;
 }
 
-type 'a table = {
-  kind : string;
-  shards : 'a shard array;
-  hits : int Atomic.t;  (* L2 hits only; stats add the pooled L1 cells *)
-  misses : int Atomic.t;
-  waits : int Atomic.t;
-  l1_key : 'a l1 Domain.DLS.key;
-  l1_cells : (int Atomic.t * lhist * lhist) list ref;
-      (* one triple (hit cell, L1 tally, L2 tally) per domain *)
-  l1_cells_m : Mutex.t;
-}
+type 'a table = { kind : string; shards : 'a shard array }
 
 type stat = {
   kind : string;
   hits : int;
-  l1_hits : int;
   misses : int;
   single_flight_waits : int;
   l1_latency : Metrics.sample;
-  l2_latency : Metrics.sample;
 }
 
 (* Registry of every table, type-erased to the operations clear/stats/
@@ -227,78 +133,52 @@ type reg_entry = {
 let registry : reg_entry list ref = ref []
 let registry_m = Mutex.create ()
 
+(* a registry holding one empty hit-latency histogram *)
+let fresh_latency () =
+  let reg = Metrics.create () in
+  (reg, Metrics.latency reg "hit_latency")
+
+let reset_shard (s : _ shard) =
+  let reg, lat = fresh_latency () in
+  s.hits <- 0;
+  s.misses <- 0;
+  s.waits <- 0;
+  s.reg <- reg;
+  s.lat <- lat
+
 let create_table ~kind () =
-  let l1_cells = ref [] in
-  let l1_cells_m = Mutex.create () in
-  let l1_key =
-    (* runs on a domain's first lookup in this table: fresh local
-       hashtable, hit cell registered for pooled stats (cells of dead
-       domains stay registered — their hits remain part of the
-       process-global story, like every other cache counter) *)
-    Domain.DLS.new_key (fun () ->
-        let cell = Atomic.make 0 in
-        let l1_lat = lhist () and l2_lat = lhist () in
-        Mutex.lock l1_cells_m;
-        l1_cells := (cell, l1_lat, l2_lat) :: !l1_cells;
-        Mutex.unlock l1_cells_m;
-        { l1_gen = -1; l1_tbl = Tbl.create 64; l1_hits = cell;
-          l1_lat; l2_lat })
+  let shard () =
+    let reg, lat = fresh_latency () in
+    { m = Mutex.create (); tbl = Tbl.create 16; hits = 0; misses = 0;
+      waits = 0; reg; lat }
   in
-  let t =
-    {
-      kind;
-      shards =
-        Array.init num_shards (fun _ ->
-            { m = Mutex.create (); tbl = Tbl.create 16 });
-      hits = Atomic.make 0;
-      misses = Atomic.make 0;
-      waits = Atomic.make 0;
-      l1_key;
-      l1_cells;
-      l1_cells_m;
-    }
-  in
+  let t = { kind; shards = Array.init num_shards (fun _ -> shard ()) } in
   let clear_t () =
     Array.iter
       (fun s ->
-        Mutex.lock s.m;
+        Mutex.protect s.m @@ fun () ->
         (* drop only settled entries: a racing computer will still
            publish its Ready over the In_flight it owns *)
         Tbl.filter_map_inplace
           (fun _ e -> match e with Ready _ -> None | In_flight _ -> Some e)
-          s.tbl;
-        Mutex.unlock s.m)
+          s.tbl)
       t.shards
   in
-  let cells () =
-    Mutex.lock t.l1_cells_m;
-    let cs = !(t.l1_cells) in
-    Mutex.unlock t.l1_cells_m;
-    cs
-  in
   let stat_t () =
-    let cs = cells () in
-    let l1 = List.fold_left (fun acc (c, _, _) -> acc + Atomic.get c) 0 cs in
-    {
-      kind = t.kind;
-      hits = Atomic.get t.hits + l1;
-      l1_hits = l1;
-      misses = Atomic.get t.misses;
-      single_flight_waits = Atomic.get t.waits;
-      l1_latency = lh_pool (List.map (fun (_, a, _) -> a) cs);
-      l2_latency = lh_pool (List.map (fun (_, _, b) -> b) cs);
-    }
+    let hits = ref 0 and misses = ref 0 and waits = ref 0 and lat = ref [] in
+    Array.iter
+      (fun s ->
+        Mutex.protect s.m @@ fun () ->
+        hits := !hits + s.hits;
+        misses := !misses + s.misses;
+        waits := !waits + s.waits;
+        lat := Metrics.merge !lat (Metrics.snapshot s.reg))
+      t.shards;
+    { kind; hits = !hits; misses = !misses; single_flight_waits = !waits;
+      l1_latency = List.assoc "hit_latency" !lat }
   in
   let reset_t () =
-    Atomic.set t.hits 0;
-    Atomic.set t.misses 0;
-    Atomic.set t.waits 0;
-    List.iter
-      (fun (c, a, b) ->
-        Atomic.set c 0;
-        lh_reset a;
-        lh_reset b)
-      (cells ())
+    Array.iter (fun s -> Mutex.protect s.m (fun () -> reset_shard s)) t.shards
   in
   Mutex.lock registry_m;
   let dup = List.exists (fun e -> e.r_kind = kind) !registry in
@@ -318,10 +198,7 @@ let with_registry f =
   Mutex.unlock registry_m;
   f entries
 
-let clear () =
-  with_registry (List.iter (fun e -> e.r_clear ()));
-  (* per-domain L1s flush themselves on the next lookup *)
-  Atomic.incr generation
+let clear () = with_registry (List.iter (fun e -> e.r_clear ()))
 let reset_stats () = with_registry (List.iter (fun e -> e.r_reset ()))
 
 let stats () =
@@ -342,138 +219,110 @@ let metrics_snapshot () =
     (fun r ->
       [
         ("cache.hit." ^ r.kind, Metrics.Counter r.hits);
-        ("cache.l1.hit." ^ r.kind, Metrics.Counter r.l1_hits);
         ("cache.miss." ^ r.kind, Metrics.Counter r.misses);
-        ("cache." ^ r.kind ^ ".l1.hit_latency", r.l1_latency);
-        ("cache." ^ r.kind ^ ".l2.hit_latency", r.l2_latency);
+        ("cache." ^ r.kind ^ ".hit_latency", r.l1_latency);
       ])
     rows
   @ [ ("cache.single_flight_wait", Metrics.Counter waits) ]
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let publish shard key fl res delta =
-  Mutex.lock shard.m;
-  Tbl.replace shard.tbl key (Ready (res, delta));
-  Mutex.unlock shard.m;
+  Mutex.protect shard.m (fun () ->
+      Tbl.replace shard.tbl key (Ready (res, delta)));
   Mutex.lock fl.fl_m;
   fl.fl_done <- true;
   Condition.broadcast fl.fl_cv;
   Mutex.unlock fl.fl_m
 
-(* L1/L2 hits become timestamped trace events only when the sink opted
-   in (run --trace-out): they carry wall-clock attrs and no sequence
+(* Hits become timestamped trace events only when the sink opted in
+   (run --trace-out): they carry wall-clock attrs and no sequence
    number, so determinism-checked streams must not see them. *)
-let hit_event kind level t_ns =
+let hit_event kind t_ns =
   match Sink.ambient () with
   | Some s when s.Sink.cache_events && s.Sink.on_line <> None ->
       Sink.emit s
         (Export.Event
            {
              seq = 0;
-             name = "cache." ^ level ^ ".hit";
+             name = "cache.hit";
              attrs = [ ("kind", J.String kind); ("t_ns", J.Int t_ns) ];
            })
   | _ -> ()
+
+let unwrap = function Ok v -> v | Error e -> raise e
 
 let memo t ~key compute =
   if not (enabled ()) then compute ()
   else begin
     let t0 = Clock.now_ns () in
-    (* L1: this domain's private table — no lock, no shared write on a
-       hit beyond the domain's own stat cell. The warm path of a sweep
-       lives entirely here. *)
-    let l1 = Domain.DLS.get t.l1_key in
-    let gen = Atomic.get generation in
-    if l1.l1_gen <> gen then begin
-      Tbl.reset l1.l1_tbl;
-      l1.l1_gen <- gen
-    end;
-    match Tbl.find_opt l1.l1_tbl key with
-    | Some (res, delta) ->
-        Atomic.incr l1.l1_hits;
-        bump ("cache.hit." ^ t.kind);
-        bump ("cache.l1.hit." ^ t.kind);
-        replay delta;
-        lh_observe l1.l1_lat (Clock.now_ns () - t0);
-        hit_event t.kind "l1" t0;
-        (match res with Ok v -> v | Error e -> raise e)
-    | None ->
-        (* L2: shared shards, single-flight on a genuine cold miss. Any
-           settled entry found here is copied into the L1 so this domain
-           never takes the shard lock for this key again. *)
-        let shard = t.shards.(key.hash land (num_shards - 1)) in
-        let rec lookup () =
-          Mutex.lock shard.m;
-          match Tbl.find_opt shard.tbl key with
-          | Some (Ready (res, delta)) ->
-              Mutex.unlock shard.m;
-              Tbl.replace l1.l1_tbl key (res, delta);
-              Atomic.incr t.hits;
-              bump ("cache.hit." ^ t.kind);
-              replay delta;
-              (* includes any single-flight wait this lookup sat through *)
-              lh_observe l1.l2_lat (Clock.now_ns () - t0);
-              hit_event t.kind "l2" t0;
-              (match res with Ok v -> v | Error e -> raise e)
-          | Some (In_flight fl) ->
-              Mutex.unlock shard.m;
-              Atomic.incr t.waits;
-              bump "cache.single_flight_wait";
-              let wait () =
-                Mutex.lock fl.fl_m;
-                while not fl.fl_done do
-                  Condition.wait fl.fl_cv fl.fl_m
-                done;
-                Mutex.unlock fl.fl_m
-              in
-              (match Sink.ambient () with
-              | None -> wait ()
-              | Some s ->
-                  let w0 = Clock.now_ns () in
-                  Span.with_span
-                    ~attrs:[ ("kind", J.String t.kind) ]
-                    s.Sink.spans "cache.wait" wait;
-                  Metrics.observe
-                    (Metrics.latency s.Sink.metrics "cache.wait_latency")
-                    (Clock.now_ns () - w0));
-              lookup ()
-          | None ->
-              let fl =
-                { fl_m = Mutex.create (); fl_cv = Condition.create ();
-                  fl_done = false }
-              in
-              Tbl.replace shard.tbl key (In_flight fl);
-              Mutex.unlock shard.m;
-              Atomic.incr t.misses;
-              bump ("cache.miss." ^ t.kind);
-              (* compute under a scratch sink so the kernel delta can be
-                 stored and replayed on every future hit — metric
-                 placement is then identical to the uncached
-                 computation. The caller's tracer (if any) gets one
-                 [cache.compute] span around it, so a miss shows where
-                 it sits in the caller's span tree. *)
-              let scratch = Sink.create () in
-              let in_scratch () = Sink.with_ambient scratch compute in
-              let computed () =
-                match Sink.ambient () with
-                | None -> in_scratch ()
-                | Some s ->
-                    Span.with_span
-                      ~attrs:[ ("kind", J.String t.kind) ]
-                      s.Sink.spans "cache.compute" in_scratch
-              in
-              let res =
-                match computed () with v -> Ok v | exception e -> Error e
-              in
-              let delta =
-                strip_cache (Metrics.snapshot scratch.Sink.metrics)
-              in
-              publish shard key fl res delta;
-              Tbl.replace l1.l1_tbl key (res, delta);
-              replay delta;
-              (match res with Ok v -> v | Error e -> raise e)
-        in
-        lookup ()
+    let shard = t.shards.(key.hash land (num_shards - 1)) in
+    let rec lookup () =
+      Mutex.lock shard.m;
+      match Tbl.find_opt shard.tbl key with
+      | Some (Ready (res, delta)) ->
+          shard.hits <- shard.hits + 1;
+          (* includes any single-flight wait this lookup sat through *)
+          Metrics.observe shard.lat (Clock.now_ns () - t0);
+          Mutex.unlock shard.m;
+          bump ("cache.hit." ^ t.kind);
+          replay delta;
+          hit_event t.kind t0;
+          unwrap res
+      | Some (In_flight fl) ->
+          shard.waits <- shard.waits + 1;
+          Mutex.unlock shard.m;
+          bump "cache.single_flight_wait";
+          let wait () =
+            Mutex.lock fl.fl_m;
+            while not fl.fl_done do
+              Condition.wait fl.fl_cv fl.fl_m
+            done;
+            Mutex.unlock fl.fl_m
+          in
+          (match Sink.ambient () with
+          | None -> wait ()
+          | Some s ->
+              let w0 = Clock.now_ns () in
+              Span.with_span
+                ~attrs:[ ("kind", J.String t.kind) ]
+                s.Sink.spans "cache.wait" wait;
+              Metrics.observe
+                (Metrics.latency s.Sink.metrics "cache.wait_latency")
+                (Clock.now_ns () - w0));
+          lookup ()
+      | None ->
+          let fl =
+            { fl_m = Mutex.create (); fl_cv = Condition.create ();
+              fl_done = false }
+          in
+          Tbl.replace shard.tbl key (In_flight fl);
+          shard.misses <- shard.misses + 1;
+          Mutex.unlock shard.m;
+          bump ("cache.miss." ^ t.kind);
+          (* compute under a scratch sink so the kernel delta can be
+             stored and replayed on every future hit — metric placement
+             is then identical to the uncached computation. The caller's
+             tracer (if any) gets one [cache.compute] span around it, so
+             a miss shows where it sits in the caller's span tree. *)
+          let scratch = Sink.create () in
+          let in_scratch () = Sink.with_ambient scratch compute in
+          let computed () =
+            match Sink.ambient () with
+            | None -> in_scratch ()
+            | Some s ->
+                Span.with_span
+                  ~attrs:[ ("kind", J.String t.kind) ]
+                  s.Sink.spans "cache.compute" in_scratch
+          in
+          let res =
+            match computed () with v -> Ok v | exception e -> Error e
+          in
+          let delta = strip_cache (Metrics.snapshot scratch.Sink.metrics) in
+          publish shard key fl res delta;
+          replay delta;
+          unwrap res
+    in
+    lookup ()
   end
 
 (* ---------- cached artifacts ---------- *)

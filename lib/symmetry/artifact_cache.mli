@@ -5,20 +5,14 @@
     {!Classes.compute}, the oracle verdicts, the ELECT plan — per
     (instance, strategy, seed), even though all of them are pure
     functions of the bicolored instance. This module is a process-wide,
-    domain-safe, {e two-level} cache for those artifacts:
-
-    - {b L1} — a per-domain, lock-free hashtable in domain-local
-      storage, consulted first. A warm lookup touches no mutex and no
-      shared cacheline (beyond reading the invalidation generation and
-      bumping the domain's private stat cell). Populated from L2 hits
-      and own computes; invalidated lazily via a global generation
-      bumped by {!clear}.
-    - {b L2} — a fixed array of shards, each a [Mutex]-protected
-      [Hashtbl], with {e single-flight} admission so two domains asking
-      for the same key never duplicate an in-flight computation (the
-      second blocks on a condition variable until the first publishes).
-      Entered only on an L1 miss; any settled entry found is copied
-      into the caller's L1 on the way out.
+    domain-safe cache for those artifacts: a fixed array of shards per
+    table, each a [Mutex]-protected [Hashtbl], with {e single-flight}
+    admission so two domains asking for the same key never duplicate an
+    in-flight computation (the second blocks on a condition variable
+    until the first publishes). A value computed on one domain is a hit
+    on every other. Each shard keeps its counts and its hit-latency
+    histogram under its own mutex, so {!stats} is exact at any job
+    count.
 
     {b Keys.} Every table is keyed by the instance's {e structural
     identity} ({!key_of_bicolored}): its node count, each node's degree,
@@ -53,9 +47,8 @@
     caller's ambient sink via {!Qe_obs.Metrics.apply}. Cached and
     uncached sweeps therefore produce identical metric snapshots, modulo
     the cache's own [cache.hit.<kind>] / [cache.miss.<kind>] /
-    [cache.single_flight_wait] counters — L1 hits additionally count
-    under [cache.l1.hit.<kind>] — (stripped from stored deltas so
-    replays never inject stale cache counters). Exceptions
+    [cache.single_flight_wait] counters (stripped from stored deltas
+    so replays never inject stale cache counters). Exceptions
     (e.g. {!Canon.Budget_exceeded}) are deterministic for a given key,
     so they are cached and re-raised like values. *)
 
@@ -70,10 +63,9 @@ val set_enabled : bool -> unit
 val enabled : unit -> bool
 
 val clear : unit -> unit
-(** Drop every entry of every table (stats are kept; see
-    {!reset_stats}). Per-domain L1s are invalidated lazily: the global
-    generation is bumped and each domain flushes its local table on its
-    next lookup. Safe to call concurrently with lookups. *)
+(** Drop every settled entry of every table at once (stats are kept;
+    see {!reset_stats}). Safe to call concurrently with lookups: an
+    in-flight computation still publishes its value. *)
 
 (** {1 Tables} *)
 
@@ -128,37 +120,29 @@ val memo : 'a table -> key:key -> (unit -> 'a) -> 'a
 
 type stat = {
   kind : string;
-  hits : int;
-      (** total over both levels (includes single-flight waiters);
-          [hits - l1_hits] is the shared-shard (L2) hit count *)
-  l1_hits : int;
-      (** subset of [hits] served lock-free from a per-domain L1,
-          pooled across every domain that ever touched the table *)
+  hits : int;  (** includes lookups that waited on a single flight *)
   misses : int;
   single_flight_waits : int;
   l1_latency : Qe_obs.Metrics.sample;
       (** hit-latency histogram ({!Qe_obs.Metrics.Hist} over
-          {!Qe_obs.Metrics.latency_buckets}) of this table's L1 hits,
-          pooled across domains — feed it {!Qe_obs.Metrics.quantile} *)
-  l2_latency : Qe_obs.Metrics.sample;
-      (** same for L2 hits; a waiter's latency includes its
-          single-flight wait *)
+          {!Qe_obs.Metrics.latency_buckets}) of every hit on this table,
+          a waiter's including its wait; its count equals [hits]. Feed
+          it {!Qe_obs.Metrics.quantile}. The name survives from a
+          former per-domain first level, because the benchmark harness
+          reads the field by it. *)
 }
 
 val stats : unit -> stat list
 (** One row per table, sorted by [kind]. Process-global counts since the
     last {!reset_stats} — unlike the [cache.*] sink counters, these are
-    tallied even when no ambient sink is installed (hit latencies are
-    tallied in per-domain cells, so the lock-free L1 path stays free of
-    shared writes). *)
+    tallied even when no ambient sink is installed. *)
 
 val reset_stats : unit -> unit
 
 val metrics_snapshot : unit -> Qe_obs.Metrics.snapshot
 (** The process-global cache counters and hit-latency histograms as a
-    sorted snapshot ([cache.hit.<kind>], [cache.l1.hit.<kind>],
-    [cache.miss.<kind>], [cache.<kind>.l1.hit_latency],
-    [cache.<kind>.l2.hit_latency], [cache.single_flight_wait]) — a
+    sorted snapshot ([cache.hit.<kind>], [cache.miss.<kind>],
+    [cache.<kind>.hit_latency], [cache.single_flight_wait]) — a
     ready-made source for {!Qe_obs.Expose}. *)
 
 val hit_rate : stat list -> float

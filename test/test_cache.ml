@@ -7,6 +7,8 @@
      per-kind stats;
    - single-flight: 8 domains racing one cold key produce exactly one
      miss and one execution of the thunk;
+   - accounting: on 1-4 domains every call is one hit or one miss, the
+     misses are the distinct keys, and every hit is timed;
    - transparency: sweeps with the cache on and off produce the same
      records, and observed sweeps the same metric snapshots modulo the
      cache.* counters, at -j 1 and -j 4;
@@ -34,6 +36,9 @@ let with_cache_enabled on f =
   let before = Cache.enabled () in
   Cache.set_enabled on;
   Fun.protect ~finally:(fun () -> Cache.set_enabled before) f
+
+let latency_count (s : Cache.stat) =
+  match s.Cache.l1_latency with Metrics.Hist { count; _ } -> count | _ -> -1
 
 let stat_of kind =
   match List.find_opt (fun s -> s.Cache.kind = kind) (Cache.stats ()) with
@@ -241,8 +246,6 @@ let test_memo_basics () =
   let s = stat_of "test.basic" in
   Alcotest.(check int) "misses" 2 s.Cache.misses;
   Alcotest.(check int) "hits" 1 s.Cache.hits;
-  Alcotest.(check int) "the repeat hit came from this domain's L1" 1
-    s.Cache.l1_hits;
   Cache.clear ();
   Alcotest.(check int) "clear drops entries" 1 (get a);
   Alcotest.(check int) "recompute after clear" 3 !computes;
@@ -324,26 +327,26 @@ let test_single_flight_hammer () =
     "waits within [0, 7]" true
     (s.Cache.single_flight_waits >= 0
     && s.Cache.single_flight_waits <= domains - 1);
-  Alcotest.(check int) "first-contact hits are all L2" 0 s.Cache.l1_hits
+  Alcotest.(check int) "every hit is timed" (domains - 1) (latency_count s)
 
-(* ---------- L1 coherence across domains ---------- *)
+(* ---------- coherence across domains ---------- *)
 
-let l1_tbl : int Cache.table = Cache.create_table ~kind:"test.l1" ()
+let coherence_tbl : int Cache.table =
+  Cache.create_table ~kind:"test.coherence" ()
 
 let test_l1_coherence () =
   (* a value computed by one domain must be observed — never recomputed —
-     by another, and each domain's repeat lookups must stay in its own
-     L1. Every count below is deterministic:
+     by another, and [clear] must reach every domain. Every count below
+     is deterministic:
        caller: compute (miss)            -> misses = 1
-       worker: lookup 1 = L2 hit -> L1
-               lookups 2,3 = L1 hits     -> hits += 3, l1 += 2
-       caller: lookup    = L1 hit        -> hits += 1, l1 += 1 *)
+       worker: lookups 1,2,3 = hits      -> hits += 3
+       caller: lookup        = hit       -> hits += 1 *)
   with_cache_enabled true @@ fun () ->
   Cache.clear ();
   Cache.reset_stats ();
   let computes = Atomic.make 0 in
   let get () =
-    Cache.memo l1_tbl ~key:(key_a ()) (fun () ->
+    Cache.memo coherence_tbl ~key:(key_a ()) (fun () ->
         Atomic.incr computes;
         1729)
   in
@@ -353,20 +356,74 @@ let test_l1_coherence () =
   Alcotest.(check (list int))
     "other domain observes the published value"
     [ 1729; 1729; 1729 ] [ a; b; c ];
-  Alcotest.(check int) "caller L1 still warm" 1729 (get ());
+  Alcotest.(check int) "caller still warm" 1729 (get ());
   Alcotest.(check int) "the thunk ran exactly once" 1 (Atomic.get computes);
-  let s = stat_of "test.l1" in
+  let s = stat_of "test.coherence" in
   Alcotest.(check int) "one miss" 1 s.Cache.misses;
   Alcotest.(check int) "four hits" 4 s.Cache.hits;
-  Alcotest.(check int) "three from L1s (pooled across domains)" 3
-    s.Cache.l1_hits;
-  Alcotest.(check int) "exactly one shard (L2) lookup" 1
-    (s.Cache.hits - s.Cache.l1_hits);
-  (* clear invalidates every L1 lazily via the global generation *)
   Cache.clear ();
   Alcotest.(check int) "recompute after clear" 1729 (get ());
-  Alcotest.(check int) "clear reached the caller's L1" 2
+  Alcotest.(check int) "clear reached the caller's entry" 2
     (Atomic.get computes)
+
+(* ---------- exact accounting across domains ---------- *)
+
+let accounting_tbl : int Cache.table =
+  Cache.create_table ~kind:"test.accounting" ()
+
+(* K keys, 1-4 domains, each replaying its own seeded index sequence:
+   every call is exactly one hit or one miss (a single-flight waiter
+   counts as the hit it ends in), every miss runs the thunk once per
+   distinct key, and every hit lands in the latency histogram. *)
+let prop_exact_accounting =
+  QCheck.Test.make ~name:"exact accounting across 1-4 domains" ~count:20
+    QCheck.(triple (int_range 1 4) (int_range 1 8) (int_bound 1_000_000))
+    (fun (domains, k, seed) ->
+      with_cache_enabled true @@ fun () ->
+      Cache.clear ();
+      Cache.reset_stats ();
+      let rng = Random.State.make [| seed |] in
+      let keys =
+        Array.init k (fun i ->
+            Cache.key_of_bicolored
+              (Bicolored.make (Families.cycle (3 + i)) ~black:[ 0 ]))
+      in
+      let calls = 40 in
+      let seqs =
+        Array.init domains (fun _ ->
+            Array.init calls (fun _ -> Random.State.int rng k))
+      in
+      let runs = Atomic.make 0 in
+      let body seq () =
+        Array.for_all
+          (fun i ->
+            Cache.memo accounting_tbl ~key:keys.(i) (fun () ->
+                Atomic.incr runs;
+                i)
+            = i)
+          seq
+      in
+      let spawned =
+        List.init (domains - 1) (fun d -> Domain.spawn (body seqs.(d + 1)))
+      in
+      let mine = body seqs.(0) () in
+      let values_ok = List.for_all Domain.join spawned && mine in
+      let distinct =
+        List.length
+          (List.sort_uniq compare (List.concat_map Array.to_list (Array.to_list seqs)))
+      in
+      let s = stat_of "test.accounting" in
+      let leveled name =
+        List.exists
+          (fun c -> c = "l1" || c = "l2")
+          (String.split_on_char '.' name)
+      in
+      values_ok
+      && s.Cache.hits + s.Cache.misses = domains * calls
+      && s.Cache.misses = distinct
+      && Atomic.get runs = distinct
+      && latency_count s = s.Cache.hits
+      && not (List.exists (fun (n, _) -> leveled n) (Cache.metrics_snapshot ())))
 
 (* ---------- differential: cached vs --no-cache sweeps ---------- *)
 
@@ -607,6 +664,7 @@ let () =
             test_single_flight_hammer;
           Alcotest.test_case "L1 coherence across domains" `Quick
             test_l1_coherence;
+          QCheck_alcotest.to_alcotest prop_exact_accounting;
         ] );
       ( "differential",
         [

@@ -117,6 +117,68 @@ let test_bad_tables () =
        false
      with Invalid_argument _ -> true)
 
+(* Every constructor that rejects its argument says which constructor
+   and why, naming the offending value: [<Module>.<ctor>: <reason>] with
+   the value quoted in the reason. *)
+let test_constructor_errors () =
+  let contains s sub =
+    let n = String.length s and k = String.length sub in
+    let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+    go 0
+  in
+  let cases =
+    [
+      ("Families.path", "0", fun () -> ignore (Families.path 0));
+      ("Families.cycle", "2", fun () -> ignore (Families.cycle 2));
+      ("Families.complete", "0", fun () -> ignore (Families.complete 0));
+      ( "Families.complete_bipartite", "0",
+        fun () -> ignore (Families.complete_bipartite 3 0) );
+      ("Families.star", "0", fun () -> ignore (Families.star 0));
+      ("Families.hypercube", "0", fun () -> ignore (Families.hypercube 0));
+      ("Families.grid", "1x1", fun () -> ignore (Families.grid 1 1));
+      ("Families.torus", "2x5", fun () -> ignore (Families.torus 2 5));
+      ("Families.circulant", "2", fun () -> ignore (Families.circulant 2 [ 1 ]));
+      ("Families.circulant", "6", fun () -> ignore (Families.circulant 10 [ 6 ]));
+      ( "Families.cube_connected_cycles", "2",
+        fun () -> ignore (Families.cube_connected_cycles 2) );
+      ("Families.binary_tree", "-1", fun () -> ignore (Families.binary_tree (-1)));
+      ("Families.wheel", "2", fun () -> ignore (Families.wheel 2));
+      ( "Families.generalized_petersen", "k = 4",
+        fun () -> ignore (Families.generalized_petersen 8 4) );
+      ("Families.kneser", "n = 4", fun () -> ignore (Families.kneser 4 2));
+      ( "Families.complete_multipartite", "[2; 0]",
+        fun () -> ignore (Families.complete_multipartite [ 2; 0 ]) );
+      ("Families.double_star", "0", fun () -> ignore (Families.double_star 0 2));
+      ( "Families.random_connected", "0",
+        fun () -> ignore (Families.random_connected ~seed:1 ~n:0 ~extra_edges:0) );
+      ("Presentation.cyclic", "0", fun () -> ignore (P.cyclic 0));
+      ("Presentation.power", "0", fun () -> ignore (P.power (P.cyclic 2) 0));
+      ("Presentation.dihedral", "0", fun () -> ignore (P.dihedral 0));
+      ( "Presentation.wreath_shift", "1",
+        fun () -> ignore (P.wreath_shift ~base:1 3) );
+      ( "Presentation.cube_connected_cycles", "2",
+        fun () -> ignore (P.cube_connected_cycles 2) );
+    ]
+  in
+  List.iter
+    (fun (ctor, value, build) ->
+      match build () with
+      | () -> Alcotest.failf "%s accepted an invalid argument" ctor
+      | exception Invalid_argument msg ->
+          let prefix = ctor ^ ": " in
+          Alcotest.(check bool)
+            (Printf.sprintf "%S is %s<reason>" msg prefix)
+            true
+            (String.starts_with ~prefix msg
+            && String.length msg > String.length prefix);
+          Alcotest.(check bool)
+            (Printf.sprintf "%S names the value %s" msg value)
+            true
+            (contains (String.sub msg (String.length prefix)
+                         (String.length msg - String.length prefix))
+               value))
+    cases
+
 (* [Presentation.cayley] normalizes the generating set: inverses added,
    the identity, out-of-range and non-generating sets rejected *)
 let test_genset () =
@@ -391,6 +453,8 @@ let () =
           Alcotest.test_case "closure and generates" `Quick
             test_closure_generates;
           Alcotest.test_case "bad tables rejected" `Quick test_bad_tables;
+          Alcotest.test_case "constructor errors name the reason" `Quick
+            test_constructor_errors;
         ] );
       ( "genset",
         [

@@ -853,7 +853,7 @@ let test_chrome_export () =
       Export.Event
         {
           seq = 0;
-          name = "cache.l1.hit";
+          name = "cache.hit";
           attrs = [ ("kind", Jsonl.String "classes"); ("t_ns", Jsonl.Int 500) ];
         };
       Export.Span_tree
