@@ -1402,7 +1402,7 @@ let task_deadline_arg =
     & info [ "task-deadline" ]
         ~doc:
           "Per-task wall-clock deadline in milliseconds (0 = none). An \
-           attempt that overruns is timed out and retried with backoff; \
+           attempt that overruns is timed out and retried at once; \
            its worker domain is written off as wedged and replaced, \
            degrading to inline execution if replacements keep dying."
         ~docv:"MS")
@@ -1597,8 +1597,8 @@ let cmds =
       (Cmd.info "sweep" ~exits:sweep_exits
          ~doc:
            "Run the full conformance matrix and print CSV records. Runs \
-            under a supervised pool: failing tasks are retried with seeded \
-            backoff and finally quarantined (exit 8) instead of aborting \
+            under a supervised pool: failing tasks are retried at once and \
+            finally quarantined (exit 8) instead of aborting \
             the sweep; $(b,--checkpoint)/$(b,--resume) make the campaign \
             survive kill -9 with bit-identical output.")
       sweep_term;

@@ -230,8 +230,8 @@ let elect_expected inst = Oracle.gcd_classes (bicolored inst) = 1
    (the engine derives its scheduling [Random.State] from the task's own
    seed, the fault injector from the plan's seed, and telemetry goes to
    a task-private sink), so no observable value depends on which domain
-   ran a task or when. [jobs:1] (the default) runs the matrix inline
-   with no domains at all; [jobs:0] means "ask the machine"
+   ran a task or when. [jobs:1] (the default) runs the matrix on the
+   caller with no domains at all; [jobs:0] means "ask the machine"
    ([Qe_par.Supervisor.resolve_jobs]). *)
 
 (* Hoist the per-instance symmetry artifacts out of the per-seed loop:

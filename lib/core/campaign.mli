@@ -5,7 +5,7 @@
     class gcd is 1) and {!chaos_sweep} (fault plans against the safety
     invariants) — and one way to run them: the task matrix is laid out
     in canonical order and settled on {!Qe_par.Supervisor} (per-task
-    outcomes, deadline/retry/backoff, quarantine, worker replacement),
+    outcomes, deadline/retry, quarantine, worker replacement),
     optionally journaled to a crash-safe {!Checkpoint}, with
     observation ([live], [obs]) and harness faults as arguments of the
     same pipeline rather than separate entry points. *)
@@ -158,7 +158,7 @@ val default_chaos_watchdog : Qe_fault.Watchdog.t
     {b Supervision.} The matrix runs on {!Qe_par.Supervisor}: [jobs]
     (default 1) worker domains, [jobs:0] resolving to
     {!Qe_par.Supervisor.resolve_jobs} (the CLI's [-j 0]); [jobs:1] without a
-    deadline runs inline in the caller, spawning nothing. [supervise]
+    deadline runs every task on the caller, spawning nothing. [supervise]
     defaults to {!Qe_par.Supervisor.policy}[ ()]: 3 attempts, no
     deadline. A task that exhausts its attempts is {e quarantined}: it
     contributes nothing to the result and is listed in

@@ -5,6 +5,13 @@ let reject ctor fmt =
     (fun why -> invalid_arg ("Families." ^ ctor ^ ": " ^ why))
     fmt
 
+(* The size guard, checked before any loop or allocation: a node count
+   past [max_int] would wrap to a small or negative [n]. The tests are
+   overflow-safe: [2^d] fits iff [d < Sys.int_size - 1], and [a * b]
+   (both >= 1) iff [a <= max_int / b]. *)
+let too_many ctor fmt =
+  reject ctor ("node count exceeds max_int (got " ^^ fmt ^^ ")")
+
 let path n =
   if n < 1 then reject "path" "n must be >= 1 (got %d)" n;
   Graph.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1)))
@@ -40,6 +47,7 @@ let star k =
 
 let hypercube d =
   if d < 1 then reject "hypercube" "d must be >= 1 (got %d)" d;
+  if d >= Sys.int_size - 1 then too_many "hypercube" "2^%d" d;
   let n = 1 lsl d in
   let edges = ref [] in
   for u = 0 to n - 1 do
@@ -51,8 +59,9 @@ let hypercube d =
   Graph.of_edges ~n (List.rev !edges)
 
 let grid a b =
-  if a < 1 || b < 1 || a * b < 2 then
+  if a < 1 || b < 1 || (a = 1 && b = 1) then
     reject "grid" "sides must be >= 1 with at least 2 nodes (got %dx%d)" a b;
+  if a > max_int / b then too_many "grid" "%dx%d" a b;
   let id i j = (i * b) + j in
   let edges = ref [] in
   for i = 0 to a - 1 do
@@ -65,6 +74,7 @@ let grid a b =
 
 let torus a b =
   if a < 3 || b < 3 then reject "torus" "sides must be >= 3 (got %dx%d)" a b;
+  if a > max_int / b then too_many "torus" "%dx%d" a b;
   let id i j = (i * b) + j in
   let edges = ref [] in
   for i = 0 to a - 1 do
@@ -106,6 +116,8 @@ let petersen () =
 
 let cube_connected_cycles d =
   if d < 3 then reject "cube_connected_cycles" "d must be >= 3 (got %d)" d;
+  if d >= Sys.int_size - 1 || d > max_int / (1 lsl d) then
+    too_many "cube_connected_cycles" "%d * 2^%d" d d;
   let id w i = (w * d) + i in
   let edges = ref [] in
   for w = 0 to (1 lsl d) - 1 do
@@ -119,6 +131,7 @@ let cube_connected_cycles d =
 
 let binary_tree h =
   if h < 0 then reject "binary_tree" "h must be >= 0 (got %d)" h;
+  if h >= Sys.int_size - 1 then too_many "binary_tree" "2^(%d + 1) - 1" h;
   let n = (1 lsl (h + 1)) - 1 in
   let edges = ref [] in
   for u = 0 to n - 1 do
@@ -209,6 +222,8 @@ let double_star a b =
 let random_connected ~seed ~n ~extra_edges =
   if n < 1 then
     reject "random_connected" "n must be >= 1 (got %d)" n;
+  if extra_edges < 0 then
+    reject "random_connected" "extra_edges must be >= 0 (got %d)" extra_edges;
   let st = Random.State.make [| seed; n; extra_edges |] in
   (* Random tree: attach each node (in a shuffled order) to a random earlier
      node of that order. *)

@@ -1,10 +1,10 @@
 (* Supervised batch execution: the one parallel executor.
 
-   Every task settles to its own outcome, failures are retried on a
-   seeded deterministic backoff schedule and finally quarantined, and a
-   deadline overrun writes the worker domain off as wedged — it is
-   abandoned (domains cannot be killed), a replacement is spawned, and
-   its late result is discarded via per-attempt claim tokens. *)
+   Every task settles to its own outcome, a failed attempt is retried
+   at once and the task finally quarantined, and a deadline overrun
+   writes the worker domain off as wedged — it is abandoned (domains
+   cannot be killed), a replacement is spawned, and its late result is
+   discarded via per-attempt claim tokens. *)
 
 module Metrics = Qe_obs.Metrics
 module Sink = Qe_obs.Sink
@@ -33,53 +33,16 @@ let values reports =
 let resolve_jobs j =
   if j = 0 then min (Domain.recommended_domain_count ()) 16 else max 1 j
 
-type policy = {
-  deadline_ns : int option;
-  max_attempts : int;
-  backoff_base_ns : int;
-  backoff_factor : float;
-  backoff_max_ns : int;
-  jitter : float;
-  seed : int;
-  max_replacements : int;
-}
+type policy = { deadline_ns : int option; max_attempts : int }
 
-let policy ?deadline_ns ?(max_attempts = 3) ?(backoff_base_ns = 1_000_000)
-    ?(backoff_factor = 2.0) ?(backoff_max_ns = 1_000_000_000) ?(jitter = 0.5)
-    ?(seed = 0) ?(max_replacements = 4) () =
+let policy ?deadline_ns ?(max_attempts = 3) () =
   {
     deadline_ns = Option.map (max 1) deadline_ns;
     max_attempts = max 1 max_attempts;
-    backoff_base_ns = max 0 backoff_base_ns;
-    backoff_factor = (if backoff_factor < 1.0 then 1.0 else backoff_factor);
-    backoff_max_ns = max 0 backoff_max_ns;
-    jitter = (if jitter < 0. then 0. else if jitter > 1. then 1. else jitter);
-    seed;
-    max_replacements = max 0 max_replacements;
   }
 
-(* Pure: the wait before [attempt] of [task] depends on nothing but the
-   policy — reruns and different job counts reproduce the schedule
-   exactly. The jitter RNG is reseeded per decision (like
-   [Harness_chaos.decide]) so concurrency cannot reorder draws. *)
-let backoff_ns p ~task ~attempt =
-  if attempt <= 1 then 0
-  else begin
-    let nominal =
-      Float.min
-        (float_of_int p.backoff_base_ns
-        *. (p.backoff_factor ** float_of_int (attempt - 2)))
-        (float_of_int p.backoff_max_ns)
-    in
-    if p.jitter = 0. then int_of_float nominal
-    else begin
-      let st = Random.State.make [| 0x5afe; p.seed; task; attempt |] in
-      let factor =
-        1.0 -. p.jitter +. Random.State.float st (2.0 *. p.jitter)
-      in
-      int_of_float (nominal *. factor)
-    end
-  end
+(* replacement domains spawned per batch before the monitor degrades *)
+let max_replacements = 4
 
 (* ---------- process-wide supervision totals ---------- *)
 
@@ -135,7 +98,7 @@ let metrics_snapshot () =
 (* ---------- batch state ---------- *)
 
 type status =
-  | Pending of { not_before : int; attempt : int }
+  | Pending of int  (* the attempt to start *)
   | Running of { claim : int; started : int; attempt : int; worker : int }
   | Settled
 
@@ -145,7 +108,6 @@ type retry_ev = {
   r_why : string;
   r_start : int;
   r_dur : int;
-  r_backoff : int;
 }
 
 (* the attempt that settled a task, for the per-worker trace lanes;
@@ -192,16 +154,15 @@ let why_of_exn = function
   | Harness_chaos.Wedged _ -> "chaos-wedge"
   | e -> Printexc.to_string e
 
-(* smallest ready Pending index: claim order is deterministic-ish and,
-   more importantly, starvation-free *)
-let find_ready b now =
+(* smallest Pending index: claim order is deterministic-ish and, more
+   importantly, starvation-free *)
+let find_ready b =
   let len = Array.length b.status in
   let rec go i =
     if i >= len then None
     else
       match b.status.(i) with
-      | Pending { not_before; attempt } when not_before <= now ->
-          Some (i, attempt)
+      | Pending attempt -> Some (i, attempt)
       | _ -> go (i + 1)
   in
   if b.n_pending = 0 then None else go 0
@@ -232,30 +193,27 @@ let execute b i attempt =
   in
   (act, res, t0, Clock.now_ns ())
 
-(* One failed attempt: count it, log its [pool.retry] event with the
-   backoff the retry will wait, and return that backoff, or [None] when
-   [max_attempts] is spent and the task is quarantined. The caller
-   parks the retry or settles the task. *)
-let fail_attempt b i ~attempt ~why ~t0 ~t1 =
-  let retry = attempt < b.pol.max_attempts in
-  let bo =
-    if retry then backoff_ns b.pol ~task:i ~attempt:(attempt + 1) else 0
-  in
-  if retry then b.b_retries <- b.b_retries + 1
-  else b.b_quarantined <- b.b_quarantined + 1;
+(* With the lock held: one failed attempt. Log its [pool.retry] event,
+   then make the next attempt ready at once or, once [max_attempts] is
+   spent, quarantine the task with [outcome]. A task is a deterministic
+   function of its index, so no wait could change the retry's fate. *)
+let fail_attempt b i ~attempt ~why ~worker ~t0 ~t1 outcome =
   b.retry_log <-
     {
       r_task = i; r_attempt = attempt; r_why = why; r_start = t0;
-      r_dur = t1 - t0; r_backoff = bo;
+      r_dur = t1 - t0;
     }
     :: b.retry_log;
-  if retry then Some bo else None
-
-(* with the lock held: park task [i]'s next attempt until [not_before] *)
-let requeue b i ~attempt ~not_before =
-  b.status.(i) <- Pending { not_before; attempt = attempt + 1 };
-  b.n_pending <- b.n_pending + 1;
-  Condition.broadcast b.changed
+  if attempt < b.pol.max_attempts then begin
+    b.b_retries <- b.b_retries + 1;
+    b.status.(i) <- Pending (attempt + 1);
+    b.n_pending <- b.n_pending + 1;
+    Condition.broadcast b.changed
+  end
+  else begin
+    b.b_quarantined <- b.b_quarantined + 1;
+    settle b i ~worker ~t0 ~t1 { outcome; attempts = attempt; quarantined = true }
+  end
 
 (* with the lock held: settle, retry or discard (stale claim) *)
 let dispose b i ~claim ~attempt act res t0 t1 =
@@ -266,18 +224,16 @@ let dispose b i ~claim ~attempt act res t0 t1 =
       | Ok v ->
           settle b i ~worker ~t0 ~t1
             { outcome = Done v; attempts = attempt; quarantined = false }
-      | Error e -> (
-          match fail_attempt b i ~attempt ~why:(why_of_exn e) ~t0 ~t1 with
-          | Some bo -> requeue b i ~attempt ~not_before:(t1 + bo)
-          | None ->
-              settle b i ~worker ~t0 ~t1
-                { outcome = Failed e; attempts = attempt; quarantined = true }))
+      | Error e ->
+          fail_attempt b i ~attempt ~why:(why_of_exn e) ~worker ~t0 ~t1
+            (Failed e))
   | _ -> ()  (* the monitor timed this attempt out; result discarded *)
 
-let claim b i attempt ~worker now =
+let claim b i attempt ~worker =
   b.claim_ctr <- b.claim_ctr + 1;
   let c = b.claim_ctr in
-  b.status.(i) <- Running { claim = c; started = now; attempt; worker };
+  b.status.(i) <-
+    Running { claim = c; started = Clock.now_ns (); attempt; worker };
   b.n_pending <- b.n_pending - 1;
   c
 
@@ -287,30 +243,19 @@ let worker_loop b w =
   let rec loop () =
     if b.settled >= len || w.w_abandoned then ()
     else begin
-      let now = Clock.now_ns () in
-      match find_ready b now with
+      match find_ready b with
       | Some (i, attempt) ->
-          let c = claim b i attempt ~worker:w.w_id now in
+          let c = claim b i attempt ~worker:w.w_id in
           Mutex.unlock b.m;
           let act, res, t0, t1 = execute b i attempt in
           Mutex.lock b.m;
           dispose b i ~claim:c ~attempt act res t0 t1;
           loop ()
       | None ->
-          if b.n_pending = 0 then begin
-            (* everything is running or settled: sleep until a settle,
-               a retry or a monitor reschedule changes that *)
-            Condition.wait b.changed b.m;
-            loop ()
-          end
-          else begin
-            (* a retry is parked in the future; nap in short slices
-               (Condition has no timed wait) *)
-            Mutex.unlock b.m;
-            Unix.sleepf 0.001;
-            Mutex.lock b.m;
-            loop ()
-          end
+          (* everything is running or settled: sleep until a settle or
+             a retry (a worker's, or the monitor's timeout) changes that *)
+          Condition.wait b.changed b.m;
+          loop ()
     end
   in
   loop ();
@@ -343,25 +288,21 @@ let scan_deadlines b d now =
           (match List.find_opt (fun w -> w.w_id = worker) b.workers with
           | Some w when not w.w_abandoned ->
               w.w_abandoned <- true;
-              if b.b_replaced < b.pol.max_replacements then begin
+              if b.b_replaced < max_replacements then begin
                 b.b_replaced <- b.b_replaced + 1;
                 spawn_worker b
               end
               else b.b_degraded <- true
           | _ -> ());
-          match
-            fail_attempt b i ~attempt ~why:"timeout" ~t0:started ~t1:now
-          with
-          | Some bo -> requeue b i ~attempt ~not_before:(now + bo)
-          | None ->
-              settle b i ~worker ~t0:started ~t1:now
-                { outcome = Timed_out; attempts = attempt; quarantined = true })
+          fail_attempt b i ~attempt ~why:"timeout" ~worker ~t0:started ~t1:now
+            Timed_out)
       | _ -> ())
     b.status
 
 (* Without a deadline there is nothing to watch, so the caller is a
-   worker: it takes the next worker id (and a trace lane) beside
-   [jobs - 1] spawned domains. With one, it monitors [jobs] workers. *)
+   worker: it takes the next worker id beside [jobs - 1] spawned domains
+   (at [jobs = 1] it is the only one). With one, it monitors [jobs]
+   workers. *)
 let monitor b ~jobs =
   Mutex.lock b.m;
   (match b.pol.deadline_ns with
@@ -385,9 +326,9 @@ let monitor b ~jobs =
              cannot be enforced on our own attempt — progress over
              preemption) *)
           if b.b_degraded then begin
-            match find_ready b (Clock.now_ns ()) with
+            match find_ready b with
             | Some (i, attempt) ->
-                let c = claim b i attempt ~worker:0 (Clock.now_ns ()) in
+                let c = claim b i attempt ~worker:0 in
                 Mutex.unlock b.m;
                 let act, res, t0, t1 = execute b i attempt in
                 Mutex.lock b.m;
@@ -419,32 +360,6 @@ let monitor b ~jobs =
         if ex then Option.iter Domain.join w.w_dom
       end)
     b.workers
-
-(* jobs:1 with no deadline needs no domains at all: retries and chaos
-   run inline in the caller *)
-let run_inline b =
-  let len = Array.length b.arr in
-  for i = 0 to len - 1 do
-    let rec attempt_from attempt =
-      let act, res, t0, t1 = execute b i attempt in
-      if act <> Harness_chaos.Pass then b.b_chaos <- b.b_chaos + 1;
-      match res with
-      | Ok v ->
-          b.reports.(i) <-
-            Some { outcome = Done v; attempts = attempt; quarantined = false }
-      | Error e -> (
-          match fail_attempt b i ~attempt ~why:(why_of_exn e) ~t0 ~t1 with
-          | Some bo ->
-              if bo > 0 then Unix.sleepf (float_of_int bo /. 1e9);
-              attempt_from (attempt + 1)
-          | None ->
-              b.reports.(i) <-
-                Some
-                  { outcome = Failed e; attempts = attempt; quarantined = true })
-    in
-    attempt_from 1
-  done;
-  Harness_chaos.release b.lat
 
 let flush_telemetry b =
   let len = Array.length b.arr in
@@ -479,7 +394,6 @@ let flush_telemetry b =
                   ("task", J.Int ev.r_task);
                   ("attempt", J.Int ev.r_attempt);
                   ("why", J.String ev.r_why);
-                  ("backoff_ns", J.Int ev.r_backoff);
                 ];
               children = [];
             }
@@ -489,9 +403,14 @@ let flush_telemetry b =
         (List.rev b.retry_log);
       (* one [pool.batch] tree per worker that settled a task, its
          settling attempts as [pool.task] children in start order — the
-         per-domain lanes of the Chrome-trace export. An inline batch
-         settles nothing through the table, so it draws no lanes. *)
+         per-domain lanes of the Chrome-trace export. A batch that
+         spawned no domain ran on the caller alone and draws no lanes. *)
       let t_end = Clock.now_ns () in
+      let lane_ids =
+        if List.exists (fun w -> w.w_dom <> None) b.workers then
+          0 :: List.rev_map (fun w -> w.w_id) b.workers
+        else []
+      in
       List.iter
         (fun w ->
           let tasks =
@@ -532,7 +451,7 @@ let flush_telemetry b =
             Span.add_root s.Sink.spans root;
             Sink.emit s (Export.Span_tree root)
           end)
-        (0 :: List.rev_map (fun w -> w.w_id) b.workers)
+        lane_ids
 
 let map ?(policy = policy ()) ?chaos ?(jobs = 1) ~f arr =
   let len = Array.length arr in
@@ -552,7 +471,7 @@ let map ?(policy = policy ()) ?chaos ?(jobs = 1) ~f arr =
         pol = policy;
         chaos;
         lat = Harness_chaos.latch ();
-        status = Array.init len (fun _ -> Pending { not_before = 0; attempt = 1 });
+        status = Array.make len (Pending 1);
         reports = Array.make len None;
         lanes = Array.make len None;
         t_start = Clock.now_ns ();
@@ -570,9 +489,7 @@ let map ?(policy = policy ()) ?chaos ?(jobs = 1) ~f arr =
         retry_log = [];
       }
     in
-    let jobs = max 1 (min jobs 64) in
-    if jobs = 1 && policy.deadline_ns = None then run_inline b
-    else monitor b ~jobs:(min jobs len);
+    monitor b ~jobs:(max 1 (min (min jobs 64) len));
     flush_telemetry b;
     Array.map Option.get b.reports
   end

@@ -151,6 +151,21 @@ let test_constructor_errors () =
       ("Families.double_star", "0", fun () -> ignore (Families.double_star 0 2));
       ( "Families.random_connected", "0",
         fun () -> ignore (Families.random_connected ~seed:1 ~n:0 ~extra_edges:0) );
+      ( "Families.random_connected", "-3",
+        fun () -> ignore (Families.random_connected ~seed:1 ~n:5 ~extra_edges:(-3)) );
+      (* node counts past max_int are refused before any allocation *)
+      ("Families.binary_tree", "70", fun () -> ignore (Families.binary_tree 70));
+      ("Families.binary_tree", "62", fun () -> ignore (Families.binary_tree 62));
+      ("Families.hypercube", "62", fun () -> ignore (Families.hypercube 62));
+      ("Families.hypercube", "64", fun () -> ignore (Families.hypercube 64));
+      ( "Families.cube_connected_cycles", "57",
+        fun () -> ignore (Families.cube_connected_cycles 57) );
+      ( "Families.cube_connected_cycles", "64",
+        fun () -> ignore (Families.cube_connected_cycles 64) );
+      ( "Families.grid", "4294967296x4294967296",
+        fun () -> ignore (Families.grid (1 lsl 32) (1 lsl 32)) );
+      ( "Families.torus", "3x" ^ string_of_int max_int,
+        fun () -> ignore (Families.torus 3 max_int) );
       ("Presentation.cyclic", "0", fun () -> ignore (P.cyclic 0));
       ("Presentation.power", "0", fun () -> ignore (P.power (P.cyclic 2) 0));
       ("Presentation.dihedral", "0", fun () -> ignore (P.dihedral 0));

@@ -440,16 +440,11 @@ let test_soak () =
 
 module HChaos = Qe_par.Harness_chaos
 
-let fast_policy ?deadline_ns ?(max_attempts = 3) () =
-  (* microsecond backoffs: retries should not slow the suite down *)
-  Supervisor.policy ?deadline_ns ~max_attempts ~backoff_base_ns:1_000
-    ~backoff_max_ns:50_000 ()
-
 let test_supervisor_basic () =
   List.iter
     (fun jobs ->
       let reports =
-        Supervisor.map ~policy:(fast_policy ()) ~jobs
+        Supervisor.map ~jobs
           ~f:(fun i x ->
             assert (i = x);
             x * x)
@@ -467,35 +462,30 @@ let test_supervisor_basic () =
   Alcotest.(check int) "empty batch" 0
     (Array.length (Supervisor.map ~f:(fun _ x -> x) ([||] : int array)))
 
-let test_backoff_deterministic () =
-  let p = Supervisor.policy ~seed:3 () in
-  for task = 0 to 5 do
-    for attempt = 2 to 6 do
-      let b1 = Supervisor.backoff_ns p ~task ~attempt in
-      let b2 = Supervisor.backoff_ns p ~task ~attempt in
-      Alcotest.(check int) "pure function of (seed, task, attempt)" b1 b2;
-      let nominal =
-        Float.min
-          (float_of_int p.Supervisor.backoff_base_ns
-          *. (p.Supervisor.backoff_factor ** float_of_int (attempt - 2)))
-          (float_of_int p.Supervisor.backoff_max_ns)
+(* A retry starts at once: a task that fails every attempt spends its
+   twelve attempts back to back, at any job count, and the batch settles
+   in the time its attempts take, not in a wait schedule's. *)
+let test_supervisor_retry_at_once () =
+  List.iter
+    (fun jobs ->
+      let t0 = Unix.gettimeofday () in
+      let reports =
+        Supervisor.map
+          ~policy:(Supervisor.policy ~max_attempts:12 ())
+          ~jobs
+          ~f:(fun i x -> if i = 1 then failwith "poisoned" else x)
+          (Array.init 4 Fun.id)
       in
-      let lo = nominal *. (1. -. p.Supervisor.jitter) in
-      let hi = nominal *. (1. +. p.Supervisor.jitter) in
-      Alcotest.(check bool) "within the jitter envelope" true
-        (float_of_int b1 >= lo -. 1. && float_of_int b1 <= hi +. 1.)
-    done
-  done;
-  Alcotest.(check int) "no wait before the first attempt" 0
-    (Supervisor.backoff_ns p ~task:0 ~attempt:1);
-  (* different seeds shift the schedule; same seed reproduces it *)
-  let q = Supervisor.policy ~seed:4 () in
-  Alcotest.(check bool) "seed moves the jitter" true
-    (List.exists
-       (fun t ->
-         Supervisor.backoff_ns p ~task:t ~attempt:3
-         <> Supervisor.backoff_ns q ~task:t ~attempt:3)
-       [ 0; 1; 2; 3; 4; 5; 6; 7 ])
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool) "quarantined" true reports.(1).Supervisor.quarantined;
+      Alcotest.(check int) "every attempt spent" 12
+        reports.(1).Supervisor.attempts;
+      Alcotest.(check (option int)) "bystander settled" (Some 3)
+        (Supervisor.value reports.(3));
+      Alcotest.(check bool)
+        (Printf.sprintf "settled in %.3f s < 0.5 s at -j %d" dt jobs)
+        true (dt < 0.5))
+    [ 1; 2 ]
 
 let test_supervisor_retry_and_quarantine () =
   Supervisor.reset_totals ();
@@ -505,7 +495,7 @@ let test_supervisor_retry_and_quarantine () =
   let sink = Qe_obs.Sink.create () in
   let reports =
     Qe_obs.Sink.with_ambient sink (fun () ->
-        Supervisor.map ~policy:(fast_policy ()) ~jobs:3
+        Supervisor.map ~jobs:3
           ~f:(fun i x ->
             let a = 1 + Atomic.fetch_and_add tries.(i) 1 in
             if i = 2 && a < 3 then failwith "transient";
@@ -536,7 +526,7 @@ let test_supervisor_retry_and_quarantine () =
   Alcotest.(check int) "one quarantine" 1 t.Supervisor.quarantined;
   Alcotest.(check int) "all tasks supervised" 8 t.Supervisor.supervised;
   (* ambient telemetry: counters + one pool.retry span per retried or
-     quarantined attempt, carrying (task, attempt, why, backoff_ns) *)
+     quarantined attempt, carrying (task, attempt, why) *)
   let snap = Qe_obs.Metrics.snapshot sink.Qe_obs.Sink.metrics in
   (match Qe_obs.Metrics.find snap "pool.retry" with
   | Some (Qe_obs.Metrics.Counter n) ->
@@ -559,7 +549,7 @@ let test_supervisor_retry_and_quarantine () =
         (fun k ->
           Alcotest.(check bool) ("span attr " ^ k) true
             (List.mem_assoc k s.Qe_obs.Span.attrs))
-        [ "task"; "attempt"; "why"; "backoff_ns" ])
+        [ "task"; "attempt"; "why" ])
     retry_spans;
   (* the supervisor registry is a ready-made scrape source *)
   match Qe_obs.Metrics.find (Supervisor.metrics_snapshot ()) "pool.quarantine" with
@@ -575,7 +565,7 @@ let test_supervisor_lanes () =
     let sink = Qe_obs.Sink.create () in
     let reports =
       Qe_obs.Sink.with_ambient sink (fun () ->
-          Supervisor.map ~policy:(fast_policy ()) ~jobs
+          Supervisor.map ~jobs
             ~f:(fun i x ->
               Unix.sleepf 0.001;
               i + x)
@@ -628,22 +618,25 @@ let test_supervisor_lanes () =
     tasks;
   Alcotest.(check int) "no lanes inline at -j 1" 0 (List.length (lanes 1))
 
-(* Without a deadline the caller is one of the [jobs] workers; under a
-   deadline it only monitors. *)
+(* Without a deadline the caller is one of the [jobs] workers (at -j 1
+   the only one); under a deadline it only monitors. *)
 let test_supervisor_caller_works () =
   let caller = (Domain.self () :> int) in
-  let ran_on policy =
+  let ran_on ~jobs policy =
     Supervisor.values
-      (Supervisor.map ~policy ~jobs:2
+      (Supervisor.map ~policy ~jobs
          ~f:(fun _ () ->
            Unix.sleepf 0.01;
            (Domain.self () :> int))
          (Array.make 4 ()))
   in
   Alcotest.(check bool) "the caller ran a task" true
-    (Array.mem caller (ran_on (fast_policy ())));
+    (Array.mem caller (ran_on ~jobs:2 (Supervisor.policy ())));
+  Alcotest.(check bool) "at -j 1 the caller ran every task" true
+    (Array.for_all (( = ) caller) (ran_on ~jobs:1 (Supervisor.policy ())));
   Alcotest.(check bool) "a monitoring caller runs none" false
-    (Array.mem caller (ran_on (fast_policy ~deadline_ns:10_000_000_000 ())))
+    (Array.mem caller
+       (ran_on ~jobs:2 (Supervisor.policy ~deadline_ns:10_000_000_000 ())))
 
 let test_harness_chaos_decide () =
   let c = HChaos.make ~kill_rate:0.1 ~delay_rate:0.1 ~seed:5 () in
@@ -681,7 +674,7 @@ let test_supervisor_harness_chaos () =
   in
   let run jobs =
     Supervisor.map
-      ~policy:(fast_policy ~max_attempts:12 ())
+      ~policy:(Supervisor.policy ~max_attempts:12 ())
       ~chaos:plan ~jobs
       ~f:(fun i x -> i + x)
       (Array.init 20 (fun i -> 100 * i))
@@ -712,7 +705,7 @@ let test_supervisor_harness_chaos () =
      but the rest of the batch still completes *)
   let reports =
     Supervisor.map
-      ~policy:(fast_policy ~max_attempts:2 ())
+      ~policy:(Supervisor.policy ~max_attempts:2 ())
       ~chaos:(HChaos.make ~kill_rate:0.5 ~seed:2 ()) ~jobs:4
       ~f:(fun i _ -> i)
       (Array.make 40 ())
@@ -738,7 +731,7 @@ let test_supervisor_deadline_and_replacement () =
      (fresh per-attempt budget) must succeed even though the task's
      cumulative wall time exceeds the deadline *)
   let tries = Atomic.make 0 in
-  let policy = fast_policy ~deadline_ns:80_000_000 () in
+  let policy = Supervisor.policy ~deadline_ns:80_000_000 () in
   let sink = Qe_obs.Sink.create () in
   let reports =
     Qe_obs.Sink.with_ambient sink (fun () ->
@@ -762,7 +755,7 @@ let test_supervisor_deadline_and_replacement () =
   Alcotest.(check int) "one timeout" 1 t.Supervisor.timeouts;
   Alcotest.(check int) "one worker replaced" 1 t.Supervisor.replaced;
   Alcotest.(check int) "no quarantine" 0 t.Supervisor.quarantined;
-  (* the timeout's span carries the backoff its retry was scheduled at *)
+  (* the timeout leaves one span, naming its cause *)
   match
     List.filter
       (fun c -> c.Qe_obs.Span.name = "pool.retry")
@@ -772,11 +765,6 @@ let test_supervisor_deadline_and_replacement () =
       Alcotest.(check (option string)) "why" (Some "timeout")
         (match List.assoc_opt "why" span.Qe_obs.Span.attrs with
         | Some (Qe_obs.Jsonl.String w) -> Some w
-        | _ -> None);
-      Alcotest.(check (option int)) "backoff_ns of the scheduled retry"
-        (Some (Supervisor.backoff_ns policy ~task:0 ~attempt:2))
-        (match List.assoc_opt "backoff_ns" span.Qe_obs.Span.attrs with
-        | Some (Qe_obs.Jsonl.Int b) -> Some b
         | _ -> None)
   | spans ->
       Alcotest.failf "expected one pool.retry span, got %d" (List.length spans)
@@ -787,7 +775,7 @@ let test_supervisor_timeout_quarantine () =
      Timed_out; the other tasks are unaffected *)
   let reports =
     Supervisor.map
-      ~policy:(fast_policy ~deadline_ns:50_000_000 ~max_attempts:2 ())
+      ~policy:(Supervisor.policy ~deadline_ns:50_000_000 ~max_attempts:2 ())
       ~jobs:2
       ~f:(fun i x ->
         if i = 3 then Unix.sleepf 0.4;
@@ -817,7 +805,7 @@ let test_watchdog_fresh_per_attempt () =
   let watchdog = Watchdog.make ~wall_ns:100_000_000 () in
   let tries = Atomic.make 0 in
   let reports =
-    Supervisor.map ~policy:(fast_policy ()) ~jobs:2
+    Supervisor.map ~jobs:2
       ~f:(fun _ () ->
         if 1 + Atomic.fetch_and_add tries 1 = 1 then begin
           Unix.sleepf 0.15;
@@ -868,7 +856,7 @@ let test_sweep_hardened_matches_sweep () =
       let rows, summary =
         Campaign.sweep ~seeds:[ 0; 1 ] ~strategies:two_strategies
           ~jobs ?harness_chaos:chaos
-          ~supervise:(fast_policy ~max_attempts:5 ())
+          ~supervise:(Supervisor.policy ~max_attempts:5 ())
           ~expected:Campaign.elect_expected elect (small_zoo ())
       in
       Alcotest.(check (list string))
@@ -997,7 +985,7 @@ let test_chaos_hardened_matches_chaos () =
   let hardened, summary =
     Campaign.chaos_sweep ~seeds:2 ~strategies:two_strategies ~jobs:4
       ~harness_chaos:(HChaos.make ~kill_rate:0.2 ~seed:11 ())
-      ~supervise:(fast_policy ~max_attempts:5 ())
+      ~supervise:(Supervisor.policy ~max_attempts:5 ())
       ~expected:Campaign.elect_expected elect (small_zoo ())
   in
   Alcotest.(check int) "same run count" plain.Campaign.c_runs
@@ -1070,8 +1058,8 @@ let () =
       ( "supervisor",
         [
           Alcotest.test_case "map basic" `Quick test_supervisor_basic;
-          Alcotest.test_case "backoff deterministic" `Quick
-            test_backoff_deterministic;
+          Alcotest.test_case "retry starts at once" `Quick
+            test_supervisor_retry_at_once;
           Alcotest.test_case "retry, quarantine + telemetry" `Quick
             test_supervisor_retry_and_quarantine;
           Alcotest.test_case "batch lanes" `Quick test_supervisor_lanes;
