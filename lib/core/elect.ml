@@ -64,10 +64,11 @@ let run_on_map plan_of (ctx : Protocol.ctx) map =
   let my_class = plan.node_class.(me) in
 
   (* -- board predicates -- *)
+  (* Tags are built once per phase or round and passed in: a wait
+     predicate runs on every observation, and must not build strings. *)
   let signs_with_tag tag board = List.filter (Sign.has_tag tag) board in
-  let board_has tag (obs : Protocol.observation) =
-    signs_with_tag tag obs.board <> []
-  in
+  let has_tag tag board = List.exists (Sign.has_tag tag) board in
+  let board_has tag (obs : Protocol.observation) = has_tag tag obs.board in
   let board_has_foreign tag (obs : Protocol.observation) =
     List.exists
       (fun s -> Sign.has_tag tag s && not (Sign.by ctx.color s))
@@ -83,8 +84,9 @@ let run_on_map plan_of (ctx : Protocol.ctx) map =
   (* Barrier among the known set [homes]: post a sync sign at my own home,
      then visit every other member's home and wait for its sync sign. *)
   let barrier label homes =
+    let tag = t_sync label in
     go_home ();
-    Script.post ~tag:(t_sync label) ();
+    Script.post ~tag ();
     List.iter
       (fun h ->
         if h <> me then begin
@@ -93,7 +95,7 @@ let run_on_map plan_of (ctx : Protocol.ctx) map =
           Nav.wait_here nav (fun (o : Protocol.observation) ->
               if
                 List.exists
-                  (fun s -> Sign.has_tag (t_sync label) s && Sign.by c s)
+                  (fun s -> Sign.has_tag tag s && Sign.by c s)
                   o.board
               then Some ()
               else None)
@@ -121,7 +123,8 @@ let run_on_map plan_of (ctx : Protocol.ctx) map =
      [upto] (rounds are 1-based; [upto = 1] returns the initial sets). *)
   let replay p s0 w0 boards upto =
     let matched_in j w =
-      List.filter (fun h -> signs_with_tag (t_match p j) boards.(h) <> []) w
+      let tag = t_match p j in
+      List.filter (fun h -> has_tag tag boards.(h)) w
     in
     let rec go s w j =
       if j >= upto then (s, w)
@@ -154,12 +157,13 @@ let run_on_map plan_of (ctx : Protocol.ctx) map =
       (* matching tour: visit waiter homes in my own order; claim the
          first unmatched one (atomic visit ⇒ mutual exclusion) *)
       let matched = ref false in
+      let match_tag = t_match p j in
       List.iter
         (fun h ->
           if not !matched then begin
             let obs = Nav.goto nav h in
-            if not (board_has (t_match p j) obs) then begin
-              Script.post ~tag:(t_match p j) ();
+            if not (board_has match_tag obs) then begin
+              Script.post ~tag:match_tag ();
               matched := true
             end
           end)
@@ -243,15 +247,16 @@ let run_on_map plan_of (ctx : Protocol.ctx) map =
           (* more agents than nodes: acquire one node each, quota q per
              node; acquirers retire *)
           let q, _rho = div_pos a b in
+          let acq_tag = t_acq p j in
           let acquired = ref false in
           List.iter
             (fun u ->
               let obs = Nav.goto nav u in
               if
                 (not !acquired)
-                && List.length (signs_with_tag (t_acq p j) obs.board) < q
+                && List.length (signs_with_tag acq_tag obs.board) < q
               then begin
-                Script.post ~tag:(t_acq p j) ();
+                Script.post ~tag:acq_tag ();
                 acquired := true
               end)
             selected;
@@ -262,7 +267,7 @@ let run_on_map plan_of (ctx : Protocol.ctx) map =
               (fun u ->
                 List.filter_map
                   (fun s -> Mapping.home_of_color map s.Sign.color)
-                  (signs_with_tag (t_acq p j) boards.(u)))
+                  (signs_with_tag acq_tag boards.(u)))
               selected
             |> List.sort_uniq compare
           in
@@ -276,12 +281,13 @@ let run_on_map plan_of (ctx : Protocol.ctx) map =
           (* more nodes than agents: own q nodes each; unowned nodes stay
              selected *)
           let q, _rho = div_pos b a in
+          let own_tag = t_own p j in
           let owned = ref 0 in
           List.iter
             (fun u ->
               let obs = Nav.goto nav u in
-              if !owned < q && not (board_has (t_own p j) obs) then begin
-                Script.post ~tag:(t_own p j) ();
+              if !owned < q && not (board_has own_tag obs) then begin
+                Script.post ~tag:own_tag ();
                 incr owned
               end)
             selected;
@@ -289,7 +295,7 @@ let run_on_map plan_of (ctx : Protocol.ctx) map =
           let boards = collect_boards () in
           let selected' =
             List.filter
-              (fun u -> signs_with_tag (t_own p j) boards.(u) = [])
+              (fun u -> not (has_tag own_tag boards.(u)))
               selected
           in
           rounds (j + 1) d selected'
@@ -340,6 +346,7 @@ let run_on_map plan_of (ctx : Protocol.ctx) map =
     else begin
       (* late joiner: my class C_{mc+1} activates at phase mc *)
       let activation_phase = my_class in
+      let phase_tag = t_phase activation_phase in
       go_home ();
       let event =
         Nav.wait_here nav (fun obs ->
@@ -347,7 +354,7 @@ let run_on_map plan_of (ctx : Protocol.ctx) map =
               Some (`Verdict Protocol.Defeated)
             else if board_has t_failed obs then
               Some (`Verdict Protocol.Election_failed)
-            else if board_has (t_phase activation_phase) obs then
+            else if board_has phase_tag obs then
               Some `Engage
             else None)
       in

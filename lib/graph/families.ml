@@ -93,20 +93,29 @@ let circulant n jumps =
         reject "circulant" "jump %d out of range [1, %d] for n = %d" j
           (n / 2) n)
     jumps;
-  let seen = Hashtbl.create 16 in
-  let edges = ref [] in
+  (* Two distinct jumps in [1, n/2] never give the same edge, and a jump
+     repeats its own edges only when 2j = n, where the second half of
+     its n darts retraces the first: so dropping repeated jumps and
+     emitting i < n/2 for j = n/2 lists every edge once, without a
+     table. *)
+  let jumps =
+    List.fold_left (fun acc j -> if List.mem j acc then acc else j :: acc) [] jumps
+    |> List.rev
+  in
+  let span j = if 2 * j = n then n / 2 else n in
+  let m = List.fold_left (fun acc j -> acc + span j) 0 jumps in
+  let eu = Array.make m 0 and ev = Array.make m 0 in
+  let e = ref 0 in
   List.iter
     (fun j ->
-      for i = 0 to n - 1 do
+      for i = 0 to span j - 1 do
         let v = (i + j) mod n in
-        let key = (min i v, max i v) in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.add seen key ();
-          edges := key :: !edges
-        end
+        eu.(!e) <- Int.min i v;
+        ev.(!e) <- Int.max i v;
+        incr e
       done)
     jumps;
-  Graph.of_edges ~n (List.rev !edges)
+  Graph.of_csr (Csr.of_endpoints ~n eu ev)
 
 let petersen () =
   let outer = List.init 5 (fun i -> (i, (i + 1) mod 5)) in
@@ -219,6 +228,8 @@ let double_star a b =
   in
   Graph.of_edges ~n edges
 
+module Int_tbl = Hashtbl.Make (Int)
+
 let random_connected ~seed ~n ~extra_edges =
   if n < 1 then
     reject "random_connected" "n must be >= 1 (got %d)" n;
@@ -234,13 +245,21 @@ let random_connected ~seed ~n ~extra_edges =
     order.(i) <- order.(j);
     order.(j) <- t
   done;
-  let seen = Hashtbl.create (2 * n) in
-  let edges = ref [] in
+  let max_extra = (n * (n - 1) / 2) - (n - 1) in
+  let target = min extra_edges max_extra in
+  (* endpoint arrays filled in insertion order, deduped on the int key
+     [u * n + v] of the pair u < v *)
+  let seen = Int_tbl.create (2 * n) in
+  let eu = Array.make (n - 1 + target) 0 and ev = Array.make (n - 1 + target) 0 in
+  let m = ref 0 in
   let add u v =
-    let key = (min u v, max u v) in
-    if u <> v && not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      edges := key :: !edges;
+    let a = Int.min u v and b = Int.max u v in
+    let key = (a * n) + b in
+    if u <> v && not (Int_tbl.mem seen key) then begin
+      Int_tbl.add seen key ();
+      eu.(!m) <- a;
+      ev.(!m) <- b;
+      incr m;
       true
     end
     else false
@@ -251,14 +270,13 @@ let random_connected ~seed ~n ~extra_edges =
   done;
   let added = ref 0 in
   let attempts = ref 0 in
-  let max_extra = (n * (n - 1) / 2) - (n - 1) in
-  let target = min extra_edges max_extra in
   while !added < target && !attempts < 100 * (target + 1) do
     incr attempts;
     let u = Random.State.int st n and v = Random.State.int st n in
     if add u v then incr added
   done;
-  Graph.of_edges ~n (List.rev !edges)
+  let trim a = if !m = Array.length a then a else Array.sub a 0 !m in
+  Graph.of_csr (Csr.of_endpoints ~n (trim eu) (trim ev))
 
 let figure2_path () =
   let g = Graph.of_edges ~n:3 [ (0, 1); (1, 2) ] in

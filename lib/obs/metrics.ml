@@ -57,7 +57,9 @@ let gauge_value g = g.g
 let histogram ?(buckets = default_buckets) r name =
   match Hashtbl.find_opt r.tbl name with
   | Some (H h) ->
-      if h.bounds <> buckets && buckets != default_buckets then
+      (* physical checks first: a latency histogram shares its bounds *)
+      if h.bounds != buckets && buckets != default_buckets && h.bounds <> buckets
+      then
         invalid_arg ("Metrics.histogram: " ^ name ^ " re-registered with different buckets");
       h
   | Some _ -> invalid_arg ("Metrics.histogram: " ^ name ^ " is not a histogram")
@@ -70,7 +72,12 @@ let histogram ?(buckets = default_buckets) r name =
         invalid_arg "Metrics.histogram: bounds must be strictly ascending";
       let h =
         {
-          bounds = Array.copy buckets;
+          (* the module's own bound arrays are never written, so every
+             histogram on them shares them; a caller's array is copied *)
+          bounds =
+            (if buckets == default_buckets || buckets == latency_buckets then
+               buckets
+             else Array.copy buckets);
           buckets = Array.make (Array.length buckets + 1) 0;
           sum = 0;
           count = 0;
@@ -126,6 +133,10 @@ type sample =
 
 type snapshot = (string * sample) list
 
+(* A histogram's [bounds] never change after it is registered, so every
+   snapshot shares the live array instead of copying it: a cache entry's
+   stored metric delta then costs only its counts (its latency bounds
+   are the one [latency_buckets] array). *)
 let snapshot r =
   Hashtbl.fold
     (fun name inst acc ->
@@ -136,7 +147,7 @@ let snapshot r =
         | H h ->
             Hist
               {
-                bounds = Array.copy h.bounds;
+                bounds = h.bounds;
                 counts = Array.copy h.buckets;
                 sum = h.sum;
                 count = h.count;

@@ -52,7 +52,8 @@ val latency_buckets : int array
     (64 ns) to 2^36 (~68.7 s), ratio 2 between adjacent bounds. With
     the recorded min/max, {!quantile} estimates carry a worst-case
     relative error of the bucket ratio (2x), and much less in practice
-    thanks to linear interpolation within the bucket. *)
+    thanks to linear interpolation within the bucket. Every latency
+    histogram shares this array: read it, never write it. *)
 
 val latency : registry -> string -> histogram
 (** [histogram ~buckets:latency_buckets]. By convention latency
@@ -82,7 +83,8 @@ type sample =
       hi : int;
     }
       (** [counts] has [length bounds + 1] entries; the last is the
-          overflow bucket. [lo]/[hi] are the minimum and maximum
+          overflow bucket. [bounds] is the live histogram's own array,
+          shared by every snapshot of it: read it, never write it. [lo]/[hi] are the minimum and maximum
           observed values, both 0 when [count = 0] (and on snapshots
           decoded from pre-v3 traces, which did not record them). *)
 

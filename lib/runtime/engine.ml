@@ -1,4 +1,5 @@
 module Graph = Qe_graph.Graph
+module Csr = Qe_graph.Csr
 module Labeling = Qe_graph.Labeling
 module Color = Qe_color.Color
 module Symbol = Qe_color.Symbol
@@ -56,13 +57,11 @@ type result = {
 
 let home_tag = "home-base"
 
-type resume =
-  | Start
-  | Resume of (Protocol.observation, unit) Effect.Deep.continuation
-
 type status =
   | Asleep
-  | Ready of resume
+  | Ready_start  (* runnable; starts its protocol from scratch *)
+  | Ready_resume of (Protocol.observation, unit) Effect.Deep.continuation
+      (* runnable; resumes after a move *)
   | Waiting of (Protocol.observation, unit) Effect.Deep.continuation * int
   | Finished of Protocol.verdict
 
@@ -85,6 +84,7 @@ type agent = {
   mutable erases : int;
   mutable reads : int;
   mutable turns : int;
+  mutable erased : int;  (* the count the pending [Erase] resumes with *)
 }
 
 type event =
@@ -127,9 +127,15 @@ let pp_event ppf = function
 
 type state = {
   world : World.t;
+  csr : Csr.t;
+  labeling : Labeling.t;
   boards : Whiteboard.t array;
   agents : agent array;
   seed : int;
+  listening : bool;
+      (* whether anyone consumes events: every event below is built
+         under [if st.listening], so a run nobody watches allocates
+         none *)
   on_event : event -> unit;
   faults : FInj.t option;
   mutable clock : int;  (* bumps on every enablement change *)
@@ -190,61 +196,62 @@ let make_obs st a =
   }
 
 let wake_sleepers_at st node =
-  Array.iter
-    (fun b ->
-      match b.status with
-      | Asleep when b.home = node -> (
-          match st.faults with
-          | Some _ when b.wake_due >= 0 ->
-              (* a delayed wake is already pending; this wake is absorbed
-                 into it *)
-              ()
-          | Some inj when FInj.arm inj FKind.Delayed_wake ->
-              b.wake_due <- st.turns + FInj.wake_delay inj;
-              st.delayed_pending <- st.delayed_pending + 1;
+  for i = 0 to Array.length st.agents - 1 do
+    let b = st.agents.(i) in
+    match b.status with
+    | Asleep when b.home = node -> (
+        match st.faults with
+        | Some _ when b.wake_due >= 0 ->
+            (* a delayed wake is already pending; this wake is absorbed
+               into it *)
+            ()
+        | Some inj when FInj.arm inj FKind.Delayed_wake ->
+            b.wake_due <- st.turns + FInj.wake_delay inj;
+            st.delayed_pending <- st.delayed_pending + 1;
+            if st.listening then
               st.on_event
                 (Wake_delayed { agent = b.color; until_turn = b.wake_due })
-          | _ ->
-              st.wakes <- st.wakes + 1;
-              st.on_event (Woke { agent = b.color });
-              enable st b (Ready Start))
-      | _ -> ())
-    st.agents
+        | _ ->
+            st.wakes <- st.wakes + 1;
+            if st.listening then st.on_event (Woke { agent = b.color });
+            enable st b Ready_start)
+    | _ -> ()
+  done
 
 (* Deliver fault-delayed wakes that have come due ([force] delivers all of
    them — the adversary may not delay a wake forever, so a scheduler with
    nothing else to run releases the backlog instead of reporting a
    spurious deadlock). *)
 let release_due_wakes st ~force =
-  Array.iter
-    (fun b ->
-      if b.wake_due >= 0 && (force || b.wake_due <= st.turns) then begin
-        b.wake_due <- -1;
-        st.delayed_pending <- st.delayed_pending - 1;
-        match b.status with
-        | Asleep ->
-            st.wakes <- st.wakes + 1;
-            st.on_event (Woke { agent = b.color });
-            enable st b (Ready Start)
-        | _ -> ()
-      end)
-    st.agents
+  for i = 0 to Array.length st.agents - 1 do
+    let b = st.agents.(i) in
+    if b.wake_due >= 0 && (force || b.wake_due <= st.turns) then begin
+      b.wake_due <- -1;
+      st.delayed_pending <- st.delayed_pending - 1;
+      match b.status with
+      | Asleep ->
+          st.wakes <- st.wakes + 1;
+          if st.listening then st.on_event (Woke { agent = b.color });
+          enable st b Ready_start
+      | _ -> ()
+    end
+  done
 
 (* A board-revision bump makes every agent waiting on that board runnable;
    marking them here (rather than re-checking revisions in the scheduler)
    is what lets [pick_agent] trust the dirty bits. *)
 let wake_waiters_at st node =
-  Array.iter
-    (fun b ->
-      match b.status with
-      | Waiting (_, rev)
-        when b.loc = node && Whiteboard.revision st.boards.(node) > rev ->
-          set_runnable st b true
-      | _ -> ())
-    st.agents
+  let rev_now = Whiteboard.revision st.boards.(node) in
+  for i = 0 to Array.length st.agents - 1 do
+    let b = st.agents.(i) in
+    match b.status with
+    | Waiting (_, rev) when b.loc = node && rev_now > rev ->
+        set_runnable st b true
+    | _ -> ()
+  done
 
 let post_sign st a tag body =
-  Whiteboard.post st.boards.(a.loc) (Sign.make ~color:a.color ~tag ~body ());
+  Whiteboard.post st.boards.(a.loc) { Sign.color = a.color; tag; body };
   st.progress_turn <- st.turns
 
 let do_post st a tag body =
@@ -252,21 +259,25 @@ let do_post st a tag body =
   match st.faults with
   | None ->
       post_sign st a tag body;
-      st.on_event (Posted { agent = a.color; node = a.loc; tag });
+      if st.listening then
+        st.on_event (Posted { agent = a.color; node = a.loc; tag });
       wake_sleepers_at st a.loc;
       wake_waiters_at st a.loc
   | Some inj ->
       if FInj.arm inj FKind.Sign_loss then
         (* dropped on the floor: no revision bump, no wake-ups; the agent
            believes it posted *)
-        st.on_event (Sign_lost { agent = a.color; node = a.loc; tag })
+        (if st.listening then
+           st.on_event (Sign_lost { agent = a.color; node = a.loc; tag }))
       else begin
         post_sign st a tag body;
-        st.on_event (Posted { agent = a.color; node = a.loc; tag });
+        if st.listening then
+          st.on_event (Posted { agent = a.color; node = a.loc; tag });
         if FInj.arm inj FKind.Sign_dup then begin
           post_sign st a tag body;
-          st.on_event
-            (Sign_duplicated { agent = a.color; node = a.loc; tag })
+          if st.listening then
+            st.on_event
+              (Sign_duplicated { agent = a.color; node = a.loc; tag })
         end;
         wake_sleepers_at st a.loc;
         wake_waiters_at st a.loc
@@ -275,37 +286,49 @@ let do_post st a tag body =
 let do_erase st a tag =
   a.erases <- a.erases + 1;
   let count = Whiteboard.erase st.boards.(a.loc) ~color:a.color ~tag in
-  st.on_event (Erased { agent = a.color; node = a.loc; tag; count });
+  if st.listening then
+    st.on_event (Erased { agent = a.color; node = a.loc; tag; count });
   if count > 0 then begin
     st.progress_turn <- st.turns;
     wake_waiters_at st a.loc
   end;
   count
 
+(* The move reads the CSR arrays directly and takes the entry from the
+   world's preallocated options: a move allocates nothing, and its event
+   only when someone listens. *)
 let do_move st a sym =
-  let labeling = World.labeling st.world in
-  match
-    Labeling.port_of_symbol labeling a.loc (World.int_of_symbol st.world sym)
-  with
-  | None -> Error "moved through a symbol absent from this node"
+  match World.int_of_symbol st.world sym with
   | exception Not_found -> Error "moved through an unknown symbol"
-  | Some port ->
-      let d = Graph.dart (World.graph st.world) a.loc port in
-      let from_node = a.loc in
-      a.loc <- d.dst;
-      a.entry <-
-        Some
-          (World.symbol_of st.world
-             (Labeling.symbol labeling d.dst d.dst_port));
-      a.moves <- a.moves + 1;
-      st.on_event (Moved { agent = a.color; from_node; to_node = d.dst });
-      Ok ()
+  | s ->
+      let csr = st.csr and from_node = a.loc in
+      let lo = csr.Csr.off.(from_node) in
+      let deg = csr.Csr.off.(from_node + 1) - lo in
+      let port = ref 0 in
+      while !port < deg && Labeling.symbol st.labeling from_node !port <> s do
+        incr port
+      done;
+      if !port = deg then Error "moved through a symbol absent from this node"
+      else begin
+        let arc = lo + !port in
+        let dst = csr.Csr.dst.(arc) in
+        a.loc <- dst;
+        a.entry <- World.entry st.world (csr.Csr.off.(dst) + csr.Csr.dst_port.(arc));
+        a.moves <- a.moves + 1;
+        if st.listening then
+          st.on_event (Moved { agent = a.color; from_node; to_node = dst });
+        Ok ()
+      end
 
 let finish st a v =
   a.status <- Finished v;
   set_runnable st a false;
-  st.on_event (Halted { agent = a.color; verdict = v })
+  if st.listening then st.on_event (Halted { agent = a.color; verdict = v })
 
+(* The handlers for the payload-free resumptions are allocated once per
+   start, not once per effect: [effc] performs a post, erase or move on
+   the spot and returns one of them, so the common effects allocate no
+   closure. *)
 let start_agent st a (proto : Protocol.t) =
   let ctx =
     {
@@ -314,6 +337,26 @@ let start_agent st a (proto : Protocol.t) =
     }
   in
   let open Effect.Deep in
+  let on_observe =
+    Some
+      (fun (k : (Protocol.observation, unit) continuation) ->
+        continue k (make_obs st a))
+  in
+  let on_moved =
+    Some
+      (fun (k : (Protocol.observation, unit) continuation) ->
+        enable st a (Ready_resume k))
+  in
+  let on_wait =
+    Some
+      (fun (k : (Protocol.observation, unit) continuation) ->
+        a.status <- Waiting (k, Whiteboard.revision st.boards.(a.loc));
+        set_runnable st a false)
+  in
+  let on_posted = Some (fun (k : (unit, unit) continuation) -> continue k ()) in
+  let on_erased =
+    Some (fun (k : (int, unit) continuation) -> continue k a.erased)
+  in
   match_with
     (fun () ->
       let v = proto.main ctx in
@@ -324,55 +367,39 @@ let start_agent st a (proto : Protocol.t) =
       exnc =
         (fun e -> finish st a (Aborted (Printexc.to_string e)));
       effc =
-        (fun (type b) (eff : b Effect.t) ->
+        (fun (type b) (eff : b Effect.t) :
+             ((b, unit) continuation -> unit) option ->
           match eff with
-          | Script.Internal.Observe ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  continue k (make_obs st a))
+          | Script.Internal.Observe -> on_observe
           | Script.Internal.Post (tag, body) ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  do_post st a tag body;
-                  continue k ())
+              do_post st a tag body;
+              on_posted
           | Script.Internal.Erase tag ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  continue k (do_erase st a tag))
-          | Script.Internal.Move sym ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  match do_move st a sym with
-                  | Ok () -> enable st a (Ready (Resume k))
-                  | Error msg -> finish st a (Aborted msg))
-          | Script.Internal.Wait ->
-              Some
-                (fun (k : (b, unit) continuation) ->
-                  a.status <-
-                    Waiting (k, Whiteboard.revision st.boards.(a.loc));
-                  set_runnable st a false)
-          | Script.Internal.Halt v ->
-              Some (fun (_k : (b, unit) continuation) -> finish st a v)
+              a.erased <- do_erase st a tag;
+              on_erased
+          | Script.Internal.Move sym -> (
+              match do_move st a sym with
+              | Ok () -> on_moved
+              | Error msg -> Some (fun _ -> finish st a (Aborted msg)))
+          | Script.Internal.Wait -> on_wait
+          | Script.Internal.Halt v -> Some (fun _ -> finish st a v)
           | _ -> None);
     }
 
+(* placeholder replaced by the real verdict inside start_agent / the
+   resumed continuation *)
+let mark_running st a =
+  a.status <- Finished (Aborted "re-entered");
+  set_runnable st a false
+
 let take_turn st proto (a : agent) =
   a.turns <- a.turns + 1;
-  let mark_running () =
-    (* placeholder replaced by the real verdict inside start_agent /
-       the resumed continuation *)
-    a.status <- Finished (Aborted "re-entered");
-    set_runnable st a false
-  in
   match a.status with
-  | Ready Start ->
-      mark_running ();
+  | Ready_start ->
+      mark_running st a;
       start_agent st a proto
-  | Ready (Resume k) ->
-      mark_running ();
-      Effect.Deep.continue k (make_obs st a)
-  | Waiting (k, _) ->
-      mark_running ();
+  | Ready_resume k | Waiting (k, _) ->
+      mark_running st a;
       Effect.Deep.continue k (make_obs st a)
   | Asleep | Finished _ -> assert false
 
@@ -381,77 +408,75 @@ let take_turn st proto (a : agent) =
    restarts its protocol from scratch, amnesiac, at its current node. *)
 let crash_restart st a =
   a.entry <- None;
-  enable st a (Ready Start);
-  st.on_event (Crashed { agent = a.color; node = a.loc })
+  enable st a Ready_start;
+  if st.listening then st.on_event (Crashed { agent = a.color; node = a.loc })
 
 (* Crash-restart only fires on agents that actually hold coroutine state;
    "crashing" an agent that has not started yet is a no-op restart. *)
 let crashable a =
-  match a.status with Ready (Resume _) | Waiting _ -> true | _ -> false
+  match a.status with Ready_resume _ | Waiting _ -> true | _ -> false
 
 (* Allocation-free selection: the dirty bits plus [num_runnable] replace
    the per-turn candidates list; every strategy is a bounded scan of the
-   agents array. *)
+   agents array, returning the picked agent's index, or -1 when none is
+   runnable. *)
 let pick_agent st strategy rr_cursor rng =
-  let n = Array.length st.agents in
-  if st.num_runnable = 0 then None
+  let agents = st.agents in
+  let n = Array.length agents in
+  if st.num_runnable = 0 then -1
   else begin
     st.picks <- st.picks + 1;
     match strategy with
     | Round_robin ->
-        let rec find offset =
-          let a = st.agents.((!rr_cursor + offset) mod n) in
-          if a.runnable then begin
-            rr_cursor := (a.idx + 1) mod n;
-            Some a
-          end
-          else find (offset + 1)
-        in
-        find 0
+        let i = ref (!rr_cursor mod n) in
+        while not agents.(!i).runnable do
+          i := (!i + 1) mod n
+        done;
+        rr_cursor := (!i + 1) mod n;
+        !i
     | Random_fair _ ->
-        let r = ref (Random.State.int rng st.num_runnable) in
-        let chosen = ref None in
-        Array.iter
-          (fun a ->
-            if a.runnable && !chosen = None then
-              if !r = 0 then chosen := Some a else decr r)
-          st.agents;
-        !chosen
+        (* the r-th runnable agent, in index order *)
+        let r = ref (Random.State.int rng st.num_runnable) and i = ref 0 in
+        while not agents.(!i).runnable || !r > 0 do
+          if agents.(!i).runnable then decr r;
+          incr i
+        done;
+        !i
     | Lifo ->
         (* Most-recently-enabled first, with a fairness injection: every
            16th pick goes to the oldest-enabled agent instead, so no
-           agent starves (the model assumes fair scheduling). *)
+           agent starves (the model assumes fair scheduling). Ties go to
+           the lowest index. *)
         let oldest_wins = st.picks mod 16 = 0 in
-        let best = ref None in
-        Array.iter
-          (fun a ->
-            if a.runnable then
-              match !best with
-              | None -> best := Some a
-              | Some b ->
-                  if
-                    if oldest_wins then a.last_enabled < b.last_enabled
-                    else a.last_enabled > b.last_enabled
-                  then best := Some a)
-          st.agents;
+        let best = ref (-1) in
+        for i = 0 to n - 1 do
+          let a = agents.(i) in
+          if a.runnable then
+            if !best < 0 then best := i
+            else
+              let b = agents.(!best) in
+              if
+                if oldest_wins then a.last_enabled < b.last_enabled
+                else a.last_enabled > b.last_enabled
+              then best := i
+        done;
         !best
     | Fifo_mailbox ->
-        let best = ref None in
-        Array.iter
-          (fun a ->
-            if a.runnable then
-              match !best with
-              | None -> best := Some a
-              | Some b ->
-                  if a.last_enabled < b.last_enabled then best := Some a)
-          st.agents;
+        let best = ref (-1) in
+        for i = 0 to n - 1 do
+          let a = agents.(i) in
+          if a.runnable
+             && (!best < 0 || a.last_enabled < agents.(!best).last_enabled)
+          then best := i
+        done;
         !best
     | Synchronous ->
         (* handled by the round loop in [run]; fallback here *)
-        Array.fold_left
-          (fun acc a ->
-            match acc with Some _ -> acc | None -> if a.runnable then Some a else None)
-          None st.agents
+        let i = ref 0 in
+        while not agents.(!i).runnable do
+          incr i
+        done;
+        !i
   end
 
 let collect_result st ~max_turns_hit ~timeout wall_time_ns =
@@ -639,7 +664,7 @@ module Obs = struct
 end
 
 let run ?strategy ?(seed = 0) ?(max_turns = 2_000_000) ?awake
-    ?(on_event = fun _ -> ()) ?obs ?faults ?watchdog world proto =
+    ?on_event ?obs ?faults ?watchdog world proto =
   let t0 = Qe_obs.Clock.now_ns () in
   let strategy =
     match strategy with Some s -> s | None -> Random_fair seed
@@ -681,15 +706,18 @@ let run ?strategy ?(seed = 0) ?(max_turns = 2_000_000) ?awake
                        ("fault_plan", Obs.J.String (FPlan.summary p)) ]);
            }));
   let root = span "engine.run" in
-  let on_event =
-    match obs with
-    | Some ({ on_line = Some _; _ } as s) ->
+  let listening, on_event =
+    match (obs, on_event) with
+    | Some ({ on_line = Some _; _ } as s), _ ->
+        let user = Option.value on_event ~default:ignore in
         let seq = ref 0 in
-        fun e ->
-          on_event e;
-          incr seq;
-          Obs.Sink.emit s (Obs.Export.Event (Obs.export_event !seq e))
-    | _ -> on_event
+        ( true,
+          fun e ->
+            user e;
+            incr seq;
+            Obs.Sink.emit s (Obs.Export.Event (Obs.export_event !seq e)) )
+    | _, Some f -> (true, f)
+    | _, None -> (false, ignore)
   in
   let setup_span = span "setup" in
   let boards = Array.init (Graph.n g) (fun _ -> Whiteboard.create ()) in
@@ -710,10 +738,12 @@ let run ?strategy ?(seed = 0) ?(max_turns = 2_000_000) ?awake
           erases = 0;
           reads = 0;
           turns = 0;
+          erased = 0;
         })
   in
   let st =
-    { world; boards; agents; seed; on_event;
+    { world; csr = Graph.csr g; labeling = World.labeling world; boards;
+      agents; seed; listening; on_event;
       faults = Option.map FInj.create faults;
       clock = 0; num_runnable = 0; picks = 0; wakes = 0; turns = 0;
       delayed_pending = 0; progress_turn = 0 }
@@ -737,7 +767,7 @@ let run ?strategy ?(seed = 0) ?(max_turns = 2_000_000) ?awake
     (fun i ->
       if i < 0 || i >= Array.length agents then
         invalid_arg "Engine.run: awake index out of range";
-      enable st agents.(i) (Ready Start))
+      enable st agents.(i) Ready_start)
     awake;
   ignore (close setup_span);
   let loop_span = span "schedule" in
@@ -781,30 +811,37 @@ let run ?strategy ?(seed = 0) ?(max_turns = 2_000_000) ?awake
       match st.faults with
       | None -> take_turn st proto a
       | Some inj ->
-          if FInj.arm inj FKind.Turn_stutter then
-            st.on_event (Stuttered { agent = a.color })
+          if FInj.arm inj FKind.Turn_stutter then begin
+            if st.listening then st.on_event (Stuttered { agent = a.color })
+          end
           else if crashable a && FInj.arm inj FKind.Crash_restart then
             crash_restart st a
           else take_turn st proto a
   in
   (match strategy with
   | Synchronous ->
+      (* a round is the agents runnable at its start, in index order *)
+      let round = Array.make (Array.length agents) 0 in
       let continue_running = ref true in
       while !continue_running && not !max_hit && !timeout = None do
         if st.delayed_pending > 0 then release_due_wakes st ~force:false;
         if not (watchdog_fired ()) then begin
-          let round =
-            Array.to_list st.agents |> List.filter (fun a -> a.runnable)
-          in
-          if round = [] then begin
+          let len = ref 0 in
+          for i = 0 to Array.length agents - 1 do
+            if agents.(i).runnable then begin
+              round.(!len) <- i;
+              incr len
+            end
+          done;
+          if !len = 0 then begin
             if st.delayed_pending > 0 then release_due_wakes st ~force:true
             else continue_running := false
           end
           else
-            List.iter
-              (fun a ->
-                if a.runnable && not !max_hit && !timeout = None then step a)
-              round
+            for k = 0 to !len - 1 do
+              let a = agents.(round.(k)) in
+              if a.runnable && not !max_hit && !timeout = None then step a
+            done
         end
       done
   | _ ->
@@ -812,11 +849,10 @@ let run ?strategy ?(seed = 0) ?(max_turns = 2_000_000) ?awake
       while !continue_running && not !max_hit && !timeout = None do
         if st.delayed_pending > 0 then release_due_wakes st ~force:false;
         if not (watchdog_fired ()) then
-          match pick_agent st strategy rr_cursor rng with
-          | None ->
-              if st.delayed_pending > 0 then release_due_wakes st ~force:true
-              else continue_running := false
-          | Some a -> step a
+          let i = pick_agent st strategy rr_cursor rng in
+          if i >= 0 then step agents.(i)
+          else if st.delayed_pending > 0 then release_due_wakes st ~force:true
+          else continue_running := false
       done);
   ignore (close loop_span);
   let collect_span = span "collect" in

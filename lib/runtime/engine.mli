@@ -137,6 +137,10 @@ val run :
     quantitative protocol, [ctx.rank] is the agent index; for a
     qualitative one it is [None].
 
+    [on_event] receives every event in order. Event values are built
+    only when [on_event] is given or [obs] streams lines; without
+    either, a run builds none, and its result is the same.
+
     [obs] attaches a telemetry sink (default: none, at zero hot-path
     cost). The run then records per-run and per-agent counters into
     [obs.metrics] ([engine.moves], [engine.posts], [engine.erases],

@@ -35,4 +35,10 @@ val symbol_of : t -> int -> Qe_color.Symbol.t
 val int_of_symbol : t -> Qe_color.Symbol.t -> int
 (** Engine-side inverse of {!symbol_of}. *)
 
+val entry : t -> int -> Qe_color.Symbol.t option
+(** [entry w a]: [Some] of the symbol on CSR arc [a] (port [a - off.(u)]
+    of its node [u]), the entry an agent sees after arriving through
+    that port. Preallocated: every arc carrying one symbol returns the
+    same value, so a move allocates no option. *)
+
 val agent_of_color : t -> Qe_color.Color.t -> int option

@@ -110,7 +110,13 @@ type 'a shard = {
   mutable lat : Metrics.histogram;
 }
 
-type 'a table = { kind : string; shards : 'a shard array }
+(* The counter names are built once per table, not on every lookup. *)
+type 'a table = {
+  kind : string;
+  hit_name : string;  (* "cache.hit.<kind>" *)
+  miss_name : string;  (* "cache.miss.<kind>" *)
+  shards : 'a shard array;
+}
 
 type stat = {
   kind : string;
@@ -152,7 +158,14 @@ let create_table ~kind () =
     { m = Mutex.create (); tbl = Tbl.create 16; hits = 0; misses = 0;
       waits = 0; reg; lat }
   in
-  let t = { kind; shards = Array.init num_shards (fun _ -> shard ()) } in
+  let t =
+    {
+      kind;
+      hit_name = "cache.hit." ^ kind;
+      miss_name = "cache.miss." ^ kind;
+      shards = Array.init num_shards (fun _ -> shard ());
+    }
+  in
   let clear_t () =
     Array.iter
       (fun s ->
@@ -264,7 +277,7 @@ let memo t ~key compute =
           (* includes any single-flight wait this lookup sat through *)
           Metrics.observe shard.lat (Clock.now_ns () - t0);
           Mutex.unlock shard.m;
-          bump ("cache.hit." ^ t.kind);
+          bump t.hit_name;
           replay delta;
           hit_event t.kind t0;
           unwrap res
@@ -298,7 +311,7 @@ let memo t ~key compute =
           Tbl.replace shard.tbl key (In_flight fl);
           shard.misses <- shard.misses + 1;
           Mutex.unlock shard.m;
-          bump ("cache.miss." ^ t.kind);
+          bump t.miss_name;
           (* compute under a scratch sink so the kernel delta can be
              stored and replayed on every future hit — metric placement
              is then identical to the uncached computation. The caller's

@@ -254,6 +254,63 @@ let prop_random_connected =
       let g = Families.random_connected ~seed ~n ~extra_edges:extra in
       Traverse.is_connected g && Graph.is_simple g && Graph.n g = n)
 
+(* Byte-for-byte pins of the two generators whose inner loops dedupe
+   edges: one digest over the edge lists of many seeds and sizes, dense
+   [extra_edges] (saturating small graphs) and circulants with repeated
+   jumps and with a jump j where 2j = n. *)
+let edges_digest graphs =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun g ->
+      Printf.bprintf buf "n=%d:" (Graph.n g);
+      List.iter (fun (u, v) -> Printf.bprintf buf "%d-%d," u v) (Graph.edges g);
+      Buffer.add_char buf ';')
+    graphs;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_random_connected_pinned () =
+  let graphs =
+    List.concat_map
+      (fun n ->
+        List.concat_map
+          (fun seed ->
+            List.map
+              (fun extra_edges ->
+                Families.random_connected ~seed ~n ~extra_edges)
+              (if n <= 60 then [ 0; 30; n * n ] else [ 0; 30; n ]))
+          (List.init 51 Fun.id))
+      [ 1; 2; 5; 60; 200; 1000 ]
+  in
+  Alcotest.(check string) "random_connected digest"
+    "550e9954b3b0c98954ac8c53a0bca652" (edges_digest graphs)
+
+let test_circulant_pinned () =
+  let small =
+    List.concat_map
+      (fun n ->
+        let half = n / 2 in
+        List.map
+          (fun jumps -> Families.circulant n jumps)
+          [
+            [ 1 ];
+            [ 1; 2 ];
+            List.init half (fun i -> i + 1);
+            [ half; 1 ];
+            [ 2; 1; 2; 1 ];
+            [ half; half ];
+          ])
+      (List.init 37 (fun i -> i + 4))
+  in
+  let large =
+    [
+      Families.circulant 60 [ 1; 5; 17 ];
+      Families.circulant 1000 [ 1; 500; 3 ];
+      Families.circulant 1001 [ 500; 1; 9 ];
+    ]
+  in
+  Alcotest.(check string) "circulant digest"
+    "f0754c62ce946cf361ae10545a12a0f6" (edges_digest (small @ large))
+
 let prop_degree_sum =
   QCheck.Test.make ~name:"sum of degrees = 2m" ~count:60
     QCheck.(pair (int_bound 1000) (int_range 2 30))
@@ -469,6 +526,9 @@ let () =
           Alcotest.test_case "figure 2 instances" `Quick
             test_figure2_instances;
           QCheck_alcotest.to_alcotest prop_random_connected;
+          Alcotest.test_case "random_connected pinned" `Quick
+            test_random_connected_pinned;
+          Alcotest.test_case "circulant pinned" `Quick test_circulant_pinned;
         ] );
       ( "traverse",
         [

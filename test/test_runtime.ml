@@ -573,6 +573,73 @@ let test_engine_golden () =
   Alcotest.(check int) "runs" 450 (List.length actual);
   Alcotest.(check (list string)) "digests" expected actual
 
+(* Words allocated by [f], minor and direct-major allocations both. *)
+let allocated_words f =
+  let mi0, pr0, ma0 = Gc.counters () in
+  let r = f () in
+  let mi1, pr1, ma1 = Gc.counters () in
+  (mi1 -. mi0 +. (ma1 -. ma0) -. (pr1 -. pr0), r)
+
+(* A walker that steps back through its entry port on every move: the
+   engine's own cost per move, since it reads no ports. The engine
+   allocates no dart record, entry option, event or handler closure per
+   move; what is left is the effect, the continuation and the
+   observation (about 20 words on OCaml 5.1). *)
+let test_walker_allocation () =
+  let steps = 20_000 in
+  let walker =
+    {
+      Protocol.name = "walker";
+      quantitative = false;
+      main =
+        (fun _ ->
+          let first = List.hd (Lazy.force (Script.observe ()).Protocol.ports) in
+          let port = ref first in
+          for _ = 1 to steps do
+            port := Option.get (Script.move !port).Protocol.entry
+          done;
+          Protocol.Leader);
+    }
+  in
+  let w = World.make (Families.cycle 8) ~black:[ 0 ] in
+  ignore (Engine.run ~seed:1 w walker);
+  let words, r = allocated_words (fun () -> Engine.run ~seed:1 w walker) in
+  Alcotest.(check int) "moves" steps r.Engine.total_moves;
+  let per_move = words /. float steps in
+  if per_move > 48. then
+    Alcotest.failf "%.1f words per move (pin: <= 48)" per_move
+
+(* Events are built only for a listener; the run itself must not notice:
+   with and without [on_event], every result field but the wall time is
+   the same, calm and under a fault plan. *)
+let test_listener_transparent () =
+  let same_result (a : Engine.result) (b : Engine.result) =
+    { a with wall_time_ns = 0 } = { b with wall_time_ns = 0 }
+  in
+  List.iter
+    (fun (inst : Campaign.instance) ->
+      List.iter
+        (fun (sname, strategy) ->
+          List.iter
+            (fun faults ->
+              let world = World.make inst.graph ~black:inst.black in
+              let run ?on_event () =
+                Engine.run ~strategy ~seed:4 ?on_event ?faults ~max_turns:100_000
+                  world Qe_elect.Elect.protocol
+              in
+              let events = ref 0 in
+              let heard = run ~on_event:(fun _ -> incr events) () in
+              let silent = run () in
+              if not (same_result heard silent) then
+                Alcotest.failf "%s/%s%s: result differs without a listener"
+                  inst.name sname
+                  (if faults = None then "" else " (faults)");
+              Alcotest.(check bool) "the listener heard events" true
+                (!events > 0))
+            [ None; Some (Qe_fault.Plan.chaos ~seed:3) ])
+        strategies)
+    (Campaign.zoo ())
+
 let () =
   Alcotest.run "runtime"
     [
@@ -604,6 +671,10 @@ let () =
             test_ports_forced_late;
           Alcotest.test_case "golden ELECT runs (zoo x strategies x seeds)"
             `Quick test_engine_golden;
+          Alcotest.test_case "walker allocation pin" `Quick
+            test_walker_allocation;
+          Alcotest.test_case "same run with or without a listener" `Quick
+            test_listener_transparent;
         ] );
       ( "whiteboard",
         [ Alcotest.test_case "post/erase/revision" `Quick
