@@ -60,4 +60,5 @@ val port_of_symbol : t -> int -> Qe_color.Symbol.t -> int option
 
 val labeling : t -> Qe_graph.Labeling.t
 (** The edge labeling in the agent's own encoding of the symbols (stable
-    for this agent; other agents may encode differently). *)
+    for this agent; other agents may encode differently), built on each
+    call. *)
