@@ -1088,8 +1088,9 @@ let obs_overhead () =
   print_endline
     "the same ELECT run under three sink configurations. 'off' is the\n\
      default (no ?obs, no ambient sink): every probe is an untaken\n\
-     branch or a single ref read, so it must sit within noise of the\n\
-     pre-telemetry baseline.\n";
+     branch or a single ref read, artifact-cache misses included (they\n\
+     compute with no scratch sink and store no metric delta), so it\n\
+     must sit within noise of the pre-telemetry baseline.\n";
   let open Bechamel in
   let g = Families.cycle 8 and black = [ 0; 3 ] in
   let run_with obs () =

@@ -960,8 +960,7 @@ let selftest_cmd random_count jobs brute_cap write_golden dump_path =
         | Some _ as d -> ("", d)
         | None -> (
             let fp =
-              Qe_obs.Sink.with_ambient sink (fun () ->
-                  Cache.fingerprint_uncached b)
+              Qe_obs.Sink.with_ambient sink (fun () -> Cache.fingerprint b)
             in
             if not (is_zoo it) then (fp, None)
             else

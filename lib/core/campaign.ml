@@ -239,9 +239,10 @@ let elect_expected inst = Oracle.gcd_classes (bicolored inst) = 1
    distinct instance before farming the matrix out, so worker domains
    find warm entries instead of racing on the first lookups. With the
    cache disabled this is a no-op and every run recomputes as before.
-   The prewarm runs with no ambient sink: metric deltas are recorded at
-   compute time into the cache entry and replayed at each in-run lookup,
-   so observed snapshots are placement-identical either way. *)
+   The prewarm runs with no ambient sink, so its entries store no metric
+   delta: the first in-run lookup under a task's sink computes it and
+   every later one replays it, so observed snapshots are
+   placement-identical either way. *)
 let prewarm instances =
   if Qe_symmetry.Artifact_cache.enabled () then
     List.iter

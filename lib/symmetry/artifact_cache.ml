@@ -15,16 +15,8 @@ let enabled () = Atomic.get enabled_flag
 
 (* ---------- sink plumbing ---------- *)
 
-let bump name =
-  match Sink.ambient () with
-  | None -> ()
-  | Some s -> Metrics.incr (Metrics.counter s.Sink.metrics name)
-
-let replay delta =
-  if delta <> [] then
-    match Sink.ambient () with
-    | None -> ()
-    | Some s -> Metrics.apply s.Sink.metrics delta
+let bump s name = Metrics.incr (Metrics.counter s.Sink.metrics name)
+let replay s delta = if delta <> [] then Metrics.apply s.Sink.metrics delta
 
 (* Stored deltas must never carry cache counters: a nested memo records
    its own cache.hit/miss into the outer computation's scratch sink, and
@@ -84,9 +76,10 @@ let key_of_bicolored b =
 let num_shards = 32 (* power of two: shard = hash land (num_shards - 1) *)
 
 type 'a entry =
-  | Ready of ('a, exn) result * Metrics.snapshot
+  | Ready of ('a, exn) result * Metrics.snapshot option
       (** value (or deterministic failure) + the kernel-metric delta its
-          computation recorded, replayed on every lookup *)
+          computation recorded, replayed on every listening lookup;
+          [None] until a listener first needs it *)
   | In_flight of flight
 
 and flight = {
@@ -250,41 +243,78 @@ let publish shard key fl res delta =
 (* Hits become timestamped trace events only when the sink opted in
    (run --trace-out): they carry wall-clock attrs and no sequence
    number, so determinism-checked streams must not see them. *)
-let hit_event kind t_ns =
-  match Sink.ambient () with
-  | Some s when s.Sink.cache_events && s.Sink.on_line <> None ->
-      Sink.emit s
-        (Export.Event
-           {
-             seq = 0;
-             name = "cache.hit";
-             attrs = [ ("kind", J.String kind); ("t_ns", J.Int t_ns) ];
-           })
-  | _ -> ()
+let hit_event s kind t_ns =
+  if s.Sink.cache_events && s.Sink.on_line <> None then
+    Sink.emit s
+      (Export.Event
+         {
+           seq = 0;
+           name = "cache.hit";
+           attrs = [ ("kind", J.String kind); ("t_ns", J.Int t_ns) ];
+         })
 
 let unwrap = function Ok v -> v | Error e -> raise e
 
+let run compute = match compute () with v -> Ok v | exception e -> Error e
+
+(* [compute] under a private scratch sink: its result and the
+   kernel-metric delta it recorded. *)
+let in_scratch compute =
+  let scratch = Sink.create () in
+  let res = Sink.with_ambient scratch (fun () -> run compute) in
+  (res, strip_cache (Metrics.snapshot scratch.Sink.metrics))
+
+(* True on a domain while a listening hit recomputes the delta of an
+   entry published without one. Nested lookups then run their
+   computation directly, as with the cache disabled: they touch no table
+   and no count, and the delta is the uncached one, which
+   [cache/differential] pins equal to the cached one modulo cache.*. *)
+let recomputing = Domain.DLS.new_key (fun () -> false)
+
+let delta_of compute =
+  Domain.DLS.set recomputing true;
+  let _, delta = in_scratch compute in
+  Domain.DLS.set recomputing false;
+  delta
+
 let memo t ~key compute =
-  if not (enabled ()) then compute ()
+  if not (enabled ()) || Domain.DLS.get recomputing then compute ()
   else begin
     let t0 = Clock.now_ns () in
+    let sink = Sink.ambient () in
     let shard = t.shards.(key.hash land (num_shards - 1)) in
     let rec lookup () =
       Mutex.lock shard.m;
       match Tbl.find_opt shard.tbl key with
-      | Some (Ready (res, delta)) ->
+      | Some (Ready (res, delta) as entry) ->
           shard.hits <- shard.hits + 1;
           (* includes any single-flight wait this lookup sat through *)
           Metrics.observe shard.lat (Clock.now_ns () - t0);
           Mutex.unlock shard.m;
-          bump t.hit_name;
-          replay delta;
-          hit_event t.kind t0;
+          (match sink with
+          | None -> ()
+          | Some s ->
+              bump s t.hit_name;
+              let delta =
+                match delta with
+                | Some d -> d
+                | None ->
+                    (* the first listener on this entry pays for its
+                       delta; keep it unless the entry was replaced *)
+                    let d = delta_of compute in
+                    Mutex.protect shard.m (fun () ->
+                        match Tbl.find_opt shard.tbl key with
+                        | Some e when e == entry ->
+                            Tbl.replace shard.tbl key (Ready (res, Some d))
+                        | _ -> ());
+                    d
+              in
+              replay s delta;
+              hit_event s t.kind t0);
           unwrap res
       | Some (In_flight fl) ->
           shard.waits <- shard.waits + 1;
           Mutex.unlock shard.m;
-          bump "cache.single_flight_wait";
           let wait () =
             Mutex.lock fl.fl_m;
             while not fl.fl_done do
@@ -292,9 +322,10 @@ let memo t ~key compute =
             done;
             Mutex.unlock fl.fl_m
           in
-          (match Sink.ambient () with
+          (match sink with
           | None -> wait ()
           | Some s ->
+              bump s "cache.single_flight_wait";
               let w0 = Clock.now_ns () in
               Span.with_span
                 ~attrs:[ ("kind", J.String t.kind) ]
@@ -303,7 +334,7 @@ let memo t ~key compute =
                 (Metrics.latency s.Sink.metrics "cache.wait_latency")
                 (Clock.now_ns () - w0));
           lookup ()
-      | None ->
+      | None -> (
           let fl =
             { fl_m = Mutex.create (); fl_cv = Condition.create ();
               fl_done = false }
@@ -311,29 +342,29 @@ let memo t ~key compute =
           Tbl.replace shard.tbl key (In_flight fl);
           shard.misses <- shard.misses + 1;
           Mutex.unlock shard.m;
-          bump t.miss_name;
-          (* compute under a scratch sink so the kernel delta can be
-             stored and replayed on every future hit — metric placement
-             is then identical to the uncached computation. The caller's
-             tracer (if any) gets one [cache.compute] span around it, so
-             a miss shows where it sits in the caller's span tree. *)
-          let scratch = Sink.create () in
-          let in_scratch () = Sink.with_ambient scratch compute in
-          let computed () =
-            match Sink.ambient () with
-            | None -> in_scratch ()
-            | Some s ->
+          match sink with
+          | None ->
+              (* nothing listens: no scratch sink, no delta to keep *)
+              let res = run compute in
+              publish shard key fl res None;
+              unwrap res
+          | Some s ->
+              bump s t.miss_name;
+              (* compute under a scratch sink so the kernel delta can be
+                 stored and replayed on every listening hit — metric
+                 placement is then identical to the uncached
+                 computation. The caller's tracer gets one
+                 [cache.compute] span around it, so a miss shows where
+                 it sits in the caller's span tree. *)
+              let res, delta =
                 Span.with_span
                   ~attrs:[ ("kind", J.String t.kind) ]
-                  s.Sink.spans "cache.compute" in_scratch
-          in
-          let res =
-            match computed () with v -> Ok v | exception e -> Error e
-          in
-          let delta = strip_cache (Metrics.snapshot scratch.Sink.metrics) in
-          publish shard key fl res delta;
-          replay delta;
-          unwrap res
+                  s.Sink.spans "cache.compute"
+                  (fun () -> in_scratch compute)
+              in
+              publish shard key fl res (Some delta);
+              replay s delta;
+              unwrap res)
     in
     lookup ()
   end
@@ -343,12 +374,11 @@ let memo t ~key compute =
 let exact_key b = Cdigraph.certificate_of_identity (Cdigraph.of_bicolored b)
 
 let classes_tbl : Classes.t table = create_table ~kind:"classes" ()
-let fingerprint_tbl : string table = create_table ~kind:"certificate" ()
 
 let classes b =
   memo classes_tbl ~key:(key_of_bicolored b) (fun () -> Classes.compute b)
 
-let fingerprint_uncached b =
+let fingerprint b =
   let r = Canon.run (Cdigraph.of_bicolored b) in
   (* black-node orbit signature: sorted sizes of the orbits that
      contain home-bases, an isomorphism invariant of the placement *)
@@ -367,7 +397,3 @@ let fingerprint_uncached b =
   let sig_ = List.sort compare (List.map size_of reps) in
   r.Canon.certificate ^ "#black-orbits:"
   ^ String.concat "," (List.map string_of_int sig_)
-
-let fingerprint b =
-  memo fingerprint_tbl ~key:(key_of_bicolored b) (fun () ->
-      fingerprint_uncached b)

@@ -36,15 +36,18 @@
     (instance, home), so exact identities already capture all
     cross-seed / cross-strategy redundancy, while keeping every
     numbering-dependent byproduct ([canon.*] / [refine.*] counters,
-    class node ids) bit-identical to the uncached computation. The
-    {e canonical} fingerprint ({!fingerprint}: [Canon] certificate plus
-    black-node orbit signature, equal across isomorphic instances) is
-    itself one of the memoized artifacts.
+    class node ids) bit-identical to the uncached computation.
 
-    {b Metric transparency.} A miss runs the computation under a private
-    scratch sink and stores the resulting kernel-metric delta next to
-    the value; every lookup — hit or miss — replays that delta into the
-    caller's ambient sink via {!Qe_obs.Metrics.apply}. Cached and
+    {b Metric transparency, paid for only by a listener.} A miss under
+    an ambient sink runs the computation under a private scratch sink
+    and stores the resulting kernel-metric delta next to the value; a
+    miss with no ambient sink runs it directly and stores no delta.
+    Every lookup under an ambient sink — hit or miss — replays the delta
+    into that sink via {!Qe_obs.Metrics.apply}; the first listening hit
+    on an entry stored without one computes it then, by running the
+    computation once more under a scratch sink, with nested lookups
+    going straight to their computations as under {!set_enabled}
+    [false]. A lookup with no ambient sink replays nothing. Cached and
     uncached sweeps therefore produce identical metric snapshots, modulo
     the cache's own [cache.hit.<kind>] / [cache.miss.<kind>] /
     [cache.single_flight_wait] counters (stripped from stored deltas
@@ -110,11 +113,14 @@ val memo : 'a table -> key:key -> (unit -> 'a) -> 'a
     deadlock on its own flight); nesting across distinct tables or keys
     is fine and is how the plan table layers on the classes table.
 
-    A miss runs [f] under a scratch ambient sink, whose metric delta is
-    stored and replayed on every hit. When the caller has an ambient
-    sink, the miss also shows on the caller's tracer as one
-    [cache.compute] span with a [kind] attribute (the table's kind);
-    spans opened inside [f] go to the scratch sink. *)
+    Under an ambient sink, a miss runs [f] under a scratch ambient sink
+    whose metric delta is stored and replayed on every listening hit,
+    and shows on the caller's tracer as one [cache.compute] span with a
+    [kind] attribute (the table's kind); spans opened inside [f] go to
+    the scratch sink. With no ambient sink, a miss runs [f] directly
+    and stores no delta: the first hit under a sink runs [f] again under
+    a scratch sink to obtain it (its nested lookups compute directly,
+    counting no hit or miss) and keeps it for later hits. *)
 
 (** {1 Statistics} *)
 
@@ -161,12 +167,9 @@ val fingerprint : Qe_graph.Bicolored.t -> string
 (** Canonical instance fingerprint: the {!Canon} certificate of the
     bicolored digraph joined with the black-node orbit signature (sorted
     sizes of the orbits containing home-bases). Equal exactly on
-    isomorphic instances. Memoized (kind ["certificate"]) under the
-    instance's identity. *)
-
-val fingerprint_uncached : Qe_graph.Bicolored.t -> string
-(** The same computation with no memoization at all — [qelect selftest]
-    uses it so a cache hit can never mask a kernel defect. *)
+    isomorphic instances. Not memoized, so a cache hit can never mask a
+    kernel defect: [qelect selftest] and the golden corpus test call
+    it. *)
 
 val classes : Qe_graph.Bicolored.t -> Classes.t
 (** Memoized {!Classes.compute} (kind ["classes"], default leaf

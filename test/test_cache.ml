@@ -11,7 +11,9 @@
      misses are the distinct keys, and every hit is timed;
    - transparency: sweeps with the cache on and off produce the same
      records, and observed sweeps the same metric snapshots modulo the
-     cache.* counters, at -j 1 and -j 4;
+     cache.* counters, at -j 1 and -j 4 — also after a warm-up with no
+     listener, which stores no metric delta and leaves the observed
+     sweep the hit and miss counts an observed warm-up does;
    - satellite regressions: Oracle.predict computes the classes exactly
      once (the classes.compute call-count metric) and counts the test
      that decided its verdict, and Elect plans carry a node_class index
@@ -527,6 +529,54 @@ let test_observed_sweep_differential () =
         (strip_cache tc = tu))
     [ 1; 4 ]
 
+(* the checks of [test_observed_sweep_differential], on a cached run
+   and an uncached one *)
+let check_same_observed jobs (rc, pc, tc) (ru, pu, tu) =
+  Alcotest.(check bool)
+    (Printf.sprintf "same records at -j %d" jobs)
+    true
+    (List.map norm rc = List.map norm ru);
+  Alcotest.(check bool)
+    (Printf.sprintf "same per-instance snapshots modulo cache.* (-j %d)" jobs)
+    true
+    (List.map (fun (k, s) -> (k, strip_cache s)) pc = pu);
+  Alcotest.(check bool)
+    (Printf.sprintf "same merged total modulo cache.* (-j %d)" jobs)
+    true
+    (strip_cache tc = tu)
+
+(* A warm-up with no listener stores no metric deltas; an observed sweep
+   after it must still read exactly what an uncached one does, modulo
+   cache.*, and count exactly the hits and misses it counts after an
+   observed warm-up: the first listening hit on each entry recomputes
+   its delta with nested lookups kept off the tables. *)
+let warmed_then_observed ~observed jobs =
+  with_cache_enabled true @@ fun () ->
+  Cache.clear ();
+  if observed then ignore (observed_per_instance jobs)
+  else
+    ignore
+      (Campaign.sweep ~seeds:[ 0; 1 ] ~strategies:two_strategies ~jobs
+         ~expected:Campaign.elect_expected elect (small_zoo ()));
+  Cache.reset_stats ();
+  let r = observed_per_instance jobs in
+  ( r,
+    List.map (fun s -> (s.Cache.kind, s.Cache.hits, s.Cache.misses))
+      (Cache.stats ()) )
+
+let test_unobserved_warm_up () =
+  List.iter
+    (fun jobs ->
+      let cached, counts = warmed_then_observed ~observed:false jobs in
+      let _, observed_counts = warmed_then_observed ~observed:true jobs in
+      check_same_observed jobs cached
+        (with_cache_enabled false (fun () -> observed_per_instance jobs));
+      Alcotest.(check (list (triple string int int)))
+        (Printf.sprintf "hits and misses as after an observed warm-up (-j %d)"
+           jobs)
+        observed_counts counts)
+    [ 1; 4 ]
+
 let test_chaos_differential () =
   let go () =
     let r, _ =
@@ -615,6 +665,38 @@ let test_plan_node_class () =
         plan.Elect.node_class)
     (small_zoo ())
 
+(* The instance under a seeded renumbering of its nodes: an identity
+   the cache has never seen. *)
+let renumbered rng (i : Campaign.instance) =
+  let n = Graph.n i.Campaign.graph in
+  let p = Array.of_list (shuffle rng (List.init n Fun.id)) in
+  Bicolored.make
+    (Graph.of_edges ~n
+       (List.map (fun (u, v) -> (p.(u), p.(v))) (Graph.edges i.Campaign.graph)))
+    ~black:(List.map (fun u -> p.(u)) i.Campaign.black)
+
+(* A cold verdict with nothing listening keeps its values and keys in
+   the cache, but no metric delta beside them. *)
+let test_no_listener_keeps_no_delta () =
+  with_cache_enabled true @@ fun () ->
+  Cache.clear ();
+  let zoo = Array.of_list (Campaign.zoo ()) in
+  let rng = Random.State.make [| 31 |] in
+  let verdicts = 360 in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live () in
+  for k = 0 to verdicts - 1 do
+    let b = renumbered rng zoo.(k mod Array.length zoo) in
+    ignore (Cache.classes b : Qe_symmetry.Classes.t);
+    ignore (Oracle.predict b : Oracle.prediction)
+  done;
+  let per_verdict = (live () - before) / verdicts in
+  if per_verdict > 200 then
+    Alcotest.failf "%d live words per cold verdict (at most 200)" per_verdict
+
 (* every cache miss is computed under a [cache.compute] span on the
    caller's tracer: an ELECT run on a fresh cache shows each agent's
    plan inside [engine.run] *)
@@ -665,12 +747,16 @@ let () =
           Alcotest.test_case "L1 coherence across domains" `Quick
             test_l1_coherence;
           QCheck_alcotest.to_alcotest prop_exact_accounting;
+          Alcotest.test_case "no listener keeps no delta" `Quick
+            test_no_listener_keeps_no_delta;
         ] );
       ( "differential",
         [
           QCheck_alcotest.to_alcotest prop_sweep_differential;
           Alcotest.test_case "observed_sweep modulo cache.*" `Quick
             test_observed_sweep_differential;
+          Alcotest.test_case "unobserved warm-up, observed replay" `Quick
+            test_unobserved_warm_up;
           Alcotest.test_case "chaos_sweep" `Quick test_chaos_differential;
         ] );
       ( "satellites",
