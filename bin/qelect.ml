@@ -22,66 +22,14 @@ module Oracle = Qe_elect.Oracle
 module Canon = Qe_symmetry.Canon
 module Cdigraph = Qe_symmetry.Cdigraph
 module Metrics = Qe_obs.Metrics
+module Spec = Qe_group.Spec
 open Cmdliner
 
-(* ---------- graph spec parsing ---------- *)
-
-(* The one integer reader of every spec field: a bad field names itself
-   and the spec it came from (e.g. [circulant:abc:1: "abc" is not an
-   integer]) as an [Invalid_argument], which [instance_input] reports. *)
-let int_field spec s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> invalid_arg (Printf.sprintf "%s: %S is not an integer" spec s)
-
-(* The one integer-list reader, for agent lists and jump sets alike:
-   ',' or '+' separators ('+' survives shells and CI YAML unquoted). *)
-let parse_ints ~spec s =
-  String.split_on_char ','
-    (String.map (fun c -> if c = '+' then ',' else c) s)
-  |> List.map (int_field spec)
-
-let parse_agents l = parse_ints ~spec:("--agents " ^ l) l
-
-(* Malformed instance input (a size a family rejects, a bad agent list,
-   an unreadable file) surfaces from the builders as [Invalid_argument]
-   or [Sys_error]. This handler, shared by every command that builds an
-   instance, re-raises it as [Failure], which each command reports as a
-   one-line message and exit 124, the code a bad spec gets. *)
+(* Malformed instance input ([Spec.Error], or a builder's [Invalid_argument]
+   or [Sys_error]) becomes [Failure], which every command that builds an
+   instance reports as one [qelect:] line and exit 124. *)
 let instance_input f =
-  try f () with Invalid_argument msg | Sys_error msg -> failwith msg
-
-let parse_graph spec =
-  let int = int_field spec in
-  match String.split_on_char ':' spec with
-  | [ "petersen" ] -> Families.petersen ()
-  | [ "cycle"; n ] -> Families.cycle (int n)
-  | [ "path"; n ] -> Families.path (int n)
-  | [ "complete"; n ] -> Families.complete (int n)
-  | [ "hypercube"; d ] -> Families.hypercube (int d)
-  | [ "star"; k ] -> Families.star (int k)
-  | [ "wheel"; k ] -> Families.wheel (int k)
-  | [ "tree"; h ] -> Families.binary_tree (int h)
-  | [ "ccc"; d ] -> Families.cube_connected_cycles (int d)
-  | [ "torus"; dims ] -> (
-      match String.split_on_char 'x' dims with
-      | [ a; b ] -> Families.torus (int a) (int b)
-      | _ -> failwith "torus spec: torus:AxB")
-  | [ "grid"; dims ] -> (
-      match String.split_on_char 'x' dims with
-      | [ a; b ] -> Families.grid (int a) (int b)
-      | _ -> failwith "grid spec: grid:AxB")
-  | [ "circulant"; n; jumps ] ->
-      Families.circulant (int n) (parse_ints ~spec jumps)
-  | [ "random"; seed; n; extra ] ->
-      Families.random_connected ~seed:(int seed)
-        ~n:(int n) ~extra_edges:(int extra)
-  | _ ->
-      failwith
-        (spec
-       ^ ": unknown graph spec (try cycle:8, hypercube:3, torus:3x4, \
-          circulant:10:1,3, petersen, star:5, wheel:6, grid:2x3, tree:3, \
-          ccc:3, random:7:12:5)")
+  try f () with Spec.Error msg | Invalid_argument msg | Sys_error msg -> failwith msg
 
 (* Returns the validated placement, the agents as given, and a name. *)
 let resolve_instance ?file ~instance ~graph ~agents () =
@@ -92,7 +40,7 @@ let resolve_instance ?file ~instance ~graph ~agents () =
         let inst = Qe_graph.Serial.load ~path in
         let black =
           match (agents, inst.Qe_graph.Serial.black) with
-          | Some l, _ -> parse_agents l
+          | Some l, _ -> Spec.agents l
           | None, (_ :: _ as b) -> b
           | None, [] -> failwith (path ^ ": file declares no agents; pass --agents")
         in
@@ -105,18 +53,24 @@ let resolve_instance ?file ~instance ~graph ~agents () =
         with
         | Some i -> (i.Campaign.graph, i.Campaign.black, i.Campaign.name)
         | None -> failwith (name ^ ": not in the zoo (see `qelect zoo`)"))
-    | None, None, Some spec ->
-        let g = parse_graph spec in
-        let black =
-          match agents with
-          | Some l -> parse_agents l
-          | None -> failwith "--agents required with --graph"
-        in
-        (g, black, spec)
+    | None, None, Some spec -> (
+        let g = Spec.graph spec in
+        match agents with
+        | Some l -> (g, Spec.agents l, spec)
+        | None -> failwith "--agents required with --graph")
     | None, None, None ->
         failwith "need --instance NAME, --graph SPEC --agents LIST, or --file PATH"
   in
   (Bicolored.make g ~black, black, name)
+
+(* The entry of [table] named [key], or a failure that lists the names. *)
+let pick what table key =
+  match List.assoc_opt key table with
+  | Some v -> v
+  | None ->
+      failwith
+        (Printf.sprintf "%s: unknown %s (%s)" key what
+           (String.concat ", " (List.map fst table)))
 
 let protocols =
   [
@@ -172,20 +126,8 @@ let run_cmd file instance graph agents protocol strategy seed verbose
   try
     let b, black, name = resolve_instance ?file ~instance ~graph ~agents () in
     let g = Bicolored.graph b in
-    let proto =
-      match List.assoc_opt protocol protocols with
-      | Some p -> p
-      | None ->
-          failwith
-            (protocol
-            ^ ": unknown protocol (elect, elect-cayley, quantitative, \
-               petersen-adhoc, anonymous, gathering, mark-race)")
-    in
-    let strat =
-      match List.assoc_opt strategy strategies with
-      | Some f -> f seed
-      | None -> failwith (strategy ^ ": unknown strategy")
-    in
+    let proto = pick "protocol" protocols protocol in
+    let strat = pick "strategy" strategies strategy seed in
     let world = World.make g ~black in
     let events = ref 0 in
     let on_event e =
@@ -209,12 +151,7 @@ let run_cmd file instance graph agents protocol strategy seed verbose
       else None
     in
     let plan =
-      match faults with
-      | None -> None
-      | Some name -> (
-          match List.assoc_opt name fault_plans with
-          | Some f -> Some (f fault_seed)
-          | None -> failwith (name ^ ": unknown fault plan (chaos, crash-only)"))
+      Option.map (fun name -> pick "fault plan" fault_plans name fault_seed) faults
     in
     let exec () =
       Engine.run ~strategy:strat ~seed ~on_event ?obs:sink ?faults:plan world
@@ -1046,35 +983,6 @@ let selftest_cmd random_count jobs brute_cap write_golden dump_path =
 (* ---------- frontier ---------- *)
 
 module Classes = Qe_symmetry.Classes
-module Presentation = Qe_group.Presentation
-module Cayley = Qe_group.Cayley
-
-(* Large-instance specs: Cayley families streamed straight into CSR.
-   Deliberately separate from [parse_graph] — these are the generators
-   that scale to 10^5-10^6 nodes without an edge list. *)
-let parse_frontier_spec spec =
-  instance_input @@ fun () ->
-  let int = int_field spec in
-  match String.split_on_char ':' spec with
-  | [ "circulant"; n; jumps ] ->
-      Presentation.circulant (int n) (parse_ints ~spec jumps)
-  | [ "ccc"; d ] -> Presentation.cube_connected_cycles (int d)
-  | [ "hypercube"; d ] -> Cayley.hypercube (int d)
-  | [ "torus"; dims ] -> (
-      match String.split_on_char 'x' dims with
-      | [ a; b ] -> Cayley.torus (int a) (int b)
-      | _ -> failwith "torus spec: torus:AxB")
-  | [ "dihedral"; n ] -> Cayley.dihedral_cayley (int n)
-  | [ "wreath"; base; d ] ->
-      let base = int base and d = int d in
-      (* shift = (0, 1) is element 1; the first-coordinate bump (e_0, 0)
-         is element d — for base 2 this is exactly CCC_d *)
-      Presentation.cayley (Presentation.wreath_shift ~base d) [ 1; d ]
-  | _ ->
-      failwith
-        (spec
-       ^ ": unknown frontier spec (try circulant:100000:1+3+9, ccc:13, \
-          hypercube:17, torus:300x400, dihedral:50000, wreath:3:10)")
 
 type frontier_row = {
   fr_spec : string;
@@ -1113,8 +1021,7 @@ let partitions_agree n a b =
 let frontier_measure slow_check spec =
   let now = Qe_obs.Clock.now_ns in
   let t0 = now () in
-  let inst = parse_frontier_spec spec in
-  let g = inst.Presentation.graph in
+  let g = (instance_input (fun () -> Spec.cayley spec)).Qe_group.Presentation.graph in
   let gen_ns = now () - t0 in
   let n = Graph.n g in
   let b = Bicolored.make g ~black:(List.init n Fun.id) in
@@ -1225,8 +1132,14 @@ let file_arg =
 let instance_arg =
   Arg.(value & opt (some string) None & info [ "instance"; "i" ] ~doc:"Zoo instance name.")
 
+(* A --help list of spec forms, from [Spec]'s table. *)
+let spec_forms forms =
+  String.concat ", " (List.map (Printf.sprintf "$(b,%s)") forms)
+  ^ " (a list takes ',' or '+')"
+
 let graph_arg =
-  Arg.(value & opt (some string) None & info [ "graph"; "g" ] ~doc:"Graph spec, e.g. cycle:8.")
+  let doc = "Graph spec, one of " ^ spec_forms Spec.forms ^ "." in
+  Arg.(value & opt (some string) None & info [ "graph"; "g" ] ~doc ~docv:"SPEC")
 
 let agents_arg =
   Arg.(value & opt (some string) None & info [ "agents"; "a" ] ~doc:"Comma-separated home-bases.")
@@ -1508,9 +1421,8 @@ let frontier_specs_arg =
     value & opt_all string []
     & info [ "spec" ]
         ~doc:
-          "A large-instance spec (repeatable): \
-           $(b,circulant:N:j1+j2+...), $(b,ccc:D), $(b,hypercube:D), \
-           $(b,torus:AxB), $(b,dihedral:N), $(b,wreath:BASE:D)."
+          ("A Cayley-family spec (repeatable), one of "
+          ^ spec_forms Spec.cayley_forms ^ ".")
         ~docv:"SPEC")
 
 let budget_mb_arg =

@@ -239,18 +239,21 @@ let elect_expected inst = Oracle.gcd_classes (bicolored inst) = 1
    distinct instance before farming the matrix out, so worker domains
    find warm entries instead of racing on the first lookups. With the
    cache disabled this is a no-op and every run recomputes as before.
-   The prewarm runs with no ambient sink, so its entries store no metric
-   delta: the first in-run lookup under a task's sink computes it and
-   every later one replays it, so observed snapshots are
-   placement-identical either way. *)
-let prewarm instances =
-  if Qe_symmetry.Artifact_cache.enabled () then
+   An unobserved sweep prewarms with no ambient sink, so its entries
+   store no metric delta. An [observed] one prewarms under a throwaway
+   sink, so each entry stores its delta once and every in-run lookup
+   replays it instead of computing the instance again. *)
+let prewarm ~observed instances =
+  let warm () =
     List.iter
       (fun inst ->
         let b = bicolored inst in
         ignore (Oracle.gcd_classes b);
         ignore (Oracle.predict b))
       instances
+  in
+  if Qe_symmetry.Artifact_cache.enabled () then
+    if observed then Qe_obs.Sink.(with_ambient (create ()) warm) else warm ()
 
 (* Wall-clock latency histograms ([*_latency]) are real time, so they
    can never be part of the determinism contract: any snapshot that is
@@ -613,7 +616,7 @@ type sweep_row = {
 let sweep ?(seeds = [ 0; 1 ]) ?(strategies = strategies) ?(jobs = 1) ?live
     ?(supervise = Supervisor.policy ()) ?harness_chaos ?checkpoint
     ?(resume = false) ~expected proto instances =
-  prewarm instances;
+  prewarm ~observed:(Option.is_some live) instances;
   let tasks =
     List.concat_map
       (fun inst ->
@@ -685,7 +688,7 @@ let chaos_sweep ?(seeds = 8) ?(strategies = strategies)
     ?(supervise = Supervisor.policy ()) ?harness_chaos ?checkpoint
     ?(resume = false) ~expected proto instances =
   let jobs = Supervisor.resolve_jobs jobs in
-  prewarm instances;
+  prewarm ~observed:Option.(is_some obs || is_some live) instances;
   let tasks =
     List.concat_map
       (fun seed ->

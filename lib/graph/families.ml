@@ -1,9 +1,7 @@
-(* [Invalid_argument "Families.<ctor>: <reason>"]; the message is
-   formatted only when a constructor rejects its argument *)
-let reject ctor fmt =
-  Printf.ksprintf
-    (fun why -> invalid_arg ("Families." ^ ctor ^ ": " ^ why))
-    fmt
+(* [Invalid_argument "<ctor>: <reason>"]; the message is formatted only
+   when a constructor rejects its argument *)
+let refuse ctor fmt = Printf.ksprintf (fun why -> invalid_arg (ctor ^ ": " ^ why)) fmt
+let reject ctor = refuse ("Families." ^ ctor)
 
 (* The size guard, checked before any loop or allocation: a node count
    past [max_int] would wrap to a small or negative [n]. The tests are
@@ -85,14 +83,16 @@ let torus a b =
   done;
   Graph.of_edges ~n:(a * b) (List.rev !edges)
 
-let circulant n jumps =
-  if n < 3 then reject "circulant" "n must be >= 3 (got %d)" n;
+let circulant_range ~ctor n jumps =
+  if n < 3 then refuse ctor "n must be >= 3 (got %d)" n;
   List.iter
     (fun j ->
       if j < 1 || 2 * j > n then
-        reject "circulant" "jump %d out of range [1, %d] for n = %d" j
-          (n / 2) n)
-    jumps;
+        refuse ctor "jump %d out of range [1, %d] for n = %d" j (n / 2) n)
+    jumps
+
+let circulant n jumps =
+  circulant_range ~ctor:"Families.circulant" n jumps;
   (* Two distinct jumps in [1, n/2] never give the same edge, and a jump
      repeats its own edges only when 2j = n, where the second half of
      its n darts retraces the first: so dropping repeated jumps and

@@ -33,7 +33,13 @@ val torus : int -> int -> Graph.t
 val circulant : int -> int list -> Graph.t
 (** [circulant n jumps]: [Cay(Z_n, jumps ∪ -jumps)]. Jumps must be in
     [1 .. n/2]; a jump of exactly [n/2] yields a single (perfect-matching)
-    edge. *)
+    edge.
+    @raise Invalid_argument otherwise, from {!circulant_range}. *)
+
+val circulant_range : ctor:string -> int -> int list -> unit
+(** The circulant bounds every circulant builder applies: [n >= 3] and
+    each jump in [1 .. n/2]. @raise Invalid_argument
+    ["<ctor>: <reason>"] when [n] or a jump is out of range. *)
 
 val petersen : unit -> Graph.t
 (** The Petersen graph — vertex-transitive, {e not} Cayley; the paper's

@@ -320,7 +320,9 @@ let cayley p gens =
         });
   { graph; labeling; connection; group = p }
 
-let circulant n jumps = cayley (cyclic n) jumps
+let circulant n jumps =
+  Qe_graph.Families.circulant_range ~ctor:"Presentation.circulant" n jumps;
+  cayley (cyclic n) jumps
 
 let cube_connected_cycles d =
   if d < 3 then reject "cube_connected_cycles" "d must be >= 3 (got %d)" d;

@@ -103,7 +103,11 @@ val cayley : t -> int list -> instance
     group). *)
 
 val circulant : int -> int list -> instance
-(** [circulant n jumps] — Z_n with the given jump set. *)
+(** [circulant n jumps] — Z_n with the given jump set, under the bounds
+    of {!Qe_graph.Families.circulant}: [n >= 3], every jump in
+    [1 .. n/2].
+    @raise Invalid_argument ["Presentation.circulant: <reason>"] out of
+    them. *)
 
 val cube_connected_cycles : int -> instance
 (** CCC_d for any [d >= 3] — [cayley (semidirect_shift d) [shift; flip_0]];

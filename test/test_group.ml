@@ -5,6 +5,7 @@ module Graph = Qe_graph.Graph
 module Labeling = Qe_graph.Labeling
 module Traverse = Qe_graph.Traverse
 module Families = Qe_graph.Families
+module Spec = Qe_group.Spec
 
 let group_axioms g =
   let n = P.order g in
@@ -120,12 +121,12 @@ let test_bad_tables () =
 (* Every constructor that rejects its argument says which constructor
    and why, naming the offending value: [<Module>.<ctor>: <reason>] with
    the value quoted in the reason. *)
+let contains s sub =
+  let n = String.length s and k = String.length sub in
+  let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+  go 0
+
 let test_constructor_errors () =
-  let contains s sub =
-    let n = String.length s and k = String.length sub in
-    let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
-    go 0
-  in
   let cases =
     [
       ("Families.path", "0", fun () -> ignore (Families.path 0));
@@ -406,7 +407,7 @@ let generation_digest name g l =
 let cayley_golden_lines () =
   List.map
     (fun (name, (c : P.instance)) -> generation_digest name c.graph c.labeling)
-    [
+    ([
       ("ring 5", Cayley.ring 5);
       ("ring 8", Cayley.ring 8);
       ("hypercube 3", Cayley.hypercube 3);
@@ -436,14 +437,14 @@ let cayley_golden_lines () =
         P.cayley (P.power (P.cyclic 2) 10) (List.init 10 (fun i -> 1 lsl i)) );
       ("dihedral D7 {r,s}", P.cayley (P.dihedral 7) [ 1; 7 ]);
       ("wreath 3:3", P.cayley (P.wreath_shift ~base:3 3) [ 1; 3 ]);
-      (* the frontier --spec families, built as the CLI builds them *)
-      ("spec circulant:60:1+3+9", P.circulant 60 [ 1; 3; 9 ]);
-      ("spec ccc:5", P.cube_connected_cycles 5);
-      ("spec hypercube:6", Cayley.hypercube 6);
-      ("spec torus:5x7", Cayley.torus 5 7);
-      ("spec dihedral:20", Cayley.dihedral_cayley 20);
-      ("spec wreath:3:4", P.cayley (P.wreath_shift ~base:3 4) [ 1; 4 ]);
     ]
+  (* the frontier --spec families, built by the parser the CLI calls *)
+  @ List.map
+      (fun s -> ("spec " ^ s, Spec.cayley s))
+      [
+        "circulant:60:1+3+9"; "ccc:5"; "hypercube:6"; "torus:5x7"; "dihedral:20";
+        "wreath:3:4";
+      ])
 
 let test_cayley_golden () =
   let expected =
@@ -452,6 +453,80 @@ let test_cayley_golden () =
     |> List.filter (( <> ) "")
   in
   Alcotest.(check (list string)) "digests" expected (cayley_golden_lines ())
+
+(* ---------- the instance language ---------- *)
+
+let family form = List.hd (String.split_on_char ':' form)
+
+(* Each message CI pins, raised by the parser itself; the refusals list
+   the families of the table. *)
+let test_spec_errors () =
+  let raises what expected f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no error" what
+    | exception (Spec.Error msg | Invalid_argument msg) ->
+        Alcotest.(check string) what expected msg
+  in
+  let graph s () = ignore (Spec.graph s) and cayley s () = ignore (Spec.cayley s) in
+  raises "field" {|circulant:abc:1: "abc" is not an integer|} (graph "circulant:abc:1");
+  raises "dims field" {|circulant:1x0:1: "1x0" is not an integer|}
+    (cayley "circulant:1x0:1");
+  raises "agent" {|--agents 0,x: "x" is not an integer|} (fun () -> Spec.agents "0,x");
+  raises "empty agent" {|--agents 0,,1: "" is not an integer|} (fun () ->
+      Spec.agents "0,,1");
+  raises "size" "Families.cycle: n must be >= 3 (got 2)" (graph "cycle:2");
+  raises "order" "Presentation.power: group order exceeds max_int" (cayley "hypercube:63");
+  raises "circulant n" "Presentation.circulant: n must be >= 3 (got 2)"
+    (cayley "circulant:2:1");
+  raises "circulant jump" "Presentation.circulant: jump 7 out of range [1, 5] for n = 10"
+    (cayley "circulant:10:7");
+  raises "shape" "torus:3x4x5: expected torus:AxB" (graph "torus:3x4x5");
+  let names msg forms =
+    List.iter
+      (fun f ->
+        if not (contains msg (family f)) then Alcotest.failf "%S omits %s" msg (family f))
+      forms
+  in
+  (match Spec.graph "bogus:3" with
+  | _ -> Alcotest.fail "bogus:3 parsed"
+  | exception Spec.Error msg -> names msg Spec.forms);
+  (match Spec.cayley "petersen" with
+  | _ -> Alcotest.fail "petersen is no Cayley family"
+  | exception Spec.Error msg -> names msg Spec.cayley_forms);
+  Alcotest.(check (list string)) "Cayley families"
+    [ "hypercube"; "ccc"; "torus"; "circulant"; "dihedral"; "wreath" ]
+    (List.map family Spec.cayley_forms);
+  (* a family with only a Cayley builder still serves [graph] *)
+  Alcotest.(check (list int)) "dihedral:8 and wreath:3:2" [ 16; 18 ]
+    (List.map (fun s -> Graph.n (Spec.graph s)) [ "dihedral:8"; "wreath:3:2" ]);
+  Alcotest.(check (list int)) "agents" [ 0; 1; 5 ] (Spec.agents "0+1,5")
+
+(* A family name (or an unknown one) and 0-4 fields drawn from small
+   integers and malformed pieces: the parser returns or raises one of
+   its two errors, never anything else. Integers stay in [-2, 5]: the
+   largest instance that allows is wreath:5:5 (15 625 nodes), while
+   wider fields ask for graphs like hypercube:60. *)
+let prop_spec_fuzz =
+  let gen =
+    let open QCheck.Gen in
+    let field =
+      oneof
+        [
+          map string_of_int (int_range (-2) 5);
+          oneofl [ ""; "x"; "1x0"; "3x3x3"; "1,,2"; "+" ];
+        ]
+    in
+    map2
+      (fun name fields -> String.concat ":" (name :: fields))
+      (oneofl ("bogus" :: List.map family Spec.forms))
+      (list_size (int_range 0 4) field)
+  in
+  let total f s =
+    match f s with _ -> true | exception (Spec.Error _ | Invalid_argument _) -> true
+  in
+  QCheck.Test.make ~name:"fuzz" ~count:500
+    (QCheck.make ~print:Fun.id gen)
+    (fun s -> total Spec.graph s && total Spec.cayley s)
 
 let () =
   Alcotest.run "group"
@@ -491,6 +566,11 @@ let () =
             test_cayley_table_only_groups;
         ] );
       ("group", [ Alcotest.test_case "cayley golden" `Quick test_cayley_golden ]);
+      ( "spec",
+        [
+          Alcotest.test_case "errors" `Quick test_spec_errors;
+          QCheck_alcotest.to_alcotest prop_spec_fuzz;
+        ] );
       ( "translations",
         [
           Alcotest.test_case "are automorphisms" `Quick
